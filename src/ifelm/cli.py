@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -93,8 +94,8 @@ def _algorithms(spec: str) -> list[AlgorithmKind]:
 def _validate(args) -> None:
     if args.start < 1 or args.end < args.start:
         raise DomainError(f"need 1 <= start <= end, got {args.start}..{args.end}")
-    if args.k0sq <= 0:
-        raise DomainError(f"k0sq must be > 0, got {args.k0sq}")
+    if not (args.k0sq > 0 and math.isfinite(args.k0sq)):
+        raise DomainError(f"k0sq must be finite and > 0, got {args.k0sq}")
     if args.repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {args.repeats}")
 

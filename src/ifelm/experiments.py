@@ -113,7 +113,10 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     """Time and meter a single node addition at node count l.
 
     Each algorithm is warm-started to l nodes once; the (l+1)-th addition
-    is repeated `repeats` times on the same immutable base state.
+    is repeated `repeats` times on the same immutable base state.  The base
+    state's arrays are never at a solver buffer's fill level, so every timed
+    step takes the copy path and pays for copying H (and L, D); chained
+    growth, as in grow_run and eval_run, appends in place instead.
     """
     params = init_random_params(l + 1, ds.X.shape[0], kernel, seed)
     h_full = hidden_matrix(params, ds.X)

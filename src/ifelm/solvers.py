@@ -17,12 +17,26 @@ All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  Products along the K (sample) dimension run through the metered
 gemm; l- and M-sized bookkeeping is deliberately unmetered so recorded
 flops follow the dominant-cost model.
+
+Storage model.  States are immutable to the caller, but the append-only
+arrays H (a row per node), L (a column per node) and D (an entry per node)
+live in buffers owned by the solver, whose capacity doubles when full; the
+state's fields are exact l-sized views of them.  A step writes the new row
+or column past the fill level in place only when the state's field is the
+buffer's latest view.  Any other state copies into a new buffer first: one
+that was already stepped, one with a `dataclasses.replace`d field, or one
+whose arrays the caller passed in (`init_solver`'s h1 and `warm_start`'s h
+are never written).  So re-stepping an old state is correct but pays a
+copy, and chained growth appends in place.  B, Q and W are rewritten by
+every step and are allocated once per step at their new size.  Two threads
+must not step the same state at the same time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -47,13 +61,59 @@ class AlgorithmKind(Enum):
     ALG3 = "alg3"
 
 
+class _Tail:
+    """Owned buffer behind one append-only state array (H, L or D).
+
+    `view` is the array most recently handed out: the filled part of
+    `buf`, which has spare capacity along its grown axes.
+    """
+
+    __slots__ = ("buf", "view")
+
+    def __init__(self, buf: np.ndarray):
+        self.buf = buf
+        self.view = None
+
+
+def _owns(tail: _Tail | None, a: np.ndarray) -> bool:
+    """True if `a` is `tail`'s latest view and the buffer has room past it."""
+    return tail is not None and tail.view is a and tail.buf.shape[0] > a.shape[0]
+
+
+def _append_row(tail: _Tail | None, a: np.ndarray, row) -> _Tail:
+    """Append `row` to the rows of `a` (H, or the entries of D)."""
+    n = a.shape[0]
+    if not _owns(tail, a):
+        tail = _Tail(np.empty((2 * (n + 1),) + a.shape[1:]))
+        tail.buf[:n] = a
+    tail.buf[n] = row
+    tail.view = tail.buf[: n + 1]
+    return tail
+
+
+def _append_unit_column(tail: _Tail | None, a: np.ndarray, col: np.ndarray) -> _Tail:
+    """Border the unit upper-triangular `a` with column `col` and a unit diagonal."""
+    n = a.shape[0]
+    if not _owns(tail, a):
+        tail = _Tail(np.empty((2 * (n + 1),) * 2))
+        tail.buf[:n, :n] = a
+    buf = tail.buf
+    buf[:n, n] = col
+    buf[n, :n] = 0.0
+    buf[n, n] = 1.0
+    tail.view = buf[: n + 1, : n + 1]
+    return tail
+
+
 @dataclass(frozen=True)
 class SolverState:
     """Immutable snapshot of one solver after l node additions.
 
     Aux content by kind: EXISTING/ALG1 carry B (K x l); ALG2 carries
     Q (l x l); ALG3 carries L (l x l, unit upper-triangular) and D (l,);
-    BASELINE carries nothing beyond H, Y, W.
+    BASELINE carries nothing beyond H, Y, W.  H, L and D may be views of
+    solver-owned buffers (see the module docstring); treat every array as
+    read-only.
     """
 
     kind: AlgorithmKind
@@ -66,6 +126,9 @@ class SolverState:
     L: np.ndarray | None = None
     D: np.ndarray | None = None
     counter: FlopCounter | None = None
+    _h_tail: _Tail | None = field(default=None, repr=False, compare=False)
+    _l_tail: _Tail | None = field(default=None, repr=False, compare=False)
+    _d_tail: _Tail | None = field(default=None, repr=False, compare=False)
 
     @property
     def l(self) -> int:
@@ -77,8 +140,8 @@ class SolverState:
 
 
 def _check_k0sq(k0sq: float) -> float:
-    if not (k0sq > 0.0):
-        raise DomainError(f"regularization k0sq must be > 0, got {k0sq}")
+    if not (k0sq > 0.0 and math.isfinite(k0sq)):
+        raise DomainError(f"regularization k0sq must be finite and > 0, got {k0sq}")
     return float(k0sq)
 
 
@@ -182,19 +245,48 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
 
 
 def _grown(state: SolverState, h_bar: np.ndarray, w_new: np.ndarray, **aux) -> SolverState:
-    return replace(
-        state,
-        H=np.vstack([state.H, h_bar.reshape(1, -1)]),
-        W=w_new,
-        **aux,
-    )
+    h_tail = _append_row(state._h_tail, state.H, h_bar)
+    return replace(state, H=h_tail.view, W=w_new, _h_tail=h_tail, **aux)
+
+
+# A leading block of at most this many entries is computed in a contiguous
+# scratch array and then copied in: at such sizes numpy's per-row loop
+# overhead on the strided block costs more than the copy.  Larger blocks
+# are computed in place, which saves a temporary and a pass over memory.
+_SCRATCH_MAX = 1 << 15
+
+
+def _with_block(rows: int, cols: int, fill) -> np.ndarray:
+    """New rows x (cols + 1) array whose leading block `fill(block)` computes.
+
+    `fill` writes into and returns the array it is given; the last column is
+    left for the caller.
+    """
+    out = np.empty((rows, cols + 1))
+    if rows * cols <= _SCRATCH_MAX:
+        out[:, :-1] = fill(np.empty((rows, cols)))
+    else:
+        fill(out[:, :-1])
+    return out
+
+
+def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
+              subtract: bool = False) -> np.ndarray:
+    """[a + outer(col, row), col] (a - outer with `subtract`) in one new array.
+
+    Rounds exactly as forming the outer product, the sum and the hstack apart.
+    """
+    op = np.subtract if subtract else np.add
+    out = _with_block(*a.shape, lambda blk: op(a, np.outer(col, row, out=blk), out=blk))
+    out[:, -1] = col
+    return out
 
 
 def add_node_baseline(state: SolverState, h_bar: np.ndarray) -> SolverState:
     h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
-    h_new = np.vstack([state.H, h_bar.reshape(1, -1)])
-    w = solve_direct(h_new, state.Y, state.k0sq, state.counter)
-    return _grown(state, h_bar, w)
+    h_tail = _append_row(state._h_tail, state.H, h_bar)
+    w = solve_direct(h_tail.view, state.Y, state.k0sq, state.counter)
+    return replace(state, H=h_tail.view, W=w, _h_tail=h_tail)
 
 
 def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
@@ -221,10 +313,10 @@ def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
     # second term: ((c I - h h^T) B) / c, evaluated afresh as printed
     u2 = gemm(h_col.T, b, cnt)
     g2 = c * b - gemm(h_col, u2, cnt)
-    b_tilde = t1 / (c * delta) + g2 / c
+    b_new = _with_block(state.sample_count, state.l, lambda blk: np.add(
+        np.divide(t1, c * delta, out=blk), g2 / c, out=blk))
 
-    b_bar = (-gemm(b_tilde, p, cnt).reshape(-1) + h_bar) / c
-    b_new = np.hstack([b_tilde, b_bar.reshape(-1, 1)])
+    b_new[:, -1] = (-gemm(b_new[:, :-1], p, cnt).reshape(-1) + h_bar) / c
     w = gemm(state.Y, b_new, cnt)
     return _grown(state, h_bar, w, B=b_new)
 
@@ -242,11 +334,10 @@ def add_node_alg1(state: SolverState, h_bar: np.ndarray) -> SolverState:
     delta = _schur_denominator(c, float(u @ p.reshape(-1)), state.l + 1)
     tau = 1.0 / delta
     b_bar = tau * (h_bar - gemm(b, p, cnt).reshape(-1))
-    b_tilde = b - np.outer(b_bar, u)
+    b_new = _bordered(b, b_bar, u, subtract=True)
     w_bar = gemm(state.Y, b_bar.reshape(-1, 1), cnt).reshape(-1)
-    w_tilde = state.W - np.outer(w_bar, u)
-    w = np.hstack([w_tilde, w_bar.reshape(-1, 1)])
-    return _grown(state, h_bar, w, B=np.hstack([b_tilde, b_bar.reshape(-1, 1)]))
+    w = _bordered(state.W, w_bar, u, subtract=True)
+    return _grown(state, h_bar, w, B=b_new)
 
 
 def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
@@ -260,8 +351,7 @@ def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
     w_bar = tau * (
         gemm(state.Y, h_bar.reshape(-1, 1), cnt).reshape(-1) - state.W @ p
     )
-    w_tilde = state.W + np.outer(w_bar, t_tilde)
-    return np.hstack([w_tilde, w_bar.reshape(-1, 1)])
+    return _bordered(state.W, w_bar, t_tilde)
 
 
 def add_node_alg2(state: SolverState, h_bar: np.ndarray) -> SolverState:
@@ -274,8 +364,13 @@ def add_node_alg2(state: SolverState, h_bar: np.ndarray) -> SolverState:
     delta = _schur_denominator(c, float(p @ qp), state.l + 1)
     tau = 1.0 / delta
     t = -tau * qp
-    q_tilde = state.Q + np.outer(t, t) / tau
-    q_new = np.block([[q_tilde, t.reshape(-1, 1)], [t.reshape(1, -1), tau]])
+    q_new = np.empty((state.l + 1, state.l + 1))
+    q_tilde = np.outer(t, t, out=q_new[:-1, :-1])
+    q_tilde /= tau
+    q_tilde += state.Q
+    q_new[:-1, -1] = t
+    q_new[-1, :-1] = t
+    q_new[-1, -1] = tau
 
     w = _weight_border(state, h_bar, p, tau, t / tau)
     return _grown(state, h_bar, w, Q=q_new)
@@ -320,14 +415,11 @@ def add_node_alg3(state: SolverState, h_bar: np.ndarray) -> SolverState:
     delta = _schur_denominator(c, float(v @ dv), state.l + 1)
     tau = 1.0 / delta
 
-    l_new = np.zeros((state.l + 1, state.l + 1))
-    l_new[: state.l, : state.l] = state.L
-    l_new[: state.l, state.l] = t_tilde
-    l_new[state.l, state.l] = 1.0
-    d_new = np.append(state.D, tau)
-
     w = _weight_border(state, h_bar, p, tau, t_tilde)
-    return _grown(state, h_bar, w, L=l_new, D=d_new)
+    l_tail = _append_unit_column(state._l_tail, state.L, t_tilde)
+    d_tail = _append_row(state._d_tail, state.D, tau)
+    return _grown(state, h_bar, w,
+                  L=l_tail.view, D=d_tail.view, _l_tail=l_tail, _d_tail=d_tail)
 
 
 _ADDERS = {

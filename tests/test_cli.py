@@ -145,6 +145,15 @@ class TestErrorPaths:
         assert rc == 2
         assert "k0sq" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_regularization(self, tmp_path, capsys, value):
+        rc = main(["grow", "--synth", "sine-mixture", "--samples", "20",
+                   "--features", "2", "--outputs", "1", "--end", "3",
+                   "--k0sq", value, "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "k0sq" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,four\n")

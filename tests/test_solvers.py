@@ -61,6 +61,15 @@ class TestSolveDirect:
         with pytest.raises(DomainError):
             solve_direct(np.ones((1, 2)), Y1, -1.0)
 
+    @pytest.mark.parametrize("k0sq", [np.inf, np.nan, -np.inf])
+    def test_k0sq_must_be_finite(self, k0sq):
+        with pytest.raises(DomainError):
+            solve_direct(np.ones((1, 2)), Y1, k0sq)
+        with pytest.raises(DomainError):
+            init_solver(AlgorithmKind.ALG3, H1, Y1, k0sq)
+        with pytest.raises(DomainError):
+            warm_start(AlgorithmKind.ALG2, np.eye(2), Y1, k0sq)
+
 
 class TestInitSolver:
     def test_worked_base_case(self):
@@ -379,3 +388,165 @@ class TestStateAccessors:
         w = np.array(doc["W"]["data"]).reshape(doc["W"]["rows"], doc["W"]["cols"])
         assert np.allclose(w, W2)
         assert "Q" in doc["debug"]
+
+
+def reference_step(s, h_bar):
+    """Copy-based step of every rule: the vstack/hstack/block form.
+
+    Same arithmetic, in the same order and with the same product shapes, as
+    the solver's rules, but every array of the new state is a fresh copy.
+    """
+    k0sq, h, y, w = s.k0sq, s.H, s.Y, s.W
+    h_col = h_bar.reshape(-1, 1)
+    h_new = np.vstack([h, h_bar.reshape(1, -1)])
+    c = float(h_bar @ h_bar) + k0sq
+
+    def weight_border(p, tau, t_tilde):
+        w_bar = tau * ((y @ h_col).reshape(-1) - w @ p)
+        return np.hstack([w + np.outer(w_bar, t_tilde), w_bar.reshape(-1, 1)])
+
+    if s.kind is AlgorithmKind.BASELINE:
+        return replace(s, H=h_new, W=solve_direct(h_new, y, k0sq))
+    if s.kind is AlgorithmKind.EXISTING:
+        b = s.B
+        u1 = h_col.T @ b
+        g1 = c * b - h_col @ u1
+        p = h @ h_col
+        t1 = (g1 @ p) @ u1
+        delta = c - (u1 @ p)[0, 0]
+        u2 = h_col.T @ b
+        g2 = c * b - h_col @ u2
+        b_tilde = t1 / (c * delta) + g2 / c
+        b_bar = (-(b_tilde @ p).reshape(-1) + h_bar) / c
+        b_new = np.hstack([b_tilde, b_bar.reshape(-1, 1)])
+        return replace(s, H=h_new, W=y @ b_new, B=b_new)
+    if s.kind is AlgorithmKind.ALG1:
+        b = s.B
+        p = h @ h_col
+        u = (h_col.T @ b).reshape(-1)
+        tau = 1.0 / (c - float(u @ p.reshape(-1)))
+        b_bar = tau * (h_bar - (b @ p).reshape(-1))
+        w_bar = (y @ b_bar.reshape(-1, 1)).reshape(-1)
+        return replace(
+            s, H=h_new,
+            W=np.hstack([w - np.outer(w_bar, u), w_bar.reshape(-1, 1)]),
+            B=np.hstack([b - np.outer(b_bar, u), b_bar.reshape(-1, 1)]),
+        )
+    p = (h @ h_col).reshape(-1)
+    if s.kind is AlgorithmKind.ALG2:
+        qp = s.Q @ p
+        tau = 1.0 / (c - float(p @ qp))
+        t = -tau * qp
+        q_tilde = s.Q + np.outer(t, t) / tau
+        q_new = np.block([[q_tilde, t.reshape(-1, 1)], [t.reshape(1, -1), tau]])
+        return replace(s, H=h_new, W=weight_border(p, tau, t / tau), Q=q_new)
+    v = s.L.T @ p
+    dv = s.D * v
+    t_tilde = -(s.L @ dv)
+    tau = 1.0 / (c - float(v @ dv))
+    l_new = np.zeros((s.l + 1, s.l + 1))
+    l_new[: s.l, : s.l] = s.L
+    l_new[: s.l, s.l] = t_tilde
+    l_new[s.l, s.l] = 1.0
+    return replace(s, H=h_new, W=weight_border(p, tau, t_tilde),
+                   L=l_new, D=np.append(s.D, tau))
+
+
+STATE_ARRAYS = ("H", "W", "B", "Q", "L", "D")
+
+
+def arrays(st):
+    return {n: getattr(st, n) for n in STATE_ARRAYS if getattr(st, n) is not None}
+
+
+def assert_same_state(got, want):
+    a, b = arrays(got), arrays(want)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name]), f"{got.kind} {name} at l={got.l}"
+
+
+def snapshot(st):
+    return {n: a.copy() for n, a in arrays(st).items()}
+
+
+class TestCopyOnWrite:
+    """Steps append into solver-owned buffers; every state must stay intact.
+
+    K=1000 makes the chains cross the size at which a bordered block moves
+    from a scratch array to in-place computation.
+    """
+
+    K, M, STEPS = 1000, 3, 40
+
+    def rows(self, seed=21):
+        rng = np.random.default_rng(seed)
+        h = np.exp(-np.square(rng.uniform(-1, 1, (self.STEPS + 8, self.K))))
+        return h, rng.standard_normal((self.M, self.K))
+
+    def start(self, kind, h, y, l0):
+        if l0 == 1:
+            return init_solver(kind, h[0], y, 0.1)
+        return warm_start(kind, h[:l0], y, 0.1)
+
+    @pytest.mark.parametrize("l0", [1, 6])
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_chain_matches_copy_reference_bitwise(self, kind, l0):
+        h, y = self.rows()
+        st = ref = self.start(kind, h, y, l0)
+        for l in range(l0, l0 + self.STEPS):
+            st, ref = add_node(st, h[l]), reference_step(ref, h[l])
+            assert_same_state(st, ref)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_restep_leaves_first_child_intact(self, kind):
+        h, y = self.rows()
+        s = self.start(kind, h, y, 1)
+        for l in range(1, 12):
+            s = add_node(s, h[l])
+        a = add_node(s, h[12])                  # appends in place
+        kept = snapshot(a)
+        b = add_node(s, h[13])                  # s is behind the fill level: copies
+        assert_same_state(b, reference_step(s, h[13]))
+        a2 = add_node(a, h[14])                 # a is still at its fill level
+        b2 = add_node(b, h[15])
+        for name, want in kept.items():
+            assert np.array_equal(getattr(a, name), want), name
+        assert_same_state(a2, reference_step(a, h[14]))
+        assert_same_state(b2, reference_step(b, h[15]))
+
+    @pytest.mark.parametrize("l0", [1, 6])
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_caller_rows_never_written(self, kind, l0):
+        # the caller's rows sit in a larger array; new rows come from elsewhere
+        h, y = self.rows()
+        new_rows, _ = self.rows(seed=22)
+        before = h.copy()
+        states = [self.start(kind, h[:l0] if l0 > 1 else h, y, l0)]
+        for l in range(l0, l0 + 10):
+            states.append(add_node(states[-1], new_rows[l]))
+        assert np.array_equal(h, before)
+        for st in states:
+            for name, a in arrays(st).items():
+                assert not np.shares_memory(a, h[l0:]), f"{name} at l={st.l}"
+
+    @pytest.mark.parametrize("kind,name", [
+        (AlgorithmKind.ALG1, "H"), (AlgorithmKind.ALG2, "H"),
+        (AlgorithmKind.ALG3, "H"), (AlgorithmKind.ALG3, "L"), (AlgorithmKind.ALG3, "D"),
+    ])
+    def test_replaced_field_steps_correctly(self, kind, name):
+        h, y = self.rows()
+        s = self.start(kind, h, y, 1)
+        for l in range(1, 10):
+            s = add_node(s, h[l])
+        changed = getattr(s, name).copy()
+        if name == "L":
+            changed[0, -1] *= 1.0 + 1e-3        # a different but still valid state
+        elif name == "D":
+            changed *= 1.0 + 1e-3
+        r = replace(s, **{name: changed})
+        stepped = add_node(r, h[10])
+        assert_same_state(stepped, reference_step(r, h[10]))
+        assert np.array_equal(getattr(r, name), changed)
+        # the original still owns its buffers and steps as before
+        assert_same_state(add_node(s, h[10]), reference_step(s, h[10]))
