@@ -29,9 +29,7 @@ from .solvers import (
     add_node_alg3,
     add_node_baseline,
     add_node_existing,
-    add_node_q_unsimplified,
     compute_p,
-    current_weights,
     init_solver,
     solve_direct,
     state_to_json,

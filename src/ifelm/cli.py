@@ -153,6 +153,8 @@ def run(argv=None) -> int:
         _write_json(out / "compare.json", config, {"compare": report}, started)
         for e in report["entries"]:
             status = "pass" if e["passed"] else "FAIL"
+            if e["breakdown"] is not None:
+                status += f" ({e['breakdown']['reason']})"
             print(f"{e['algorithm']}: max weight err {e['max_weight_error']:.3e} "
                   f"max output err {e['max_output_error']:.3e} "
                   f"(<= {e['threshold']:.0e} up to l={e['checked_up_to']}): {status}")

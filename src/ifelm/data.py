@@ -1,13 +1,14 @@
 """Dataset ingestion, normalization and synthetic data generation.
 
 CSV layout: UTF-8, comma-delimited, one sample per row, optional single
-header row, the last `target_columns` columns are targets.  Internally
-samples become columns: X is N x K, Y is M x K.
+header row, every other cell a finite number, the last `target_columns`
+columns are targets.  Internally samples become columns: X is N x K, Y is
+M x K.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -86,12 +87,15 @@ def load_csv(path, target_columns: int, task: TaskKind,
         parsed = []
         for colno, cell in enumerate(cells, start=1):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise CsvParseError(
-                    f"line {lineno}, column {colno}: not a number: {cell.strip()!r}",
+                    f"line {lineno}, column {colno}: not a finite number: {cell.strip()!r}",
                     line=lineno, column=colno,
-                ) from None
+                )
+            parsed.append(value)
         rows.append(parsed)
     if not rows:
         raise DomainError(f"no data rows in {path}")
@@ -189,12 +193,3 @@ def synth_dataset(kind: SynthKind, k: int, n: int, m: int, seed: int,
 
     raise DomainError(f"unknown synthetic kind {kind!r}")
 
-
-def dataset_meta_json(ds: Dataset) -> str:
-    return json.dumps({
-        "task": ds.task.value,
-        "features": ds.X.shape[0],
-        "outputs": ds.Y.shape[0],
-        "samples": ds.sample_count,
-        "metadata": ds.metadata,
-    })

@@ -83,16 +83,25 @@ def _safe_div(num: float, den: float) -> float:
 
 
 def _binary_counts(pred: np.ndarray, true: np.ndarray) -> tuple[int, int, int, int]:
-    tp = int(np.sum((pred == 1) & (true == 1)))
-    tn = int(np.sum((pred == 0) & (true == 0)))
-    fp = int(np.sum((pred == 1) & (true == 0)))
-    fn = int(np.sum((pred == 0) & (true == 1)))
+    tp = int(np.sum(pred & true))
+    tn = int(np.sum(~pred & ~true))
+    fp = int(np.sum(pred & ~true))
+    fn = int(np.sum(~pred & true))
     return tp, tn, fp, fn
 
 
 def _mcc(tp: int, tn: int, fp: int, fn: int) -> float:
     den = math.sqrt(float(tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
     return _safe_div(tp * tn - fp * fn, den)
+
+
+def _binary_report(pred: np.ndarray, true: np.ndarray) -> ClassificationReport:
+    """Report for boolean "is positive" predictions and targets."""
+    tp, tn, fp, fn = _binary_counts(pred, true)
+    return ClassificationReport(
+        acc=(tp + tn) / pred.size, sn=_safe_div(tp, tp + fn), pe=_safe_div(tp, tp + fp),
+        mcc=_mcc(tp, tn, fp, fn), tp=tp, tn=tn, fp=fp, fn=fn,
+    )
 
 
 def classification_metrics(z: np.ndarray, y: np.ndarray) -> ClassificationReport:
@@ -110,34 +119,19 @@ def classification_metrics(z: np.ndarray, y: np.ndarray) -> ClassificationReport
         raise DomainError("cannot score an empty sample set")
 
     if m == 1:
-        pred = (z[0] >= 0.0).astype(int)
-        true = (y[0] >= 0.0).astype(int)
-        tp, tn, fp, fn = _binary_counts(pred, true)
-        return ClassificationReport(
-            acc=(tp + tn) / k, sn=_safe_div(tp, tp + fn), pe=_safe_div(tp, tp + fp),
-            mcc=_mcc(tp, tn, fp, fn), tp=tp, tn=tn, fp=fp, fn=fn,
-        )
-
+        return _binary_report(z[0] >= 0.0, y[0] >= 0.0)
     pred_label = np.argmax(z, axis=0)
     true_label = np.argmax(y, axis=0)
     if m == 2:
         # positive class is row index 0
-        pred = (pred_label == 0).astype(int)
-        true = (true_label == 0).astype(int)
-        tp, tn, fp, fn = _binary_counts(pred, true)
-        return ClassificationReport(
-            acc=(tp + tn) / k, sn=_safe_div(tp, tp + fn), pe=_safe_div(tp, tp + fp),
-            mcc=_mcc(tp, tn, fp, fn), tp=tp, tn=tn, fp=fp, fn=fn,
-        )
+        return _binary_report(pred_label == 0, true_label == 0)
 
     # multiclass: micro accuracy, macro SN/PE/MCC over one-vs-rest
     acc = float(np.mean(pred_label == true_label))
     sns, pes, mccs = [], [], []
     tot = [0, 0, 0, 0]
     for cls in range(m):
-        tp, tn, fp, fn = _binary_counts(
-            (pred_label == cls).astype(int), (true_label == cls).astype(int)
-        )
+        tp, tn, fp, fn = _binary_counts(pred_label == cls, true_label == cls)
         sns.append(_safe_div(tp, tp + fn))
         pes.append(_safe_div(tp, tp + fp))
         mccs.append(_mcc(tp, tn, fp, fn))

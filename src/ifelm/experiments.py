@@ -9,6 +9,7 @@ cost and excluded.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,13 +34,6 @@ DEFAULT_THRESHOLDS = {
     AlgorithmKind.ALG2: (500, 1e-4),
     AlgorithmKind.ALG3: (100, 1e-8),
 }
-
-
-def _start_state(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float,
-                 start: int, enable_flops: bool) -> SolverState:
-    if start == 1:
-        return solvers.init_solver(kind, h[0], y, k0sq, enable_flops=enable_flops)
-    return solvers.warm_start(kind, h[:start], y, k0sq, enable_flops=enable_flops)
 
 
 def _flops(state: SolverState) -> int:
@@ -74,7 +68,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
     for kind in algorithms:
         trace = GrowthTrace(algorithm=kind.value)
-        state = _start_state(kind, h_full, y, k0sq, start, enable_flops)
+        state = solvers.warm_start(kind, h_full[:start], y, k0sq, enable_flops=enable_flops)
         entry = {"checkpoint_errors": {}, "breakdown": None}
 
         def record(st: SolverState, elapsed_ns: int, flops: int):
@@ -136,10 +130,9 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     }
     for kind in algorithms:
         base = solvers.warm_start(kind, h_full[:l], ds.Y, k0sq, enable_flops=True)
-        before = _flops(base)
         add_node(base, h_bar)
-        flops = _flops(base) - before
-        base.counter.enabled = False
+        flops = _flops(base)
+        base = replace(base, counter=None)
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter_ns()
@@ -163,7 +156,7 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
 
 def _grow_to(kind: AlgorithmKind, h_full: np.ndarray, y: np.ndarray, k0sq: float,
              start: int, end: int) -> SolverState:
-    state = _start_state(kind, h_full, y, k0sq, start, enable_flops=False)
+    state = solvers.warm_start(kind, h_full[:start], y, k0sq)
     for l in range(start, end):
         state = add_node(state, h_full[l])
     return state
@@ -208,20 +201,22 @@ def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, en
         thresholds = DEFAULT_THRESHOLDS
     algorithms = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
                   AlgorithmKind.ALG2, AlgorithmKind.ALG3]
-    traces, _ = grow_run(ds, kernel, k0sq, start, end, algorithms, seed,
-                         enable_flops=False)
+    traces, summary = grow_run(ds, kernel, k0sq, start, end, algorithms, seed,
+                               enable_flops=False)
     report = {"nodes": {"start": start, "end": end}, "entries": [], "passed": True}
     for kind in algorithms:
         limit_l, bound = thresholds[kind]
         checked = [r for r in traces[kind.value].records if r.l <= limit_l]
         w_max = max(r.weight_error for r in checked)
         z_max = max(r.output_error for r in checked)
-        ok = w_max <= bound and z_max <= bound
+        breakdown = summary["algorithms"][kind.value]["breakdown"]
+        ok = (w_max <= bound and z_max <= bound
+              and (breakdown is None or breakdown["node"] > min(limit_l, end)))
         worst = max(checked, key=lambda r: max(r.weight_error, r.output_error))
         report["entries"].append({
-            "algorithm": kind.value, "checked_up_to": min(limit_l, end),
+            "algorithm": kind.value, "checked_up_to": checked[-1].l,
             "threshold": bound, "max_weight_error": w_max, "max_output_error": z_max,
-            "worst_step": worst.l, "passed": ok,
+            "worst_step": worst.l, "breakdown": breakdown, "passed": ok,
         })
         if not ok:
             report["passed"] = False

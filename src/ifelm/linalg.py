@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import ShapeError, SingularMatrixError
 
@@ -21,29 +21,9 @@ class FlopCounter:
     """Accumulates multiply-add counts for metered matrix products."""
 
     multiply_adds: int = 0
-    enabled: bool = True
 
     def add(self, n: int) -> None:
-        if self.enabled:
-            self.multiply_adds += int(n)
-
-
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D float64 array with finite entries."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeError(f"{name} contains non-finite entries")
-    return m
-
-
-def check_finite(m: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise ArithmeticError(f"non-finite result in {context}")
-    return m
+        self.multiply_adds += int(n)
 
 
 def gemm(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
@@ -55,6 +35,19 @@ def gemm(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np
     if counter is not None:
         counter.add(2 * a.shape[0] * a.shape[1] * b.shape[1])
     return a @ b
+
+
+def cholesky(r: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor C of the SPD matrix R = C C^T, upper triangle zeroed.
+
+    Raises SingularMatrixError naming the first non-positive pivot.
+    """
+    c, info = lapack.dpotrf(r, lower=1, clean=1)
+    if info > 0:
+        raise SingularMatrixError(
+            f"matrix is not positive definite (pivot {info - 1})", pivot_index=info - 1
+        )
+    return c
 
 
 def solve_spd(r: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -70,20 +63,7 @@ def solve_spd(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     scale = np.abs(r).max()
     if scale > 0 and np.abs(r - r.T).max() > 1e-12 * scale:
         raise ShapeError("solve_spd requires a symmetric matrix")
-    try:
-        c, lower = scipy.linalg.cho_factor(r, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        # scipy reports "N-th leading minor ... is not positive definite"
-        pivot = None
-        for tok in str(exc).split():
-            digits = tok.rstrip("-thstnd")
-            if digits.isdigit():
-                pivot = int(digits) - 1
-                break
-        raise SingularMatrixError(
-            f"matrix is not positive definite (pivot {pivot})", pivot_index=pivot
-        ) from exc
-    return scipy.linalg.cho_solve((c, lower), m, check_finite=False)
+    return lapack.dpotrs(cholesky(r), m, lower=1)[0]
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -91,11 +71,3 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ShapeError(f"frobenius_distance shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
 
-
-def rank_one_update(a: np.ndarray, x: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """Return a + alpha * outer(x, y).  Not metered (element-wise cost)."""
-    x = np.asarray(x).reshape(-1)
-    y = np.asarray(y).reshape(-1)
-    if a.shape != (x.size, y.size):
-        raise ShapeError(f"rank_one_update shape mismatch: {a.shape} vs ({x.size},{y.size})")
-    return a + alpha * np.outer(x, y)

@@ -13,6 +13,10 @@ problem W = Y H^T (H H^T + k0sq I)^-1:
 * ALG3        maintains the factors L (unit upper-triangular) and D with
               L diag(D) L^T = Q, avoiding the drift of updating Q itself.
 
+Every rule starts through `warm_start` (`init_solver` is its l0 = 1 case)
+from one Cholesky factor C of H H^T + k0sq I; ALG3's factors come straight
+from C as L = C^-T diag(C) and D = 1/diag(C)^2.
+
 All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  Products along the K (sample) dimension run through the metered
 gemm; l- and M-sized bookkeeping is deliberately unmetered so recorded
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     DefinitenessLossError,
@@ -48,7 +52,7 @@ from .errors import (
     NumericalBreakdownError,
     ShapeError,
 )
-from .linalg import FlopCounter, gemm, solve_spd
+from .linalg import FlopCounter, cholesky, gemm, solve_spd
 
 BREAKDOWN_RTOL = 1e-12
 
@@ -162,60 +166,44 @@ def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float,
 
 def init_solver(kind: AlgorithmKind, h1: np.ndarray, y: np.ndarray, k0sq: float,
                 enable_flops: bool = False) -> SolverState:
-    """Closed-form l = 1 base case; all kinds agree with solve_direct."""
-    k0sq = _check_k0sq(k0sq)
-    h1 = np.asarray(h1, dtype=np.float64).reshape(-1)
-    if h1.size < 1:
-        raise ShapeError("h1 must have at least one entry")
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != h1.size:
-        raise ShapeError(f"Y must be M x {h1.size}, got {y.shape}")
-    r = float(h1 @ h1) + k0sq
-    counter = FlopCounter() if enable_flops else None
-    state = SolverState(
-        kind=kind, k0sq=k0sq, H=h1.reshape(1, -1), Y=y,
-        W=(y @ h1 / r).reshape(-1, 1), counter=counter,
-    )
-    if kind in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1):
-        state = replace(state, B=(h1 / r).reshape(-1, 1))
-    elif kind is AlgorithmKind.ALG2:
-        state = replace(state, Q=np.array([[1.0 / r]]))
-    elif kind is AlgorithmKind.ALG3:
-        state = replace(state, L=np.array([[1.0]]), D=np.array([1.0 / r]))
-    return state
+    """Start from the single hidden row h1: `warm_start` with l0 = 1."""
+    h1 = np.asarray(h1, dtype=np.float64).reshape(1, -1)
+    return warm_start(kind, h1, y, k0sq, enable_flops=enable_flops)
 
 
 def warm_start(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float,
                enable_flops: bool = False) -> SolverState:
-    """Start from an l0 > 1 node block via one direct factorization.
+    """Start any rule from an l0 >= 1 node block with one Cholesky factorization.
 
-    Gives every kind a consistent state (W, and B, Q or L/D as needed)
-    without replaying l0 incremental steps.
+    With C the lower Cholesky factor of R = H H^T + k0sq I, Q = R^-1 comes
+    from two triangular solves with C (symmetrised), B = H^T Q and W = Y B.
+    ALG3 takes its factors from C without forming Q: C^-T is upper
+    triangular with diagonal 1/diag(C), so Q = C^-T C^-1 = L diag(D) L^T for
+    L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.
     """
     k0sq = _check_k0sq(k0sq)
     h = np.asarray(h, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if h.ndim != 2 or y.ndim != 2 or h.shape[1] != y.shape[1]:
         raise ShapeError(f"warm_start shapes: H {h.shape}, Y {y.shape}")
-    if h.shape[0] == 1:
-        return init_solver(kind, h[0], y, k0sq, enable_flops=enable_flops)
-    r = h @ h.T + k0sq * np.eye(h.shape[0])
-    q = solve_spd(r, np.eye(h.shape[0]))
+    if h.size < 1:
+        raise ShapeError(f"warm_start needs a non-empty H, got {h.shape}")
+    eye = np.eye(h.shape[0])
+    c = cholesky(h @ h.T + k0sq * eye)
+    q = lapack.dpotrs(c, eye, lower=1)[0]
     q = 0.5 * (q + q.T)
-    w = y @ (h.T @ q)
+    b = h.T @ q
     counter = FlopCounter() if enable_flops else None
-    state = SolverState(kind=kind, k0sq=k0sq, H=h, Y=y, W=w, counter=counter)
+    state = SolverState(kind=kind, k0sq=k0sq, H=h, Y=y, W=y @ b, counter=counter)
     if kind in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1):
-        state = replace(state, B=h.T @ q)
+        state = replace(state, B=b)
     elif kind is AlgorithmKind.ALG2:
         state = replace(state, Q=q)
     elif kind is AlgorithmKind.ALG3:
-        ld, dd, _ = scipy.linalg.ldl(r, lower=True)
-        # R = Ll diag(dl) Ll^T  =>  Q = L diag(D) L^T with L = Ll^-T
-        upper = scipy.linalg.solve_triangular(
-            ld, np.eye(h.shape[0]), lower=True, unit_diagonal=True
-        ).T
-        state = replace(state, L=upper, D=1.0 / np.diag(dd))
+        diag = np.diag(c)
+        upper = lapack.dtrtri(c, lower=1)[0].T * diag
+        np.fill_diagonal(upper, 1.0)
+        state = replace(state, L=upper, D=1.0 / diag**2)
     return state
 
 
@@ -376,29 +364,6 @@ def add_node_alg2(state: SolverState, h_bar: np.ndarray) -> SolverState:
     return _grown(state, h_bar, w, Q=q_new)
 
 
-def add_node_q_unsimplified(state: SolverState, h_bar: np.ndarray) -> SolverState:
-    """Reference Q recursion in its original order and form.
-
-    Q_tilde is corrected first, then t from Q_tilde, then tau with the
-    squared denominator.  Retained only to cross-check the simplified rule;
-    both must produce identical states up to rounding.
-    """
-    h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
-    c = float(h_bar @ h_bar) + state.k0sq
-    p = compute_p(state, h_bar)
-
-    qp = state.Q @ p
-    delta = _schur_denominator(c, float(p @ qp), state.l + 1)
-    q_tilde = state.Q + np.outer(qp, qp) / delta
-    qtp = q_tilde @ p
-    t = -qtp / c
-    tau = float(p @ qtp) / (c * c) + 1.0 / c
-    q_new = np.block([[q_tilde, t.reshape(-1, 1)], [t.reshape(1, -1), tau]])
-
-    w = _weight_border(state, h_bar, p, tau, t / tau)
-    return _grown(state, h_bar, w, Q=q_new)
-
-
 def add_node_alg3(state: SolverState, h_bar: np.ndarray) -> SolverState:
     """Bordered update of the factors L, D with L diag(D) L^T = Q.
 
@@ -434,10 +399,6 @@ _ADDERS = {
 def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     """Dispatch one node addition to the state's update rule."""
     return _ADDERS[state.kind](state, h_bar)
-
-
-def current_weights(state: SolverState) -> np.ndarray:
-    return state.W
 
 
 def state_to_json(state: SolverState, include_debug: bool = False) -> str:

@@ -18,9 +18,10 @@ from ifelm.solvers import (
     AlgorithmKind,
     add_node,
     add_node_alg2,
-    add_node_q_unsimplified,
     init_solver,
 )
+
+from reference_rules import add_node_q_unsimplified
 
 ALL_FOUR = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
             AlgorithmKind.ALG2, AlgorithmKind.ALG3]

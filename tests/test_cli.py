@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from ifelm import experiments, solvers
 from ifelm.cli import main
 from ifelm.data import SynthKind, synth_dataset
+from ifelm.errors import NumericalBreakdownError
 from ifelm.experiments import compare_run
 from ifelm.model import ActivationKind
 from ifelm.solvers import AlgorithmKind
@@ -79,6 +81,32 @@ class TestCompareCommand:
                              thresholds=zero)
         assert report["passed"] is False
         assert all(not e["passed"] for e in report["entries"])
+
+    def test_breakdown_fails_only_within_checked_range(self, monkeypatch, tmp_path, capsys):
+        def add_node(state, h_bar):
+            if state.l + 1 == 7:
+                raise NumericalBreakdownError("breakdown at node 7")
+            return solvers.add_node(state, h_bar)
+
+        monkeypatch.setattr(experiments, "add_node", add_node)
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 50, 3, 1, seed=3)
+        report = compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, seed=3)
+        assert report["passed"] is False
+        for e in report["entries"]:
+            assert not e["passed"] and e["checked_up_to"] == 6
+            assert e["breakdown"]["node"] == 7
+        short = {k: (5, 1e-8) for k in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
+                                        AlgorithmKind.ALG2, AlgorithmKind.ALG3)}
+        report = compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, seed=3,
+                             thresholds=short)
+        assert report["passed"] is True
+        assert all(e["checked_up_to"] == 5 for e in report["entries"])
+
+        rc = main(["compare", "--synth", "sine-mixture", "--samples", "50",
+                   "--features", "3", "--outputs", "1", "--end", "10",
+                   "--out", str(tmp_path), "--seed", "3"])
+        assert rc == 1
+        assert capsys.readouterr().out.count("FAIL (breakdown at node 7)") == 4
 
 
 class TestBenchCommand:
@@ -161,3 +189,12 @@ class TestErrorPaths:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_finite_csv_cell(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3,4\nnan,5\n6,inf\n")
+        out = tmp_path / "run"
+        rc = main(["grow", "--data", str(bad), "--end", "2", "--out", str(out)])
+        assert rc == 2
+        assert "line 3, column 1" in capsys.readouterr().err
+        assert not list(out.glob("trace_*.csv"))

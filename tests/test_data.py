@@ -47,6 +47,14 @@ class TestLoadCsv:
             load_csv(path, 1, TaskKind.REGRESSION)
         assert (exc.value.line, exc.value.column) == (2, 2)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_reports_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1,2\n3,4\n5,{cell}\n")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(path, 1, TaskKind.REGRESSION)
+        assert (exc.value.line, exc.value.column) == (3, 2)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")

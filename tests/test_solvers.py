@@ -9,8 +9,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from ifelm.data import SynthKind, synth_dataset
 from ifelm.errors import DefinitenessLossError, DomainError, ShapeError
+from ifelm.model import ActivationKind, hidden_matrix, init_random_params
 from ifelm.solvers import (
     AlgorithmKind,
     add_node,
@@ -19,14 +22,14 @@ from ifelm.solvers import (
     add_node_alg3,
     add_node_baseline,
     add_node_existing,
-    add_node_q_unsimplified,
     compute_p,
-    current_weights,
     init_solver,
     solve_direct,
     state_to_json,
     warm_start,
 )
+
+from reference_rules import add_node_q_unsimplified, reference_step
 
 H1 = np.array([1.0, 2.0])
 Y1 = np.array([[3.0, 0.0]])
@@ -293,6 +296,44 @@ class TestWarmStart:
                 warm = add_node(warm, rows[i])
         assert np.allclose(warm.W, cold.W, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_linear_kernel_start_tracks_direct_solve(self, kind):
+        # the Gram of 20 linear-kernel rows of 8 features is near rank 8; a
+        # pivoted symmetric-indefinite start lost definiteness at node 21 here
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 200, 8, 2, seed=5)
+        h = hidden_matrix(init_random_params(25, 8, ActivationKind.LINEAR, 5), ds.X)
+        st = warm_start(kind, h[:20], ds.Y, 0.1)
+        for l in range(20, 25):
+            st = add_node(st, h[l])
+            w_base = solve_direct(h[: l + 1], ds.Y, 0.1)
+            bound = 1e-8 * (1.0 + np.linalg.norm(w_base))
+            assert np.linalg.norm(st.W - w_base) <= bound, f"step {l + 1}"
+
+    @pytest.mark.parametrize("l0,scaled", [(1, False), (2, False), (7, False), (7, True)])
+    def test_factors_unit_triangular_and_rebuild_q(self, l0, scaled):
+        rng = np.random.default_rng(30 + l0)
+        rows = rng.uniform(-1, 1, (l0, 30))
+        y = rng.standard_normal((2, 30))
+        if scaled:
+            rows *= 10.0 ** np.array([0, 3, -3, 0, 3, -3, 0])[:, None]
+            r = rows @ rows.T + 0.1 * np.eye(l0)
+            perm = scipy.linalg.ldl(r)[2]
+            assert not np.array_equal(perm, np.arange(l0))  # Bunch-Kaufman pivots here
+        a3 = warm_start(AlgorithmKind.ALG3, rows, y, 0.1)
+        q = warm_start(AlgorithmKind.ALG2, rows, y, 0.1).Q
+        assert np.array_equal(np.diag(a3.L), np.ones(l0))
+        assert np.all(np.tril(a3.L, -1) == 0.0)
+        q_rebuilt = a3.L @ np.diag(a3.D) @ a3.L.T
+        assert np.linalg.norm(q_rebuilt - q) <= 1e-12 * np.linalg.norm(q)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_init_solver_is_one_row_warm_start(self, kind):
+        rng = np.random.default_rng(13)
+        rows = rng.uniform(-1, 1, (3, 20))
+        y = rng.standard_normal((2, 20))
+        assert_same_state(init_solver(kind, rows[0], y, 0.1),
+                          warm_start(kind, rows[:1], y, 0.1))
+
 
 class TestFlopAccounting:
     """Per-step metered counts must equal the dominant-cost model exactly."""
@@ -372,13 +413,6 @@ class TestBreakdownErrors:
 
 
 class TestStateAccessors:
-    def test_current_weights_after_init(self):
-        assert np.allclose(current_weights(worked_state(AlgorithmKind.ALG1)), [[0.5]])
-
-    def test_current_weights_after_step(self):
-        st = add_node(worked_state(AlgorithmKind.ALG3), HBAR)
-        assert np.allclose(current_weights(st), W2)
-
     def test_snapshot_json(self):
         import json
 
@@ -388,68 +422,6 @@ class TestStateAccessors:
         w = np.array(doc["W"]["data"]).reshape(doc["W"]["rows"], doc["W"]["cols"])
         assert np.allclose(w, W2)
         assert "Q" in doc["debug"]
-
-
-def reference_step(s, h_bar):
-    """Copy-based step of every rule: the vstack/hstack/block form.
-
-    Same arithmetic, in the same order and with the same product shapes, as
-    the solver's rules, but every array of the new state is a fresh copy.
-    """
-    k0sq, h, y, w = s.k0sq, s.H, s.Y, s.W
-    h_col = h_bar.reshape(-1, 1)
-    h_new = np.vstack([h, h_bar.reshape(1, -1)])
-    c = float(h_bar @ h_bar) + k0sq
-
-    def weight_border(p, tau, t_tilde):
-        w_bar = tau * ((y @ h_col).reshape(-1) - w @ p)
-        return np.hstack([w + np.outer(w_bar, t_tilde), w_bar.reshape(-1, 1)])
-
-    if s.kind is AlgorithmKind.BASELINE:
-        return replace(s, H=h_new, W=solve_direct(h_new, y, k0sq))
-    if s.kind is AlgorithmKind.EXISTING:
-        b = s.B
-        u1 = h_col.T @ b
-        g1 = c * b - h_col @ u1
-        p = h @ h_col
-        t1 = (g1 @ p) @ u1
-        delta = c - (u1 @ p)[0, 0]
-        u2 = h_col.T @ b
-        g2 = c * b - h_col @ u2
-        b_tilde = t1 / (c * delta) + g2 / c
-        b_bar = (-(b_tilde @ p).reshape(-1) + h_bar) / c
-        b_new = np.hstack([b_tilde, b_bar.reshape(-1, 1)])
-        return replace(s, H=h_new, W=y @ b_new, B=b_new)
-    if s.kind is AlgorithmKind.ALG1:
-        b = s.B
-        p = h @ h_col
-        u = (h_col.T @ b).reshape(-1)
-        tau = 1.0 / (c - float(u @ p.reshape(-1)))
-        b_bar = tau * (h_bar - (b @ p).reshape(-1))
-        w_bar = (y @ b_bar.reshape(-1, 1)).reshape(-1)
-        return replace(
-            s, H=h_new,
-            W=np.hstack([w - np.outer(w_bar, u), w_bar.reshape(-1, 1)]),
-            B=np.hstack([b - np.outer(b_bar, u), b_bar.reshape(-1, 1)]),
-        )
-    p = (h @ h_col).reshape(-1)
-    if s.kind is AlgorithmKind.ALG2:
-        qp = s.Q @ p
-        tau = 1.0 / (c - float(p @ qp))
-        t = -tau * qp
-        q_tilde = s.Q + np.outer(t, t) / tau
-        q_new = np.block([[q_tilde, t.reshape(-1, 1)], [t.reshape(1, -1), tau]])
-        return replace(s, H=h_new, W=weight_border(p, tau, t / tau), Q=q_new)
-    v = s.L.T @ p
-    dv = s.D * v
-    t_tilde = -(s.L @ dv)
-    tau = 1.0 / (c - float(v @ dv))
-    l_new = np.zeros((s.l + 1, s.l + 1))
-    l_new[: s.l, : s.l] = s.L
-    l_new[: s.l, s.l] = t_tilde
-    l_new[s.l, s.l] = 1.0
-    return replace(s, H=h_new, W=weight_border(p, tau, t_tilde),
-                   L=l_new, D=np.append(s.D, tau))
 
 
 STATE_ARRAYS = ("H", "W", "B", "Q", "L", "D")
