@@ -44,13 +44,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default="gaussian")
     p.add_argument("--k0sq", type=float, default=0.1,
                    help="regularization factor (default 0.1)")
-    p.add_argument("--start", type=int, default=1, help="initial node count")
     p.add_argument("--end", type=int, default=100, help="final node count")
-    p.add_argument("--alg", default="all",
-                   help="comma list of baseline,existing,alg1,alg2,alg3 or 'all'")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -61,13 +56,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "inverse-free output-weight updates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, text in (
         ("grow", "grow node by node, tracing errors vs the direct solve"),
         ("bench", "time and meter a single node addition per algorithm"),
         ("eval", "k-fold cross-validation report"),
         ("compare", "lockstep equivalence check against the direct solve"),
     ):
-        _add_common(sub.add_parser(name, help=text))
+        commands[name] = sub.add_parser(name, help=text)
+        _add_common(commands[name])
+    # beyond the common flags, each subcommand takes only the flags it reads
+    for name in ("grow", "eval", "compare"):
+        commands[name].add_argument("--start", type=int, default=1, help="initial node count")
+    for name in ("grow", "bench", "eval"):
+        commands[name].add_argument(
+            "--alg", default="all", help="comma list of baseline,existing,alg1,alg2,alg3 or 'all'")
+    commands["bench"].add_argument("--repeats", type=int, default=100)
+    commands["eval"].add_argument("--folds", type=int, default=5)
     return parser
 
 
@@ -92,19 +97,15 @@ def _algorithms(spec: str) -> list[AlgorithmKind]:
 
 
 def _validate(args) -> None:
-    if args.start < 1 or args.end < args.start:
+    if args.command == "bench":  # bench has no --start; its l is --end
+        if args.end < 1:
+            raise DomainError(f"end must be >= 1, got {args.end}")
+        if args.repeats < 1:
+            raise DomainError(f"repeats must be >= 1, got {args.repeats}")
+    elif not 1 <= args.start <= args.end:
         raise DomainError(f"need 1 <= start <= end, got {args.start}..{args.end}")
     if not (args.k0sq > 0 and math.isfinite(args.k0sq)):
         raise DomainError(f"k0sq must be finite and > 0, got {args.k0sq}")
-    if args.repeats < 1:
-        raise DomainError(f"repeats must be >= 1, got {args.repeats}")
-
-
-def _config_dict(args) -> dict:
-    keys = ("command", "data", "synth", "task", "target_cols", "samples",
-            "features", "outputs", "kernel", "k0sq", "start", "end", "alg",
-            "seed", "folds", "repeats")
-    return {k: getattr(args, k, None) for k in keys}
 
 
 def _write_json(path: Path, config: dict, body: dict, started: float) -> None:
@@ -121,7 +122,7 @@ def run(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ds = _dataset(args)
     kernel = ActivationKind(args.kernel)
-    config = _config_dict(args)
+    config = {k: v for k, v in vars(args).items() if k != "out"}
 
     if args.command == "grow":
         traces, summary = grow_run(ds, kernel, args.k0sq, args.start, args.end,

@@ -9,7 +9,6 @@ cost and excluded.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -36,19 +35,15 @@ DEFAULT_THRESHOLDS = {
 }
 
 
-def _flops(state: SolverState) -> int:
-    return state.counter.multiply_adds if state.counter is not None else 0
-
-
 def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
              algorithms: list[AlgorithmKind], seed: int,
-             params: ElmParams | None = None,
-             enable_flops: bool = True):
+             params: ElmParams | None = None):
     """Grow each algorithm from `start` to `end` nodes in lockstep.
 
     Returns (traces, summary) where traces maps algorithm name to a
-    GrowthTrace of per-step errors vs the direct solve, and summary holds
-    checkpoint errors and breakdown diagnostics.
+    GrowthTrace of per-step errors vs the direct solve and per-step
+    multiply-adds, and summary holds checkpoint errors and breakdown
+    diagnostics.
     """
     if params is None:
         params = init_random_params(end, ds.X.shape[0], kernel, seed)
@@ -68,7 +63,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
     for kind in algorithms:
         trace = GrowthTrace(algorithm=kind.value)
-        state = solvers.warm_start(kind, h_full[:start], y, k0sq, enable_flops=enable_flops)
+        state = solvers.warm_start(kind, h_full[:start], y, k0sq)
         entry = {"checkpoint_errors": {}, "breakdown": None}
 
         def record(st: SolverState, elapsed_ns: int, flops: int):
@@ -84,15 +79,15 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
         record(state, 0, 0)
         for l in range(start, end):
-            before = _flops(state)
+            parent = state
             t0 = time.perf_counter_ns()
             try:
-                state = add_node(state, h_full[l])
+                state = add_node(parent, h_full[l])
             except solvers.NumericalBreakdownError as exc:
                 entry["breakdown"] = {"node": l + 1, "reason": str(exc)}
                 break
             elapsed = time.perf_counter_ns() - t0
-            record(state, elapsed, _flops(state) - before)
+            record(state, elapsed, state.multiply_adds - parent.multiply_adds)
 
         entry["max_weight_error"] = max(r.weight_error for r in trace.records)
         entry["max_output_error"] = max(r.output_error for r in trace.records)
@@ -107,11 +102,14 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     """Time and meter a single node addition at node count l.
 
     Each algorithm is warm-started to l nodes once; the (l+1)-th addition
-    is repeated `repeats` times on the same immutable base state.  The base
+    is repeated `repeats` times on the same immutable base state, and the
+    step's multiply-adds are read off the last timed child.  The base
     state's arrays are never at a solver buffer's fill level, so every timed
     step takes the copy path and pays for copying H (and L, D); chained
     growth, as in grow_run and eval_run, appends in place instead.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     params = init_random_params(l + 1, ds.X.shape[0], kernel, seed)
     h_full = hidden_matrix(params, ds.X)
     h_bar = h_full[l]
@@ -129,17 +127,14 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
         "algorithms": {},
     }
     for kind in algorithms:
-        base = solvers.warm_start(kind, h_full[:l], ds.Y, k0sq, enable_flops=True)
-        add_node(base, h_bar)
-        flops = _flops(base)
-        base = replace(base, counter=None)
+        base = solvers.warm_start(kind, h_full[:l], ds.Y, k0sq)
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter_ns()
-            add_node(base, h_bar)
+            child = add_node(base, h_bar)
             times.append(time.perf_counter_ns() - t0)
         report["algorithms"][kind.value] = {
-            "flops_per_step": flops,
+            "flops_per_step": child.multiply_adds - base.multiply_adds,
             "mean_ns": float(np.mean(times)),
             "min_ns": int(np.min(times)),
         }
@@ -201,8 +196,7 @@ def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, en
         thresholds = DEFAULT_THRESHOLDS
     algorithms = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
                   AlgorithmKind.ALG2, AlgorithmKind.ALG3]
-    traces, summary = grow_run(ds, kernel, k0sq, start, end, algorithms, seed,
-                               enable_flops=False)
+    traces, summary = grow_run(ds, kernel, k0sq, start, end, algorithms, seed)
     report = {"nodes": {"start": start, "end": end}, "entries": [], "passed": True}
     for kind in algorithms:
         limit_l, bound = thresholds[kind]

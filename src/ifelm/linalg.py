@@ -22,9 +22,6 @@ class FlopCounter:
 
     multiply_adds: int = 0
 
-    def add(self, n: int) -> None:
-        self.multiply_adds += int(n)
-
 
 def gemm(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     """Matrix product a @ b, metered at 2*rows(a)*cols(a)*cols(b)."""
@@ -33,7 +30,7 @@ def gemm(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm shape mismatch: {a.shape} x {b.shape}")
     if counter is not None:
-        counter.add(2 * a.shape[0] * a.shape[1] * b.shape[1])
+        counter.multiply_adds += 2 * a.shape[0] * a.shape[1] * b.shape[1]
     return a @ b
 
 

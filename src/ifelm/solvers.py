@@ -20,7 +20,8 @@ from C as L = C^-T diag(C) and D = 1/diag(C)^2.
 All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  Products along the K (sample) dimension run through the metered
 gemm; l- and M-sized bookkeeping is deliberately unmetered so recorded
-flops follow the dominant-cost model.
+flops follow the dominant-cost model.  A step's metered count is the new
+state's `multiply_adds` minus its parent's.
 
 Storage model.  States are immutable to the caller, but the append-only
 arrays H (a row per node), L (a column per node) and D (an entry per node)
@@ -117,7 +118,8 @@ class SolverState:
     Q (l x l); ALG3 carries L (l x l, unit upper-triangular) and D (l,);
     BASELINE carries nothing beyond H, Y, W.  H, L and D may be views of
     solver-owned buffers (see the module docstring); treat every array as
-    read-only.
+    read-only.  `multiply_adds` is the metered cost of the steps from the
+    start state (0 after `warm_start`) to this one.
     """
 
     kind: AlgorithmKind
@@ -129,7 +131,7 @@ class SolverState:
     Q: np.ndarray | None = None
     L: np.ndarray | None = None
     D: np.ndarray | None = None
-    counter: FlopCounter | None = None
+    multiply_adds: int = 0
     _h_tail: _Tail | None = field(default=None, repr=False, compare=False)
     _l_tail: _Tail | None = field(default=None, repr=False, compare=False)
     _d_tail: _Tail | None = field(default=None, repr=False, compare=False)
@@ -164,22 +166,21 @@ def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float,
     return solve_spd(r, rhs).T
 
 
-def init_solver(kind: AlgorithmKind, h1: np.ndarray, y: np.ndarray, k0sq: float,
-                enable_flops: bool = False) -> SolverState:
+def init_solver(kind: AlgorithmKind, h1: np.ndarray, y: np.ndarray, k0sq: float) -> SolverState:
     """Start from the single hidden row h1: `warm_start` with l0 = 1."""
     h1 = np.asarray(h1, dtype=np.float64).reshape(1, -1)
-    return warm_start(kind, h1, y, k0sq, enable_flops=enable_flops)
+    return warm_start(kind, h1, y, k0sq)
 
 
-def warm_start(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float,
-               enable_flops: bool = False) -> SolverState:
+def warm_start(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float) -> SolverState:
     """Start any rule from an l0 >= 1 node block with one Cholesky factorization.
 
     With C the lower Cholesky factor of R = H H^T + k0sq I, Q = R^-1 comes
     from two triangular solves with C (symmetrised), B = H^T Q and W = Y B.
     ALG3 takes its factors from C without forming Q: C^-T is upper
     triangular with diagonal 1/diag(C), so Q = C^-T C^-1 = L diag(D) L^T for
-    L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.
+    L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.  The start is
+    unmetered: the returned state's `multiply_adds` is 0.
     """
     k0sq = _check_k0sq(k0sq)
     h = np.asarray(h, dtype=np.float64)
@@ -193,8 +194,7 @@ def warm_start(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float,
     q = lapack.dpotrs(c, eye, lower=1)[0]
     q = 0.5 * (q + q.T)
     b = h.T @ q
-    counter = FlopCounter() if enable_flops else None
-    state = SolverState(kind=kind, k0sq=k0sq, H=h, Y=y, W=y @ b, counter=counter)
+    state = SolverState(kind=kind, k0sq=k0sq, H=h, Y=y, W=y @ b)
     if kind in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1):
         state = replace(state, B=b)
     elif kind is AlgorithmKind.ALG2:
@@ -207,14 +207,17 @@ def warm_start(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float,
     return state
 
 
-def compute_p(state: SolverState, h_bar: np.ndarray) -> np.ndarray:
-    """Cross term p = H h_bar shared by every incremental rule (cost 2lK)."""
+def _row(state: SolverState, h_bar: np.ndarray) -> np.ndarray:
+    """The new hidden row as a flat float64 array; every rule checks it has K entries."""
     h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
     if h_bar.size != state.sample_count:
-        raise ShapeError(
-            f"h_bar has {h_bar.size} entries, expected K={state.sample_count}"
-        )
-    return gemm(state.H, h_bar.reshape(-1, 1), state.counter).reshape(-1)
+        raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
+    return h_bar
+
+
+def compute_p(state: SolverState, h_bar: np.ndarray, counter: FlopCounter) -> np.ndarray:
+    """Cross term p = H h_bar shared by every incremental rule (cost 2lK)."""
+    return gemm(state.H, np.asarray(h_bar, dtype=np.float64).reshape(-1, 1), counter).reshape(-1)
 
 
 def _schur_denominator(c: float, correction: float, node_index: int) -> float:
@@ -232,9 +235,11 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
     return delta
 
 
-def _grown(state: SolverState, h_bar: np.ndarray, w_new: np.ndarray, **aux) -> SolverState:
+def _grown(state: SolverState, h_bar: np.ndarray, w_new: np.ndarray,
+           counter: FlopCounter, **aux) -> SolverState:
     h_tail = _append_row(state._h_tail, state.H, h_bar)
-    return replace(state, H=h_tail.view, W=w_new, _h_tail=h_tail, **aux)
+    return replace(state, H=h_tail.view, W=w_new, multiply_adds=counter.multiply_adds,
+                   _h_tail=h_tail, **aux)
 
 
 # A leading block of at most this many entries is computed in a contiguous
@@ -271,10 +276,11 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
 
 
 def add_node_baseline(state: SolverState, h_bar: np.ndarray) -> SolverState:
-    h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
-    h_tail = _append_row(state._h_tail, state.H, h_bar)
-    w = solve_direct(h_tail.view, state.Y, state.k0sq, state.counter)
-    return replace(state, H=h_tail.view, W=w, _h_tail=h_tail)
+    cnt = FlopCounter(state.multiply_adds)
+    h_tail = _append_row(state._h_tail, state.H, _row(state, h_bar))
+    w = solve_direct(h_tail.view, state.Y, state.k0sq, cnt)
+    return replace(state, H=h_tail.view, W=w, multiply_adds=cnt.multiply_adds,
+                   _h_tail=h_tail)
 
 
 def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
@@ -284,8 +290,8 @@ def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
     weights are recomputed in full as Y B, which is exactly the 16lK + 2MlK
     cost this rule is charged in comparisons.
     """
-    cnt = state.counter
-    h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
+    cnt = FlopCounter(state.multiply_adds)
+    h_bar = _row(state, h_bar)
     h_col = h_bar.reshape(-1, 1)
     b = state.B
     c = float(h_bar @ h_bar) + state.k0sq
@@ -306,13 +312,13 @@ def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
 
     b_new[:, -1] = (-gemm(b_new[:, :-1], p, cnt).reshape(-1) + h_bar) / c
     w = gemm(state.Y, b_new, cnt)
-    return _grown(state, h_bar, w, B=b_new)
+    return _grown(state, h_bar, w, cnt, B=b_new)
 
 
 def add_node_alg1(state: SolverState, h_bar: np.ndarray) -> SolverState:
     """Simplified B update; the row u = h^T B is computed once and reused."""
-    cnt = state.counter
-    h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
+    cnt = FlopCounter(state.multiply_adds)
+    h_bar = _row(state, h_bar)
     h_col = h_bar.reshape(-1, 1)
     b = state.B
     c = float(h_bar @ h_bar) + state.k0sq
@@ -325,28 +331,28 @@ def add_node_alg1(state: SolverState, h_bar: np.ndarray) -> SolverState:
     b_new = _bordered(b, b_bar, u, subtract=True)
     w_bar = gemm(state.Y, b_bar.reshape(-1, 1), cnt).reshape(-1)
     w = _bordered(state.W, w_bar, u, subtract=True)
-    return _grown(state, h_bar, w, B=b_new)
+    return _grown(state, h_bar, w, cnt, B=b_new)
 
 
 def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
-                   tau: float, t_tilde: np.ndarray) -> np.ndarray:
+                   tau: float, t_tilde: np.ndarray, counter: FlopCounter) -> np.ndarray:
     """Shared W growth for the Q- and factor-based rules.
 
     w_bar = tau (Y h - W p); the retained block moves by the rank-one
     correction W + w_bar t_tilde^T, where t_tilde = t / tau.
     """
-    cnt = state.counter
     w_bar = tau * (
-        gemm(state.Y, h_bar.reshape(-1, 1), cnt).reshape(-1) - state.W @ p
+        gemm(state.Y, h_bar.reshape(-1, 1), counter).reshape(-1) - state.W @ p
     )
     return _bordered(state.W, w_bar, t_tilde)
 
 
 def add_node_alg2(state: SolverState, h_bar: np.ndarray) -> SolverState:
     """Bordered update of the inverse Q; the pseudo-inverse is never formed."""
-    h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
+    cnt = FlopCounter(state.multiply_adds)
+    h_bar = _row(state, h_bar)
     c = float(h_bar @ h_bar) + state.k0sq
-    p = compute_p(state, h_bar)
+    p = compute_p(state, h_bar, cnt)
 
     qp = state.Q @ p
     delta = _schur_denominator(c, float(p @ qp), state.l + 1)
@@ -360,8 +366,8 @@ def add_node_alg2(state: SolverState, h_bar: np.ndarray) -> SolverState:
     q_new[-1, :-1] = t
     q_new[-1, -1] = tau
 
-    w = _weight_border(state, h_bar, p, tau, t / tau)
-    return _grown(state, h_bar, w, Q=q_new)
+    w = _weight_border(state, h_bar, p, tau, t / tau, cnt)
+    return _grown(state, h_bar, w, cnt, Q=q_new)
 
 
 def add_node_alg3(state: SolverState, h_bar: np.ndarray) -> SolverState:
@@ -370,9 +376,10 @@ def add_node_alg3(state: SolverState, h_bar: np.ndarray) -> SolverState:
     The product L D L^T is never materialized: v = L^T p, then the scaled
     back product gives both the new column and the Schur denominator.
     """
-    h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
+    cnt = FlopCounter(state.multiply_adds)
+    h_bar = _row(state, h_bar)
     c = float(h_bar @ h_bar) + state.k0sq
-    p = compute_p(state, h_bar)
+    p = compute_p(state, h_bar, cnt)
 
     v = state.L.T @ p
     dv = state.D * v
@@ -380,10 +387,10 @@ def add_node_alg3(state: SolverState, h_bar: np.ndarray) -> SolverState:
     delta = _schur_denominator(c, float(v @ dv), state.l + 1)
     tau = 1.0 / delta
 
-    w = _weight_border(state, h_bar, p, tau, t_tilde)
+    w = _weight_border(state, h_bar, p, tau, t_tilde, cnt)
     l_tail = _append_unit_column(state._l_tail, state.L, t_tilde)
     d_tail = _append_row(state._d_tail, state.D, tau)
-    return _grown(state, h_bar, w,
+    return _grown(state, h_bar, w, cnt,
                   L=l_tail.view, D=d_tail.view, _l_tail=l_tail, _d_tail=d_tail)
 
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ifelm.linalg import FlopCounter
 from ifelm.solvers import (
     AlgorithmKind,
     _grown,
@@ -26,9 +27,10 @@ def add_node_q_unsimplified(state, h_bar):
     squared denominator.  Retained only to cross-check the simplified rule;
     both must produce identical states up to rounding.
     """
+    cnt = FlopCounter(state.multiply_adds)
     h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
     c = float(h_bar @ h_bar) + state.k0sq
-    p = compute_p(state, h_bar)
+    p = compute_p(state, h_bar, cnt)
 
     qp = state.Q @ p
     delta = _schur_denominator(c, float(p @ qp), state.l + 1)
@@ -38,8 +40,8 @@ def add_node_q_unsimplified(state, h_bar):
     tau = float(p @ qtp) / (c * c) + 1.0 / c
     q_new = np.block([[q_tilde, t.reshape(-1, 1)], [t.reshape(1, -1), tau]])
 
-    w = _weight_border(state, h_bar, p, tau, t / tau)
-    return _grown(state, h_bar, w, Q=q_new)
+    w = _weight_border(state, h_bar, p, tau, t / tau, cnt)
+    return _grown(state, h_bar, w, cnt, Q=q_new)
 
 
 def reference_step(s, h_bar):

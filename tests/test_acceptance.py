@@ -38,13 +38,13 @@ def deep_growth():
     ds = synth_dataset(SynthKind.SINE_MIXTURE, 500, 8, 3, seed=7)
     t0 = time.perf_counter()
     _, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 500,
-                          ALL_FOUR, seed=7, enable_flops=False)
+                          ALL_FOUR, seed=7)
     return summary, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def big_bench():
-    """One metered plus 100 timed node additions at K=2000, l=500, M=10."""
+    """100 timed and metered node additions at K=2000, l=500, M=10."""
     ds = synth_dataset(SynthKind.SINE_MIXTURE, 2000, 8, 10, seed=1)
     return bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 500, ALL_FOUR,
                      seed=1, repeats=100)
@@ -55,7 +55,7 @@ def test_1_oracle_equivalence_to_100_nodes():
     t0 = time.perf_counter()
     _, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 100,
                           [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
-                           AlgorithmKind.ALG3], seed=7, enable_flops=False)
+                           AlgorithmKind.ALG3], seed=7)
     elapsed = time.perf_counter() - t0
     ok = elapsed < 30.0
     for name in ("existing", "alg1", "alg3"):

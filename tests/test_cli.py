@@ -124,6 +124,12 @@ class TestBenchCommand:
             model = bench["flop_model"][name]
             assert abs(got - model) <= 0.05 * model
 
+    def test_bench_run_needs_a_repeat(self):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 30, 2, 1, seed=0)
+        with pytest.raises(ValueError, match="repeats"):
+            experiments.bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 5,
+                                  [AlgorithmKind.ALG3], seed=0, repeats=0)
+
 
 class TestEvalCommand:
     def test_classification_smoke(self, tmp_path, capsys):
@@ -160,6 +166,13 @@ class TestErrorPaths:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bench_node_count_names_end(self, tmp_path, capsys):
+        rc = main(["bench", "--synth", "sine-mixture", "--end", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "end must be >= 1" in err and "start" not in err
+
     def test_unknown_algorithm(self, tmp_path, capsys):
         rc = main(["grow", "--synth", "sine-mixture", "--samples", "20",
                    "--features", "2", "--outputs", "1", "--end", "3",
@@ -180,6 +193,22 @@ class TestErrorPaths:
                    "--k0sq", value, "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "k0sq" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("grow", "--folds"), ("grow", "--repeats"),
+        ("bench", "--start"), ("bench", "--folds"),
+        ("eval", "--repeats"),
+        ("compare", "--alg"), ("compare", "--folds"), ("compare", "--repeats"),
+    ])
+    def test_flag_the_command_ignores(self, tmp_path, capsys, command, flag):
+        value = "alg3" if flag == "--alg" else "0"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--synth", "sine-mixture", "--samples", "20",
+                  "--features", "2", "--outputs", "1", "--end", "3",
+                  flag, value, "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_malformed_csv(self, tmp_path, capsys):

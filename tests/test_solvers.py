@@ -13,6 +13,8 @@ import scipy.linalg
 
 from ifelm.data import SynthKind, synth_dataset
 from ifelm.errors import DefinitenessLossError, DomainError, ShapeError
+from ifelm.experiments import grow_run
+from ifelm.linalg import FlopCounter
 from ifelm.model import ActivationKind, hidden_matrix, init_random_params
 from ifelm.solvers import (
     AlgorithmKind,
@@ -111,21 +113,32 @@ class TestInitSolver:
 class TestComputeP:
     def test_hand_product(self):
         st = worked_state(AlgorithmKind.ALG2)
-        assert np.allclose(compute_p(st, HBAR), [1.0])
+        assert np.allclose(compute_p(st, HBAR, FlopCounter()), [1.0])
 
     def test_zero_row(self):
         st = worked_state(AlgorithmKind.ALG2)
-        assert np.array_equal(compute_p(st, np.zeros(2)), [0.0])
+        assert np.array_equal(compute_p(st, np.zeros(2), FlopCounter()), [0.0])
 
     def test_identity_hidden_matrix(self):
         st = init_solver(AlgorithmKind.ALG2, [1.0, 0.0, 0.0], np.zeros((1, 3)), 1.0)
         st = replace(st, H=np.eye(3))
         h = np.array([0.3, -0.7, 0.2])
-        assert np.allclose(compute_p(st, h), h)
+        assert np.allclose(compute_p(st, h, FlopCounter()), h)
 
     def test_wrong_length(self):
         with pytest.raises(ShapeError):
-            compute_p(worked_state(AlgorithmKind.ALG2), np.zeros(5))
+            compute_p(worked_state(AlgorithmKind.ALG2), np.zeros(5), FlopCounter())
+
+
+class TestRowLength:
+    @pytest.mark.parametrize("size", [1, 6])
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_every_rule_rejects_wrong_length(self, kind, size):
+        # K = 5; a length-1 row would otherwise broadcast into H
+        rng = np.random.default_rng(3)
+        st = init_solver(kind, rng.uniform(-1, 1, 5), rng.standard_normal((1, 5)), 0.1)
+        with pytest.raises(ShapeError):
+            add_node(st, np.full(size, 0.5))
 
 
 class TestWorkedStep:
@@ -336,44 +349,72 @@ class TestWarmStart:
 
 
 class TestFlopAccounting:
-    """Per-step metered counts must equal the dominant-cost model exactly."""
+    """Per-step metered counts must equal the dominant-cost model exactly.
+
+    A step's count is the child's `multiply_adds` minus its parent's.
+    """
 
     def setup_state(self, kind, l=40, k=300, m=3):
         rng = np.random.default_rng(2)
         h = rng.uniform(-1, 1, (l + 1, k))
         y = rng.standard_normal((m, k))
-        return warm_start(kind, h[:l], y, 0.1, enable_flops=True), h[l]
+        return warm_start(kind, h[:l], y, 0.1), h[l]
+
+    @staticmethod
+    def step_cost(st, child):
+        return child.multiply_adds - st.multiply_adds
 
     def test_existing_is_16lk_plus_2mlk(self):
         st, h_bar = self.setup_state(AlgorithmKind.EXISTING)
         l, k, m = st.l, st.sample_count, st.Y.shape[0]
-        before = st.counter.multiply_adds
-        add_node(st, h_bar)
-        got = st.counter.multiply_adds - before
+        got = self.step_cost(st, add_node(st, h_bar))
         assert got == 16 * l * k + 2 * l + 2 * m * (l + 1) * k
 
     def test_alg1_is_6lk_plus_2mk(self):
         st, h_bar = self.setup_state(AlgorithmKind.ALG1)
         l, k, m = st.l, st.sample_count, st.Y.shape[0]
-        before = st.counter.multiply_adds
-        add_node(st, h_bar)
-        assert st.counter.multiply_adds - before == 6 * l * k + 2 * m * k
+        assert self.step_cost(st, add_node(st, h_bar)) == 6 * l * k + 2 * m * k
 
     @pytest.mark.parametrize("kind", [AlgorithmKind.ALG2, AlgorithmKind.ALG3])
     def test_alg2_alg3_are_2lk_plus_2mk(self, kind):
         st, h_bar = self.setup_state(kind)
         l, k, m = st.l, st.sample_count, st.Y.shape[0]
-        before = st.counter.multiply_adds
-        add_node(st, h_bar)
-        assert st.counter.multiply_adds - before == 2 * l * k + 2 * m * k
+        assert self.step_cost(st, add_node(st, h_bar)) == 2 * l * k + 2 * m * k
 
     def test_counter_monotone(self):
         st, h_bar = self.setup_state(AlgorithmKind.ALG1)
-        seen = [st.counter.multiply_adds]
+        seen = [st.multiply_adds]
         for _ in range(3):
             st = add_node(st, h_bar)
-            seen.append(st.counter.multiply_adds)
+            seen.append(st.multiply_adds)
+        assert seen[0] == 0
         assert seen == sorted(seen)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_restep_counts_each_child_once(self, kind):
+        st, h_bar = self.setup_state(kind)
+        a = add_node(st, h_bar)
+        b = add_node(st, h_bar)
+        assert st.multiply_adds == 0
+        assert self.step_cost(st, a) == self.step_cost(st, b) > 0
+
+    def test_grow_run_trace_matches_models(self):
+        k, m, end = 60, 2, 12
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, k, 3, m, seed=4)
+        model = {
+            "existing": lambda l: 16 * l * k + 2 * l + 2 * m * (l + 1) * k,
+            "alg1": lambda l: 6 * l * k + 2 * m * k,
+            "alg2": lambda l: 2 * l * k + 2 * m * k,
+            "alg3": lambda l: 2 * l * k + 2 * m * k,
+        }
+        traces, _ = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, end,
+                             INCREMENTAL, seed=4)
+        for name, cost in model.items():
+            recs = traces[name].records
+            assert [r.l for r in recs] == list(range(1, end + 1))
+            assert recs[0].flops == 0
+            # the record at l is the step from l - 1 nodes
+            assert [r.flops for r in recs[1:]] == [cost(l) for l in range(1, end)]
 
 
 class TestStabilityDrift:
