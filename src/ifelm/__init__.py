@@ -32,6 +32,7 @@ from .solvers import (
     compute_p,
     init_solver,
     solve_direct,
+    solve_direct_prefixes,
     state_to_json,
     warm_start,
 )

@@ -118,15 +118,17 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     _validate(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ds = _dataset(args)
+    algs = _algorithms(args.alg) if "alg" in args else ALL_INCREMENTAL
     kernel = ActivationKind(args.kernel)
     config = {k: v for k, v in vars(args).items() if k != "out"}
+    # only once the inputs are loaded and valid, so a rejected run leaves no directory
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     if args.command == "grow":
         traces, summary = grow_run(ds, kernel, args.k0sq, args.start, args.end,
-                                   _algorithms(args.alg), args.seed)
+                                   algs, args.seed)
         for name, trace in traces.items():
             trace.to_csv(out / f"trace_{name}.csv")
         _write_json(out / "summary.json", config, {"summary": summary}, started)
@@ -135,13 +137,12 @@ def run(argv=None) -> int:
 
     if args.command == "bench":
         report = bench_run(ds, kernel, args.k0sq, args.end,
-                           _algorithms(args.alg), args.seed, args.repeats)
+                           algs, args.seed, args.repeats)
         _write_json(out / "bench.json", config, {"bench": report}, started)
         print(f"wrote bench.json to {out}")
         return 0
 
     if args.command == "eval":
-        algs = _algorithms(args.alg)
         report = eval_run(ds, kernel, args.k0sq, args.start, args.end,
                           algs, args.seed, args.folds)
         _write_json(out / "eval.json", config, {"eval": report}, started)

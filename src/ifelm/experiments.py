@@ -4,6 +4,12 @@ All runs share one set of random hidden-node parameters and one node order
 so differences between algorithms isolate the update rule.  Timing covers
 the add_node call only; hidden-row generation and data loading are shared
 cost and excluded.
+
+grow_run's oracle is independent of every update rule: one Gram product
+and one Cholesky factorization of all `end` nodes, whose leading l x l
+block factors the Gram matrix of the first l nodes, give the direct-solve
+weights at every l (`solvers.solve_direct_prefixes`).  That replaces one
+factorization per node count, O(end^4) work, with O(end^3).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import numpy as np
 
 from . import solvers
 from .data import Dataset
+from .errors import DomainError
 from .evaluation import (
     GrowthTrace,
     StepRecord,
@@ -35,31 +42,55 @@ DEFAULT_THRESHOLDS = {
 }
 
 
+def _normal_residual(w: np.ndarray, h: np.ndarray, y: np.ndarray, k0sq: float) -> float:
+    """Relative residual |W (H H^T + k0sq I) - Y H^T|_F / |Y H^T|_F of the normal equations.
+
+    Computed as (W H) H^T + k0sq W, without forming the Gram matrix; an
+    all-zero Y H^T gives the absolute residual.
+    """
+    rhs = y @ h.T
+    res = float(np.linalg.norm((w @ h) @ h.T + k0sq * w - rhs))
+    scale = float(np.linalg.norm(rhs))
+    return res / scale if scale > 0 else res
+
+
 def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
              algorithms: list[AlgorithmKind], seed: int,
              params: ElmParams | None = None):
     """Grow each algorithm from `start` to `end` nodes in lockstep.
 
+    The reference weights at every node count l come from one Cholesky
+    factorization of the Gram matrix of all `end` nodes
+    (`solvers.solve_direct_prefixes`); at l = end they are bitwise those
+    of `solvers.solve_direct`.  Needs 1 <= start <= end <= the node count
+    of `params`, else raises DomainError.
+
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
     multiply-adds, and summary holds checkpoint errors and breakdown
-    diagnostics.
+    diagnostics per algorithm, plus `oracle_residual`: the reference's
+    relative normal-equation residual at each checkpoint.
     """
+    if not 1 <= start <= end:
+        raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
     if params is None:
         params = init_random_params(end, ds.X.shape[0], kernel, seed)
     if params.hidden_count < end:
-        raise ValueError(f"params provide {params.hidden_count} nodes, need {end}")
+        raise DomainError(f"params provide {params.hidden_count} nodes, need {end}")
     h_full = hidden_matrix(params, ds.X)
     y = ds.Y
 
-    # direct-solve reference weights at every node count
-    base_w = {}
-    for l in range(start, end + 1):
-        base_w[l] = solvers.solve_direct(h_full[:l], y, k0sq)
+    base_w = solvers.solve_direct_prefixes(h_full, y, k0sq, range(start, end + 1))
 
     checkpoints = sorted({c for c in (3, 100, 500) if start <= c <= end} | {end})
     traces: dict[str, GrowthTrace] = {}
-    summary: dict = {"checkpoints": checkpoints, "algorithms": {}}
+    summary: dict = {
+        "checkpoints": checkpoints,
+        "oracle_residual": {
+            str(c): _normal_residual(base_w[c], h_full[:c], y, k0sq) for c in checkpoints
+        },
+        "algorithms": {},
+    }
 
     for kind in algorithms:
         trace = GrowthTrace(algorithm=kind.value)

@@ -156,7 +156,8 @@ def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float,
     """Direct regularized solve W = Y H^T (H H^T + k0sq I)^-1.
 
     Uses a Cholesky solve, never an explicit inverse; this is the oracle
-    every incremental rule is compared against.
+    every incremental rule is compared against (`solve_direct_prefixes`
+    gives it for many prefixes of H at once).
     """
     _check_k0sq(k0sq)
     if h.ndim != 2 or y.ndim != 2 or h.shape[1] != y.shape[1]:
@@ -164,6 +165,33 @@ def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float,
     r = gemm(h, h.T, counter) + k0sq * np.eye(h.shape[0])
     rhs = gemm(h, y.T, counter)
     return solve_spd(r, rhs).T
+
+
+def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
+                          ls) -> dict[int, np.ndarray]:
+    """`solve_direct(h[:l], y, k0sq)` for every l in `ls`, from one Cholesky factor.
+
+    The leading l x l block of the Cholesky factor C of the Gram matrix
+    R = H H^T + k0sq I (n = max(ls) rows of h) is the Cholesky factor of
+    the prefix Gram H_l H_l^T + k0sq I, and the first l rows of Y H^T are
+    the prefix right-hand side.  So one Gram product and one factorization
+    serve every l, each solved with two triangular solves on C[:l, :l].
+    At l = n the result is bitwise equal to `solve_direct(h[:n], y, k0sq)`;
+    at smaller l it differs from it by rounding only.  A Gram matrix that
+    is not positive definite raises SingularMatrixError at its first
+    non-positive pivot, as the per-l solve of the next larger prefix does.
+    """
+    _check_k0sq(k0sq)
+    if h.ndim != 2 or y.ndim != 2 or h.shape[1] != y.shape[1]:
+        raise ShapeError(f"solve_direct_prefixes shapes: H {h.shape}, Y {y.shape}")
+    ls = list(ls)
+    if not ls or not 1 <= min(ls) <= max(ls) <= h.shape[0]:
+        span = f"{min(ls)}..{max(ls)}" if ls else "none"
+        raise DomainError(f"prefix lengths must lie in 1..{h.shape[0]}, got {span}")
+    n = max(ls)
+    c = cholesky(gemm(h[:n], h[:n].T) + k0sq * np.eye(n))
+    rhs = gemm(h[:n], y.T)
+    return {l: lapack.dpotrs(c[:l, :l], rhs[:l], lower=1)[0].T for l in ls}
 
 
 def init_solver(kind: AlgorithmKind, h1: np.ndarray, y: np.ndarray, k0sq: float) -> SolverState:

@@ -160,6 +160,18 @@ class TestErrorPaths:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["grow", "bench", "eval"])
+    @pytest.mark.parametrize("bad", ["missing-csv", "unknown-alg"])
+    def test_rejected_input_creates_no_directory(self, tmp_path, capsys, command, bad):
+        out = tmp_path / "d" / "run"
+        source = (["--data", str(tmp_path / "missing.csv")] if bad == "missing-csv" else
+                  ["--synth", "sine-mixture", "--samples", "20", "--features", "2",
+                   "--outputs", "1", "--alg", "alg9"])
+        rc = main([command, *source, "--end", "3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "d").exists()
+
     def test_bad_node_range(self, tmp_path, capsys):
         rc = main(["grow", "--synth", "sine-mixture", "--start", "5", "--end", "2",
                    "--out", str(tmp_path)])

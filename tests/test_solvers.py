@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ifelm.data import SynthKind, synth_dataset
-from ifelm.errors import DefinitenessLossError, DomainError, ShapeError
+from ifelm.data import Dataset, SynthKind, synth_dataset
+from ifelm.errors import (
+    DefinitenessLossError,
+    DomainError,
+    ShapeError,
+    SingularMatrixError,
+)
 from ifelm.experiments import grow_run
 from ifelm.linalg import FlopCounter
 from ifelm.model import ActivationKind, hidden_matrix, init_random_params
@@ -27,6 +32,7 @@ from ifelm.solvers import (
     compute_p,
     init_solver,
     solve_direct,
+    solve_direct_prefixes,
     state_to_json,
     warm_start,
 )
@@ -74,6 +80,102 @@ class TestSolveDirect:
             init_solver(AlgorithmKind.ALG3, H1, Y1, k0sq)
         with pytest.raises(DomainError):
             warm_start(AlgorithmKind.ALG2, np.eye(2), Y1, k0sq)
+
+
+def oracle_problem(nodes=60, k=200, m=3, seed=5):
+    ds = synth_dataset(SynthKind.SINE_MIXTURE, k, 4, m, seed=seed)
+    params = init_random_params(nodes, 4, ActivationKind.GAUSSIAN, seed)
+    return hidden_matrix(params, ds.X), ds.Y, ds, params
+
+
+class TestSolveDirectPrefixes:
+    def test_full_prefix_bitwise_equals_solve_direct(self):
+        h, y, _, _ = oracle_problem()
+        w = solve_direct_prefixes(h, y, 0.1, range(1, 61))
+        assert np.array_equal(w[60], solve_direct(h, y, 0.1))
+
+    def test_every_prefix_matches_per_l_solve(self):
+        h, y, _, _ = oracle_problem()
+        w = solve_direct_prefixes(h, y, 0.1, range(1, 61))
+        assert sorted(w) == list(range(1, 61))
+        for l in range(1, 61):
+            ref = solve_direct(h[:l], y, 0.1)
+            assert np.linalg.norm(w[l] - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref)), l
+
+    def test_only_the_asked_prefixes(self):
+        h, y, _, _ = oracle_problem()
+        w = solve_direct_prefixes(h, y, 0.1, [3, 40])
+        assert sorted(w) == [3, 40]
+        assert np.array_equal(w[40], solve_direct(h[:40], y, 0.1))
+
+    @pytest.mark.parametrize("k0sq", [0.0, -1.0, np.inf, np.nan])
+    def test_k0sq_domain(self, k0sq):
+        with pytest.raises(DomainError):
+            solve_direct_prefixes(np.eye(2), Y1, k0sq, [1, 2])
+
+    @pytest.mark.parametrize("h,y", [
+        (np.ones((3, 2)), np.ones((1, 3))),
+        (np.ones(2), Y1),
+        (np.ones((3, 2)), np.ones(2)),
+    ])
+    def test_shape_mismatch(self, h, y):
+        with pytest.raises(ShapeError):
+            solve_direct_prefixes(h, y, 0.1, [1])
+
+    @pytest.mark.parametrize("ls", [[], [0, 2], [1, 3]])
+    def test_prefix_lengths_in_range(self, ls):
+        with pytest.raises(DomainError):
+            solve_direct_prefixes(np.ones((2, 2)), Y1, 0.1, ls)
+
+    def test_not_positive_definite_fails_at_the_per_l_pivot(self):
+        # hardlim rows repeat, so at k0sq = 1e-14 the Gram loses definiteness
+        # in rounding once the node count passes the number of distinct rows
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 50, 8, 2, seed=0)
+        params = init_random_params(120, 8, ActivationKind.HARDLIM, 0)
+        h = hidden_matrix(params, ds.X)
+        with pytest.raises(SingularMatrixError) as per_l:
+            for l in range(1, 121):
+                solve_direct(h[:l], ds.Y, 1e-14)
+        with pytest.raises(SingularMatrixError) as one_factor:
+            solve_direct_prefixes(h, ds.Y, 1e-14, range(1, 121))
+        assert per_l.value.pivot_index is not None
+        assert one_factor.value.pivot_index == per_l.value.pivot_index
+
+
+class TestGrowRunOracle:
+    def test_checkpoint_error_at_end_is_distance_to_solve_direct(self):
+        h, y, ds, params = oracle_problem()
+        _, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 60, INCREMENTAL,
+                              seed=5, params=params)
+        w_end = solve_direct(h, y, 0.1)
+        for kind in INCREMENTAL:
+            state = warm_start(kind, h[:1], y, 0.1)
+            for l in range(1, 60):
+                state = add_node(state, h[l])
+            got = summary["algorithms"][kind.value]["checkpoint_errors"]["60"]["weight_error"]
+            assert got == np.linalg.norm(state.W - w_end)
+
+    def test_oracle_residual_at_each_checkpoint(self):
+        _, _, ds, params = oracle_problem()
+        _, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 60, [AlgorithmKind.ALG3],
+                              seed=5, params=params)
+        residual = summary["oracle_residual"]
+        assert sorted(residual, key=int) == [str(c) for c in summary["checkpoints"]]
+        assert all(0.0 <= r < 1e-12 for r in residual.values())
+
+    def test_oracle_residual_with_zero_targets(self):
+        _, y, ds, params = oracle_problem()
+        zero = Dataset(X=ds.X, Y=np.zeros_like(y), task=ds.task)
+        _, summary = grow_run(zero, ActivationKind.GAUSSIAN, 0.1, 1, 10, [AlgorithmKind.ALG3],
+                              seed=5, params=params)
+        assert summary["oracle_residual"] == {"3": 0.0, "10": 0.0}
+
+    @pytest.mark.parametrize("start,end", [(0, 5), (6, 5), (1, 61)])
+    def test_node_range_checked(self, start, end):
+        _, _, ds, params = oracle_problem()
+        with pytest.raises(DomainError):
+            grow_run(ds, ActivationKind.GAUSSIAN, 0.1, start, end, [AlgorithmKind.ALG3],
+                     seed=5, params=params)
 
 
 class TestInitSolver:
