@@ -8,32 +8,20 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import FlopCounter, frobenius_distance, gemm, solve_spd
 from .model import (
     ActivationKind,
     ElmParams,
     activate,
     hidden_matrix,
-    hidden_row,
     init_random_params,
-    params_from_json,
-    params_to_json,
-    predict,
 )
 from .solvers import (
     AlgorithmKind,
     SolverState,
     add_node,
-    add_node_alg1,
-    add_node_alg2,
-    add_node_alg3,
-    add_node_baseline,
-    add_node_existing,
-    compute_p,
     init_solver,
     solve_direct,
     solve_direct_prefixes,
-    state_to_json,
     warm_start,
 )
 from .evaluation import (
@@ -52,7 +40,6 @@ from .data import (
     apply_normalization,
     load_csv,
     normalize_features,
-    save_csv,
     synth_dataset,
 )
 

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("grow", "grow node by node, tracing errors vs the direct solve"),
         ("bench", "time and meter a single node addition per algorithm"),
         ("eval", "k-fold cross-validation report"),
-        ("compare", "lockstep equivalence check against the direct solve"),
+        ("compare", "equivalence check of the rules against the direct solve"),
     ):
         commands[name] = sub.add_parser(name, help=text)
         _add_common(commands[name])
@@ -90,9 +90,12 @@ def _algorithms(spec: str) -> list[AlgorithmKind]:
     kinds = []
     for name in spec.split(","):
         try:
-            kinds.append(AlgorithmKind(name.strip()))
+            kind = AlgorithmKind(name.strip())
         except ValueError:
             raise DomainError(f"unknown algorithm {name.strip()!r}") from None
+        if kind in kinds:
+            raise DomainError(f"algorithm {kind.value!r} named twice")
+        kinds.append(kind)
     return kinds
 
 

@@ -9,7 +9,7 @@ M x K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,9 +33,6 @@ class Dataset:
     X: np.ndarray
     Y: np.ndarray
     task: TaskKind
-    feature_names: list[str] | None = None
-    labels: list[float] | None = None  # original label values, classification only
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.Y.ndim != 2 or self.X.shape[1] != self.Y.shape[1]:
@@ -48,7 +45,7 @@ class Dataset:
         return self.X.shape[1]
 
 
-def one_hot(labels: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def one_hot(labels: np.ndarray) -> np.ndarray:
     """Encode with {0,1} rows, class order = first appearance in the data."""
     seen: list[float] = []
     for v in labels:
@@ -57,7 +54,7 @@ def one_hot(labels: np.ndarray) -> tuple[np.ndarray, list[float]]:
     y = np.zeros((len(seen), labels.size))
     for k, v in enumerate(labels):
         y[seen.index(float(v)), k] = 1.0
-    return y, seen
+    return y
 
 
 def load_csv(path, target_columns: int, task: TaskKind,
@@ -65,13 +62,9 @@ def load_csv(path, target_columns: int, task: TaskKind,
     if target_columns < 1:
         raise DomainError(f"target_columns must be >= 1, got {target_columns}")
     rows: list[list[float]] = []
-    feature_names = None
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    start = 0
-    if has_header and lines:
-        feature_names = [c.strip() for c in lines[0].split(",")]
-        start = 1
+    start = 1 if has_header and lines else 0
     width = None
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
@@ -108,25 +101,8 @@ def load_csv(path, target_columns: int, task: TaskKind,
     x = table[:, :-target_columns].T
     targets = table[:, -target_columns:]
     if task is TaskKind.CLASSIFICATION and target_columns == 1:
-        y, labels = one_hot(targets[:, 0])
-        return Dataset(X=x, Y=y, task=task,
-                       feature_names=feature_names, labels=labels)
-    return Dataset(X=x, Y=targets.T, task=task, feature_names=feature_names)
-
-
-def save_csv(ds: Dataset, path) -> None:
-    """Inverse of load_csv; numeric cells use shortest round-trip format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if ds.feature_names:
-            fh.write(",".join(ds.feature_names) + "\n")
-        if ds.task is TaskKind.CLASSIFICATION and ds.labels is not None:
-            targets = [[ds.labels[int(np.argmax(ds.Y[:, k]))]] for k in range(ds.sample_count)]
-        else:
-            targets = [list(ds.Y[:, k]) for k in range(ds.sample_count)]
-        for k in range(ds.sample_count):
-            cells = [repr(float(v)) for v in ds.X[:, k]]
-            cells += [repr(float(v)) for v in targets[k]]
-            fh.write(",".join(cells) + "\n")
+        return Dataset(X=x, Y=one_hot(targets[:, 0]), task=task)
+    return Dataset(X=x, Y=targets.T, task=task)
 
 
 def normalize_features(ds: Dataset):
@@ -152,8 +128,7 @@ def apply_normalization(ds: Dataset, transform) -> Dataset:
     safe = np.where(span == 0.0, 1.0, span)
     x = 2.0 * (ds.X - lo[:, None]) / safe[:, None] - 1.0
     x[span == 0.0, :] = 0.0
-    return Dataset(X=x, Y=ds.Y, task=ds.task, feature_names=ds.feature_names,
-                   labels=ds.labels, metadata=ds.metadata)
+    return Dataset(X=x, Y=ds.Y, task=ds.task)
 
 
 def synth_dataset(kind: SynthKind, k: int, n: int, m: int, seed: int,
@@ -162,20 +137,19 @@ def synth_dataset(kind: SynthKind, k: int, n: int, m: int, seed: int,
     if k < 1 or n < 1 or m < 1:
         raise DomainError(f"need K, N, M >= 1, got K={k}, N={n}, M={m}")
     rng = np.random.default_rng(seed)
-    meta = {"kind": kind.value, "seed": seed, "noise": noise}
 
     if kind is SynthKind.SINE_MIXTURE:
         x = rng.uniform(-1.0, 1.0, size=(n, k))
         freq = rng.uniform(0.5, 3.0, size=(m, n))
         phase = rng.uniform(-np.pi, np.pi, size=m)
         y = np.sin(freq @ x + phase[:, None]) + noise * rng.standard_normal((m, k))
-        return Dataset(X=x, Y=y, task=TaskKind.REGRESSION, metadata=meta)
+        return Dataset(X=x, Y=y, task=TaskKind.REGRESSION)
 
     if kind is SynthKind.LINEAR_NOISY:
         x = rng.uniform(-1.0, 1.0, size=(n, k))
         coeff = rng.uniform(-2.0, 2.0, size=(m, n))
         y = coeff @ x + noise * rng.standard_normal((m, k))
-        return Dataset(X=x, Y=y, task=TaskKind.REGRESSION, metadata=meta)
+        return Dataset(X=x, Y=y, task=TaskKind.REGRESSION)
 
     if kind is SynthKind.TWO_GAUSSIANS:
         # m >= 2: one well-separated spherical cluster per class, one-hot Y
@@ -185,11 +159,10 @@ def synth_dataset(kind: SynthKind, k: int, n: int, m: int, seed: int,
         x = means[assign].T + noise * rng.standard_normal((n, k))
         if m == 1:
             y = np.where(assign == 0, 1.0, -1.0).reshape(1, -1)
-            return Dataset(X=x, Y=y, task=TaskKind.CLASSIFICATION, metadata=meta)
+            return Dataset(X=x, Y=y, task=TaskKind.CLASSIFICATION)
         y = np.zeros((classes, k))
         y[assign, np.arange(k)] = 1.0
-        return Dataset(X=x, Y=y, task=TaskKind.CLASSIFICATION,
-                       labels=list(range(classes)), metadata=meta)
+        return Dataset(X=x, Y=y, task=TaskKind.CLASSIFICATION)
 
     raise DomainError(f"unknown synthetic kind {kind!r}")
 

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import frobenius_distance
 
 
 @dataclass(frozen=True)
@@ -44,12 +42,6 @@ class GrowthTrace:
                 writer.writerow([r.l, repr(r.weight_error), repr(r.output_error),
                                  r.flops, r.elapsed_ns])
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "algorithm": self.algorithm,
-            "records": [vars(r) for r in self.records],
-        })
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -62,9 +54,6 @@ class ClassificationReport:
     fp: int
     fn: int
 
-    def to_json(self) -> str:
-        return json.dumps(vars(self))
-
 
 def mse(z: np.ndarray, y: np.ndarray) -> float:
     if z.shape != y.shape:
@@ -73,8 +62,11 @@ def mse(z: np.ndarray, y: np.ndarray) -> float:
 
 
 def weight_output_errors(w_alg, w_base, z_alg, z_base) -> tuple[float, float]:
-    """Frobenius distances of an incremental solver vs the direct solve."""
-    return frobenius_distance(w_alg, w_base), frobenius_distance(z_alg, z_base)
+    """Frobenius distances of a rule's weights and outputs from the direct solve's."""
+    if w_alg.shape != w_base.shape or z_alg.shape != z_base.shape:
+        raise ShapeError(f"weight_output_errors shape mismatch: W {w_alg.shape} vs "
+                         f"{w_base.shape}, Z {z_alg.shape} vs {z_base.shape}")
+    return float(np.linalg.norm(w_alg - w_base)), float(np.linalg.norm(z_alg - z_base))
 
 
 def _safe_div(num: float, den: float) -> float:

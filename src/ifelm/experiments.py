@@ -57,13 +57,14 @@ def _normal_residual(w: np.ndarray, h: np.ndarray, y: np.ndarray, k0sq: float) -
 def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
              algorithms: list[AlgorithmKind], seed: int,
              params: ElmParams | None = None):
-    """Grow each algorithm from `start` to `end` nodes in lockstep.
+    """Grow each algorithm from `start` to `end` nodes, one after another.
 
     The reference weights at every node count l come from one Cholesky
     factorization of the Gram matrix of all `end` nodes
     (`solvers.solve_direct_prefixes`); at l = end they are bitwise those
-    of `solvers.solve_direct`.  Needs 1 <= start <= end <= the node count
-    of `params`, else raises DomainError.
+    of `solvers.solve_direct`.  The reference outputs at every l are
+    computed once and shared by all rules.  Needs 1 <= start <= end <= the
+    node count of `params`, else raises DomainError.
 
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
@@ -81,6 +82,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     y = ds.Y
 
     base_w = solvers.solve_direct_prefixes(h_full, y, k0sq, range(start, end + 1))
+    base_z = {l: w @ h_full[:l] for l, w in base_w.items()}
 
     checkpoints = sorted({c for c in (3, 100, 500) if start <= c <= end} | {end})
     traces: dict[str, GrowthTrace] = {}
@@ -99,7 +101,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
         def record(st: SolverState, elapsed_ns: int, flops: int):
             w_err, z_err = weight_output_errors(
-                st.W, base_w[st.l], st.W @ h_full[: st.l], base_w[st.l] @ h_full[: st.l]
+                st.W, base_w[st.l], st.W @ h_full[: st.l], base_z[st.l]
             )
             trace.append(StepRecord(l=st.l, weight_error=w_err, output_error=z_err,
                                     flops=flops, elapsed_ns=elapsed_ns))
@@ -222,7 +224,7 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
 def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
                 seed: int, thresholds=None):
-    """Lockstep equivalence check of all incremental rules vs the baseline."""
+    """Equivalence check of the four incremental rules against the direct-solve oracle."""
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS
     algorithms = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,

@@ -61,10 +61,3 @@ def solve_spd(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     if scale > 0 and np.abs(r - r.T).max() > 1e-12 * scale:
         raise ShapeError("solve_spd requires a symmetric matrix")
     return lapack.dpotrs(cholesky(r), m, lower=1)[0]
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise ShapeError(f"frobenius_distance shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-

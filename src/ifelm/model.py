@@ -7,7 +7,6 @@ uniform [-1, 1] generator and never trained.  Only the output weights W
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,7 +31,6 @@ class ElmParams:
     A: np.ndarray
     d: np.ndarray
     kind: ActivationKind
-    seed: int | None = None
 
     def __post_init__(self):
         if self.A.ndim != 2 or self.d.ndim != 1:
@@ -58,7 +56,7 @@ def init_random_params(l: int, n: int, kind: ActivationKind, seed: int) -> ElmPa
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(l, n))
     d = rng.uniform(-1.0, 1.0, size=l)
-    return ElmParams(A=a, d=d, kind=kind, seed=seed)
+    return ElmParams(A=a, d=d, kind=kind)
 
 
 def activate(kind: ActivationKind, m: np.ndarray) -> np.ndarray:
@@ -89,38 +87,3 @@ def hidden_matrix(params: ElmParams, x: np.ndarray) -> np.ndarray:
             f"X must be {params.input_count} x K, got {x.shape}"
         )
     return activate(params.kind, params.A @ x + params.d[:, None])
-
-
-def hidden_row(a_bar: np.ndarray, d_bar: float, kind: ActivationKind, x: np.ndarray) -> np.ndarray:
-    """Value row of one extra hidden node: f(a^T X + d 1^T), length K."""
-    a_bar = np.asarray(a_bar, dtype=np.float64).reshape(-1)
-    if x.ndim != 2 or x.shape[0] != a_bar.shape[0]:
-        raise ShapeError(f"X must be {a_bar.shape[0]} x K, got {x.shape}")
-    return activate(kind, (a_bar @ x + d_bar).reshape(1, -1)).reshape(-1)
-
-
-def predict(w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Network output Z = W H."""
-    if w.ndim != 2 or h.ndim != 2 or w.shape[1] != h.shape[0]:
-        raise ShapeError(f"predict shape mismatch: {w.shape} x {h.shape}")
-    return w @ h
-
-
-def params_to_json(params: ElmParams) -> str:
-    doc = {
-        "kind": params.kind.value,
-        "A": {"rows": params.A.shape[0], "cols": params.A.shape[1],
-              "data": params.A.reshape(-1).tolist()},
-        "d": params.d.tolist(),
-        "seed": params.seed,
-    }
-    return json.dumps(doc)
-
-
-def params_from_json(text: str) -> ElmParams:
-    doc = json.loads(text)
-    a = np.array(doc["A"]["data"], dtype=np.float64).reshape(
-        doc["A"]["rows"], doc["A"]["cols"]
-    )
-    d = np.array(doc["d"], dtype=np.float64)
-    return ElmParams(A=a, d=d, kind=ActivationKind(doc["kind"]), seed=doc.get("seed"))

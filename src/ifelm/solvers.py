@@ -39,9 +39,8 @@ must not step the same state at the same time.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -222,17 +221,17 @@ def warm_start(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float) -
     q = lapack.dpotrs(c, eye, lower=1)[0]
     q = 0.5 * (q + q.T)
     b = h.T @ q
-    state = SolverState(kind=kind, k0sq=k0sq, H=h, Y=y, W=y @ b)
+    aux = {}
     if kind in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1):
-        state = replace(state, B=b)
+        aux = {"B": b}
     elif kind is AlgorithmKind.ALG2:
-        state = replace(state, Q=q)
+        aux = {"Q": q}
     elif kind is AlgorithmKind.ALG3:
         diag = np.diag(c)
         upper = lapack.dtrtri(c, lower=1)[0].T * diag
         np.fill_diagonal(upper, 1.0)
-        state = replace(state, L=upper, D=1.0 / diag**2)
-    return state
+        aux = {"L": upper, "D": 1.0 / diag**2}
+    return SolverState(kind=kind, k0sq=k0sq, H=h, Y=y, W=y @ b, **aux)
 
 
 def _row(state: SolverState, h_bar: np.ndarray) -> np.ndarray:
@@ -265,9 +264,13 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
 
 def _grown(state: SolverState, h_bar: np.ndarray, w_new: np.ndarray,
            counter: FlopCounter, **aux) -> SolverState:
+    """The child state with h_bar appended to H; `aux` is the rule's whole aux set.
+
+    Aux fields a rule does not pass are None, as in every state of that rule.
+    """
     h_tail = _append_row(state._h_tail, state.H, h_bar)
-    return replace(state, H=h_tail.view, W=w_new, multiply_adds=counter.multiply_adds,
-                   _h_tail=h_tail, **aux)
+    return SolverState(kind=state.kind, k0sq=state.k0sq, H=h_tail.view, Y=state.Y,
+                       W=w_new, multiply_adds=counter.multiply_adds, _h_tail=h_tail, **aux)
 
 
 # A leading block of at most this many entries is computed in a contiguous
@@ -307,8 +310,8 @@ def add_node_baseline(state: SolverState, h_bar: np.ndarray) -> SolverState:
     cnt = FlopCounter(state.multiply_adds)
     h_tail = _append_row(state._h_tail, state.H, _row(state, h_bar))
     w = solve_direct(h_tail.view, state.Y, state.k0sq, cnt)
-    return replace(state, H=h_tail.view, W=w, multiply_adds=cnt.multiply_adds,
-                   _h_tail=h_tail)
+    return SolverState(kind=state.kind, k0sq=state.k0sq, H=h_tail.view, Y=state.Y, W=w,
+                       multiply_adds=cnt.multiply_adds, _h_tail=h_tail)
 
 
 def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
@@ -434,25 +437,3 @@ _ADDERS = {
 def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     """Dispatch one node addition to the state's update rule."""
     return _ADDERS[state.kind](state, h_bar)
-
-
-def state_to_json(state: SolverState, include_debug: bool = False) -> str:
-    """Snapshot for cross-implementation weight comparison."""
-    doc = {
-        "kind": state.kind.value,
-        "l": state.l,
-        "k0sq": state.k0sq,
-        "W": {"rows": state.W.shape[0], "cols": state.W.shape[1],
-              "data": state.W.reshape(-1).tolist()},
-    }
-    if include_debug:
-        debug = {}
-        for name in ("B", "Q", "L"):
-            m = getattr(state, name)
-            if m is not None:
-                debug[name] = {"rows": m.shape[0], "cols": m.shape[1],
-                               "data": m.reshape(-1).tolist()}
-        if state.D is not None:
-            debug["D"] = state.D.tolist()
-        doc["debug"] = debug
-    return json.dumps(doc)

@@ -192,6 +192,16 @@ class TestErrorPaths:
         assert rc == 2
         assert "alg9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["grow", "bench", "eval"])
+    def test_repeated_algorithm(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        rc = main([command, "--synth", "sine-mixture", "--samples", "20",
+                   "--features", "2", "--outputs", "1", "--end", "3",
+                   "--alg", "alg3, alg1,alg3", "--out", str(out)])
+        assert rc == 2
+        assert "'alg3' named twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonpositive_regularization(self, tmp_path, capsys):
         rc = main(["grow", "--synth", "sine-mixture", "--k0sq", "0",
                    "--out", str(tmp_path)])

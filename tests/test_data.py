@@ -10,7 +10,6 @@ from ifelm.data import (
     apply_normalization,
     load_csv,
     normalize_features,
-    save_csv,
     synth_dataset,
 )
 from ifelm.errors import CsvParseError, DomainError
@@ -27,11 +26,11 @@ class TestLoadCsv:
         assert ds.X.shape == (2, 3) and ds.Y.shape == (1, 3)
 
     def test_one_hot_in_appearance_order(self, tmp_path):
+        # label 5 appears first, so it takes row 0 though 3 < 5
         path = tmp_path / "d.csv"
-        path.write_text("1,0\n2,1\n3,0\n")
+        path.write_text("1,5\n2,3\n3,5\n4,7\n")
         ds = load_csv(path, 1, TaskKind.CLASSIFICATION)
-        assert np.array_equal(ds.Y, [[1, 0, 1], [0, 1, 0]])
-        assert ds.labels == [0.0, 1.0]
+        assert np.array_equal(ds.Y, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -63,31 +62,35 @@ class TestLoadCsv:
 
     def test_header_row(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("a,b,target\n1,2,3\n")
+        path.write_text("a,b,target\n1,2,3\n4,5,6\n")
         ds = load_csv(path, 1, TaskKind.REGRESSION, has_header=True)
-        assert ds.feature_names == ["a", "b", "target"]
-        assert ds.X.shape == (2, 1)
+        assert np.array_equal(ds.X, [[1, 4], [2, 5]])
+        assert np.array_equal(ds.Y, [[3, 6]])
 
     def test_round_trip_bit_exact(self, tmp_path):
+        # samples are rows in the file and columns in the dataset
         rng = np.random.default_rng(3)
-        ds = Dataset(X=rng.standard_normal((4, 7)), Y=rng.standard_normal((2, 7)),
-                     task=TaskKind.REGRESSION)
+        x, y = rng.standard_normal((4, 7)), rng.standard_normal((2, 7))
         path = tmp_path / "rt.csv"
-        save_csv(ds, path)
+        path.write_text(_csv_text(np.vstack([x, y])))
         back = load_csv(path, 2, TaskKind.REGRESSION)
-        assert np.array_equal(ds.X, back.X)
-        assert np.array_equal(ds.Y, back.Y)
+        assert np.array_equal(x, back.X)
+        assert np.array_equal(y, back.Y)
 
     def test_classification_round_trip(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("0.5,-1.5,2\n0.25,3.5,7\n1.0,0.0,2\n")
-        ds = load_csv(path, 1, TaskKind.CLASSIFICATION)
-        out = tmp_path / "rt.csv"
-        save_csv(ds, out)
-        back = load_csv(out, 1, TaskKind.CLASSIFICATION)
-        assert np.array_equal(ds.X, back.X)
-        assert np.array_equal(ds.Y, back.Y)
-        assert ds.labels == back.labels
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 6))
+        labels = np.array([2.0, 7.0, 2.0, -1.5, 7.0, 2.0])
+        path = tmp_path / "rt.csv"
+        path.write_text(_csv_text(np.vstack([x, labels])))
+        back = load_csv(path, 1, TaskKind.CLASSIFICATION)
+        assert np.array_equal(x, back.X)
+        assert np.array_equal(back.Y, [labels == 2.0, labels == 7.0, labels == -1.5])
+
+
+def _csv_text(table: np.ndarray) -> str:
+    """One line per column of `table`, each cell in Python's shortest round-trip form."""
+    return "".join(",".join(repr(float(v)) for v in col) + "\n" for col in table.T)
 
 
 class TestNormalizeFeatures:

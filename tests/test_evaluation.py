@@ -96,6 +96,15 @@ class TestWeightOutputErrors:
         we, ze = weight_output_errors(w1, w2, w2, w1)
         assert we == 5.0 and ze == 5.0
 
+    def test_shape_mismatch(self):
+        # a (1, 2) operand would broadcast against (2, 2) without the check
+        with pytest.raises(ShapeError):
+            weight_output_errors(np.zeros((2, 2)), np.zeros((1, 2)),
+                                 np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            weight_output_errors(np.zeros((2, 2)), np.zeros((2, 2)),
+                                 np.zeros((2, 3)), np.zeros((3, 3)))
+
 
 class TestKfoldSplit:
     def test_exact_division(self):
@@ -157,11 +166,3 @@ class TestGrowthTrace:
             rows = list(csv.DictReader(fh))
         assert [r["l"] for r in rows] == ["1", "2"]
         assert float(rows[1]["weight_error"]) == 3e-12
-
-    def test_json_export(self):
-        tr = GrowthTrace(algorithm="alg3")
-        tr.append(StepRecord(l=1, weight_error=0, output_error=0, flops=0, elapsed_ns=0))
-        import json
-
-        doc = json.loads(tr.to_json())
-        assert doc["algorithm"] == "alg3" and doc["records"][0]["l"] == 1

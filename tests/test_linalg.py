@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ifelm.errors import ShapeError, SingularMatrixError
-from ifelm.linalg import FlopCounter, frobenius_distance, gemm, solve_spd
+from ifelm.linalg import FlopCounter, gemm, solve_spd
 
 
 class TestGemm:
@@ -75,19 +75,3 @@ class TestSolveSpd:
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError):
             solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
-
-
-class TestFrobeniusDistance:
-    def test_identical(self):
-        a = np.random.default_rng(1).standard_normal((4, 5))
-        assert frobenius_distance(a, a) == 0.0
-
-    def test_three_four_five(self):
-        assert frobenius_distance(np.array([[3.0, 4.0]]), np.zeros((1, 2))) == 5.0
-
-    def test_sqrt_two(self):
-        assert frobenius_distance(np.eye(2), np.zeros((2, 2))) == pytest.approx(np.sqrt(2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            frobenius_distance(np.zeros((2, 2)), np.zeros((3, 2)))

@@ -33,7 +33,6 @@ from ifelm.solvers import (
     init_solver,
     solve_direct,
     solve_direct_prefixes,
-    state_to_json,
     warm_start,
 )
 
@@ -553,18 +552,6 @@ class TestBreakdownErrors:
         with pytest.raises(DefinitenessLossError) as exc:
             add_node_alg3(bad, HBAR)
         assert exc.value.node_index == 2
-
-
-class TestStateAccessors:
-    def test_snapshot_json(self):
-        import json
-
-        st = add_node(worked_state(AlgorithmKind.ALG2), HBAR)
-        doc = json.loads(state_to_json(st, include_debug=True))
-        assert doc["kind"] == "alg2" and doc["l"] == 2 and doc["k0sq"] == 1.0
-        w = np.array(doc["W"]["data"]).reshape(doc["W"]["rows"], doc["W"]["cols"])
-        assert np.allclose(w, W2)
-        assert "Q" in doc["debug"]
 
 
 STATE_ARRAYS = ("H", "W", "B", "Q", "L", "D")
