@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .data import SynthKind, TaskKind, load_csv, synth_dataset
 from .errors import DomainError
-from .experiments import bench_run, compare_run, eval_run, grow_run
+from .experiments import bench_run, check_compare_start, compare_run, eval_run, grow_run
 from .model import ActivationKind
 from .solvers import AlgorithmKind
 
@@ -107,6 +107,8 @@ def _validate(args) -> None:
             raise DomainError(f"repeats must be >= 1, got {args.repeats}")
     elif not 1 <= args.start <= args.end:
         raise DomainError(f"need 1 <= start <= end, got {args.start}..{args.end}")
+    elif args.command == "compare":
+        check_compare_start(args.start)
     if not (args.k0sq > 0 and math.isfinite(args.k0sq)):
         raise DomainError(f"k0sq must be finite and > 0, got {args.k0sq}")
 

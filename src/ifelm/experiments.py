@@ -192,7 +192,13 @@ def _grow_to(kind: AlgorithmKind, h_full: np.ndarray, y: np.ndarray, k0sq: float
 
 def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
              algorithms: list[AlgorithmKind], seed: int, folds: int):
-    """K-fold cross-validation; per-fold training uses the chosen rule."""
+    """K-fold cross-validation; per-fold training uses the chosen rule.
+
+    Each fold grows from `start` to `end` nodes; needs 1 <= start <= end,
+    else raises DomainError.
+    """
+    if not 1 <= start <= end:
+        raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
     splits = kfold_split(ds.sample_count, folds, seed)
     report = {"folds": folds, "task": ds.task.value, "nodes": end, "algorithms": {}}
 
@@ -222,11 +228,28 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     return report
 
 
+def check_compare_start(start: int, thresholds=DEFAULT_THRESHOLDS) -> None:
+    """Raise DomainError if `start` lies above a rule's checked node count.
+
+    `compare_run` checks each rule only up to its limit in `thresholds`, so
+    a run starting above it would check nothing.
+    """
+    for kind, (limit_l, _) in thresholds.items():
+        if start > limit_l:
+            raise DomainError(f"start {start} is above {kind.value}'s checked limit "
+                              f"of {limit_l} nodes")
+
+
 def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
                 seed: int, thresholds=None):
-    """Equivalence check of the four incremental rules against the direct-solve oracle."""
+    """Equivalence check of the four incremental rules against the direct-solve oracle.
+
+    Raises DomainError if `start` lies above a rule's checked node count
+    (`check_compare_start`).
+    """
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS
+    check_compare_start(start, thresholds)
     algorithms = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
                   AlgorithmKind.ALG2, AlgorithmKind.ALG3]
     traces, summary = grow_run(ds, kernel, k0sq, start, end, algorithms, seed)

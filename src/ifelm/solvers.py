@@ -52,7 +52,7 @@ from .errors import (
     NumericalBreakdownError,
     ShapeError,
 )
-from .linalg import FlopCounter, cholesky, gemm, solve_spd
+from .linalg import FlopCounter, add_outer, cholesky, gemm, solve_spd
 
 BREAKDOWN_RTOL = 1e-12
 
@@ -273,10 +273,11 @@ def _grown(state: SolverState, h_bar: np.ndarray, w_new: np.ndarray,
                        W=w_new, multiply_adds=counter.multiply_adds, _h_tail=h_tail, **aux)
 
 
-# A leading block of at most this many entries is computed in a contiguous
-# scratch array and then copied in: at such sizes numpy's per-row loop
-# overhead on the strided block costs more than the copy.  Larger blocks
-# are computed in place, which saves a temporary and a pass over memory.
+# EXISTING's new B block (the only block `_with_block` fills) of at most
+# this many entries is computed in a contiguous scratch array and then copied
+# in: at such sizes numpy's per-row loop overhead on the strided block costs
+# more than the copy.  Larger blocks are computed in place, which saves a
+# temporary and a pass over memory.
 _SCRATCH_MAX = 1 << 15
 
 
@@ -298,10 +299,18 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
               subtract: bool = False) -> np.ndarray:
     """[a + outer(col, row), col] (a - outer with `subtract`) in one new array.
 
-    Rounds exactly as forming the outer product, the sum and the hstack apart.
+    a is copied into the new array and updated there by one in-place
+    `add_outer` over the whole array, with row padded by a 0 for the last
+    column, which is then overwritten by col.  Rounds exactly as forming the
+    outer product, the sum and the hstack apart.
     """
-    op = np.subtract if subtract else np.add
-    out = _with_block(*a.shape, lambda blk: op(a, np.outer(col, row, out=blk), out=blk))
+    rows, cols = a.shape
+    out = np.empty((rows, cols + 1))
+    out[:, :-1] = a
+    padded = np.empty(cols + 1)
+    padded[:-1] = row
+    padded[-1] = 0.0
+    add_outer(out, col, padded, -1.0 if subtract else 1.0)
     out[:, -1] = col
     return out
 
@@ -329,7 +338,8 @@ def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
 
     # first term: ((c I - h h^T) B) (H h) (h^T B) / (c (c - h^T B H h))
     u1 = gemm(h_col.T, b, cnt)                       # 1 x l
-    g1 = c * b - gemm(h_col, u1, cnt)                # K x l
+    g1 = np.multiply(c, b, order="C")                # K x l, then minus h u1 in place
+    add_outer(g1, h_bar, u1.reshape(-1), -1.0, cnt)
     p = gemm(state.H, h_col, cnt)                    # l x 1
     v = gemm(g1, p, cnt)                             # K x 1
     t1 = gemm(v, u1, cnt)                            # K x l
@@ -337,7 +347,8 @@ def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
     delta = _schur_denominator(c, d, state.l + 1)
     # second term: ((c I - h h^T) B) / c, evaluated afresh as printed
     u2 = gemm(h_col.T, b, cnt)
-    g2 = c * b - gemm(h_col, u2, cnt)
+    g2 = np.multiply(c, b, order="C")
+    add_outer(g2, h_bar, u2.reshape(-1), -1.0, cnt)
     b_new = _with_block(state.sample_count, state.l, lambda blk: np.add(
         np.divide(t1, c * delta, out=blk), g2 / c, out=blk))
 

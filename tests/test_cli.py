@@ -6,7 +6,7 @@ import pytest
 from ifelm import experiments, solvers
 from ifelm.cli import main
 from ifelm.data import SynthKind, synth_dataset
-from ifelm.errors import NumericalBreakdownError
+from ifelm.errors import DomainError, NumericalBreakdownError
 from ifelm.experiments import compare_run
 from ifelm.model import ActivationKind
 from ifelm.solvers import AlgorithmKind
@@ -108,6 +108,19 @@ class TestCompareCommand:
         assert rc == 1
         assert capsys.readouterr().out.count("FAIL (breakdown at node 7)") == 4
 
+    def test_start_above_a_rule_limit_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["compare", "--synth", "sine-mixture", "--samples", "200",
+                   "--start", "150", "--end", "160", "--out", str(out)])
+        assert rc == 2
+        assert "existing's checked limit of 100" in capsys.readouterr().err
+        assert not out.exists()
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 50, 3, 1, seed=3)
+        short = {k: (5, 1e-8) for k in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
+                                        AlgorithmKind.ALG2, AlgorithmKind.ALG3)}
+        with pytest.raises(DomainError, match="limit of 5"):
+            compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 6, 10, seed=3, thresholds=short)
+
 
 class TestBenchCommand:
     def test_smoke(self, tmp_path):
@@ -151,6 +164,13 @@ class TestEvalCommand:
         assert rc == 0
         doc = json.loads((tmp_path / "eval.json").read_text())
         assert doc["eval"]["algorithms"]["alg2"]["mean"]["mse"] >= 0.0
+
+    @pytest.mark.parametrize("start,end", [(0, 5), (8, 5)])
+    def test_eval_run_node_range_checked(self, start, end):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 40, 3, 1, seed=0)
+        with pytest.raises(DomainError, match="start <= end"):
+            experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, start, end,
+                                 [AlgorithmKind.ALG3], seed=0, folds=2)
 
 
 class TestErrorPaths:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ifelm.errors import ShapeError, SingularMatrixError
-from ifelm.linalg import FlopCounter, gemm, solve_spd
+from ifelm.linalg import FlopCounter, add_outer, gemm, solve_spd
 
 
 class TestGemm:
@@ -40,6 +40,40 @@ class TestGemm:
             left = gemm(gemm(a, b), c)
             right = gemm(a, gemm(b, c))
             assert np.allclose(left, right, rtol=1e-12, atol=1e-12)
+
+
+class TestAddOuter:
+    # (3001, 61) spans more than one row band and ends in a partial one
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 21), (3, 41), (270, 40),
+                                       (1999, 37), (3001, 61)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bitwise_equal_to_numpy_outer(self, shape, sign):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        dst = rng.standard_normal(shape)
+        x, y = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+        want = dst + sign * np.outer(x, y)
+        assert add_outer(dst, x, y, sign) is dst
+        assert np.array_equal(dst, want)
+
+    def test_non_contiguous_dst_raises(self):
+        out = np.zeros((4, 6))
+        with pytest.raises(ShapeError):
+            add_outer(out[:, :-1], np.ones(4), np.ones(5), 1.0)
+        assert not out.any()
+
+    def test_foreign_dtype_raises_instead_of_losing_the_update(self):
+        dst = np.zeros((3, 2), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            add_outer(dst, np.ones(3), np.ones(2), 1.0)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            add_outer(np.zeros((3, 2)), np.ones(2), np.ones(2), 1.0)
+
+    def test_counter_gains_2_rows_cols(self):
+        c = FlopCounter(5)
+        add_outer(np.zeros((7, 3)), np.ones(7), np.ones(3), -1.0, c)
+        assert c.multiply_adds == 5 + 2 * 7 * 3
 
 
 class TestSolveSpd:

@@ -575,8 +575,9 @@ def snapshot(st):
 class TestCopyOnWrite:
     """Steps append into solver-owned buffers; every state must stay intact.
 
-    K=1000 makes the chains cross the size at which a bordered block moves
-    from a scratch array to in-place computation.
+    K=1000 makes EXISTING's chains cross the size at which its new B block
+    moves from a scratch array to in-place computation.  Their rank-one
+    updates fit in one `add_outer` row band; the K=3000 chains span two.
     """
 
     K, M, STEPS = 1000, 3, 40
@@ -597,6 +598,16 @@ class TestCopyOnWrite:
         h, y = self.rows()
         st = ref = self.start(kind, h, y, l0)
         for l in range(l0, l0 + self.STEPS):
+            st, ref = add_node(st, h[l]), reference_step(ref, h[l])
+            assert_same_state(st, ref)
+
+    @pytest.mark.parametrize("kind", [AlgorithmKind.EXISTING, AlgorithmKind.ALG1])
+    def test_chain_across_row_bands_matches_copy_reference_bitwise(self, kind):
+        rng = np.random.default_rng(23)
+        h = np.exp(-np.square(rng.uniform(-1, 1, (55, 3000))))
+        y = rng.standard_normal((self.M, 3000))
+        st = ref = warm_start(kind, h[:50], y, 0.1)
+        for l in range(50, 55):
             st, ref = add_node(st, h[l]), reference_step(ref, h[l])
             assert_same_state(st, ref)
 
