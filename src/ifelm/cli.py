@@ -1,6 +1,9 @@
 """Command-line interface: grow, bench, eval and compare runs.
 
 Every error path exits nonzero with a single `error: ...` line on stderr.
+The CLI adds no input checks of its own: argparse, the data loader and the
+run functions in `experiments` reject bad input, and the output directory
+is created only after the run succeeds, so a rejected run leaves none.
 Summary files separate deterministic content from wall-clock data so that
 identical configurations produce identical report bodies.
 """
@@ -9,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 from .data import SynthKind, TaskKind, load_csv, synth_dataset
 from .errors import DomainError
-from .experiments import bench_run, check_compare_start, compare_run, eval_run, grow_run
+from .experiments import bench_run, compare_run, eval_run, grow_run
 from .model import ActivationKind
 from .solvers import AlgorithmKind
 
@@ -99,65 +101,50 @@ def _algorithms(spec: str) -> list[AlgorithmKind]:
     return kinds
 
 
-def _validate(args) -> None:
-    if args.command == "bench":  # bench has no --start; its l is --end
-        if args.end < 1:
-            raise DomainError(f"end must be >= 1, got {args.end}")
-        if args.repeats < 1:
-            raise DomainError(f"repeats must be >= 1, got {args.repeats}")
-    elif not 1 <= args.start <= args.end:
-        raise DomainError(f"need 1 <= start <= end, got {args.start}..{args.end}")
-    elif args.command == "compare":
-        check_compare_start(args.start)
-    if not (args.k0sq > 0 and math.isfinite(args.k0sq)):
-        raise DomainError(f"k0sq must be finite and > 0, got {args.k0sq}")
-
-
-def _write_json(path: Path, config: dict, body: dict, started: float) -> None:
+def _write_json(out: Path, name: str, config: dict, body: dict, started: float) -> None:
+    """Write out/name, creating `out`: the first write of every command."""
     doc = {"config": config, **body,
            "timing": {"started_unix": started, "elapsed_s": time.time() - started}}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
-    _validate(args)
     ds = _dataset(args)
     algs = _algorithms(args.alg) if "alg" in args else ALL_INCREMENTAL
     kernel = ActivationKind(args.kernel)
     config = {k: v for k, v in vars(args).items() if k != "out"}
-    # only once the inputs are loaded and valid, so a rejected run leaves no directory
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.command == "grow":
         traces, summary = grow_run(ds, kernel, args.k0sq, args.start, args.end,
                                    algs, args.seed)
+        _write_json(out, "summary.json", config, {"summary": summary}, started)
         for name, trace in traces.items():
             trace.to_csv(out / f"trace_{name}.csv")
-        _write_json(out / "summary.json", config, {"summary": summary}, started)
         print(f"wrote {len(traces)} trace files and summary.json to {out}")
         return 0
 
     if args.command == "bench":
         report = bench_run(ds, kernel, args.k0sq, args.end,
                            algs, args.seed, args.repeats)
-        _write_json(out / "bench.json", config, {"bench": report}, started)
+        _write_json(out, "bench.json", config, {"bench": report}, started)
         print(f"wrote bench.json to {out}")
         return 0
 
     if args.command == "eval":
         report = eval_run(ds, kernel, args.k0sq, args.start, args.end,
                           algs, args.seed, args.folds)
-        _write_json(out / "eval.json", config, {"eval": report}, started)
+        _write_json(out, "eval.json", config, {"eval": report}, started)
         for name, entry in report["algorithms"].items():
             print(f"{name}: mean={entry['mean']} variance={entry['variance']}")
         return 0
 
     if args.command == "compare":
         report = compare_run(ds, kernel, args.k0sq, args.start, args.end, args.seed)
-        _write_json(out / "compare.json", config, {"compare": report}, started)
+        _write_json(out, "compare.json", config, {"compare": report}, started)
         for e in report["entries"]:
             status = "pass" if e["passed"] else "FAIL"
             if e["breakdown"] is not None:

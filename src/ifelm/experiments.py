@@ -30,7 +30,7 @@ from .evaluation import (
     weight_output_errors,
 )
 from .model import ActivationKind, ElmParams, hidden_matrix, init_random_params
-from .solvers import AlgorithmKind, SolverState, add_node
+from .solvers import AlgorithmKind, SolverState, _check_k0sq, add_node
 from .data import TaskKind, apply_normalization, normalize_features
 
 # comparison thresholds: algorithm -> (max node count checked, error bound)
@@ -40,6 +40,13 @@ DEFAULT_THRESHOLDS = {
     AlgorithmKind.ALG2: (500, 1e-4),
     AlgorithmKind.ALG3: (100, 1e-8),
 }
+
+
+def _check_inputs(start: int, end: int, k0sq: float) -> None:
+    """Raise DomainError unless 1 <= start <= end and k0sq is finite and > 0."""
+    if not 1 <= start <= end:
+        raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
+    _check_k0sq(k0sq)
 
 
 def _normal_residual(w: np.ndarray, h: np.ndarray, y: np.ndarray, k0sq: float) -> float:
@@ -64,7 +71,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     (`solvers.solve_direct_prefixes`); at l = end they are bitwise those
     of `solvers.solve_direct`.  The reference outputs at every l are
     computed once and shared by all rules.  Needs 1 <= start <= end <= the
-    node count of `params`, else raises DomainError.
+    node count of `params` and a finite k0sq > 0, else raises DomainError.
 
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
@@ -72,8 +79,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     diagnostics per algorithm, plus `oracle_residual`: the reference's
     relative normal-equation residual at each checkpoint.
     """
-    if not 1 <= start <= end:
-        raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
+    _check_inputs(start, end, k0sq)
     if params is None:
         params = init_random_params(end, ds.X.shape[0], kernel, seed)
     if params.hidden_count < end:
@@ -139,10 +145,15 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     step's multiply-adds are read off the last timed child.  The base
     state's arrays are never at a solver buffer's fill level, so every timed
     step takes the copy path and pays for copying H (and L, D); chained
-    growth, as in grow_run and eval_run, appends in place instead.
+    growth, as in grow_run and eval_run, appends in place instead.  Needs
+    l >= 1 (the CLI's --end), repeats >= 1 and a finite k0sq > 0, else
+    raises DomainError.
     """
+    if l < 1:
+        raise DomainError(f"end must be >= 1, got {l}")
     if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+        raise DomainError(f"repeats must be >= 1, got {repeats}")
+    _check_k0sq(k0sq)
     params = init_random_params(l + 1, ds.X.shape[0], kernel, seed)
     h_full = hidden_matrix(params, ds.X)
     h_bar = h_full[l]
@@ -195,10 +206,10 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     """K-fold cross-validation; per-fold training uses the chosen rule.
 
     Each fold grows from `start` to `end` nodes; needs 1 <= start <= end,
-    else raises DomainError.
+    a finite k0sq > 0 and 2 <= folds <= the sample count, else raises
+    DomainError.
     """
-    if not 1 <= start <= end:
-        raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
+    _check_inputs(start, end, k0sq)
     splits = kfold_split(ds.sample_count, folds, seed)
     report = {"folds": folds, "task": ds.task.value, "nodes": end, "algorithms": {}}
 
@@ -228,28 +239,20 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     return report
 
 
-def check_compare_start(start: int, thresholds=DEFAULT_THRESHOLDS) -> None:
-    """Raise DomainError if `start` lies above a rule's checked node count.
+def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
+                seed: int):
+    """Equivalence check of the four incremental rules against the direct-solve oracle.
 
-    `compare_run` checks each rule only up to its limit in `thresholds`, so
-    a run starting above it would check nothing.
+    Each rule is checked only up to its node-count limit in
+    `DEFAULT_THRESHOLDS`, so a `start` above any limit raises DomainError,
+    as do the checks of `grow_run`.
     """
+    _check_inputs(start, end, k0sq)
+    thresholds = DEFAULT_THRESHOLDS
     for kind, (limit_l, _) in thresholds.items():
         if start > limit_l:
             raise DomainError(f"start {start} is above {kind.value}'s checked limit "
                               f"of {limit_l} nodes")
-
-
-def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
-                seed: int, thresholds=None):
-    """Equivalence check of the four incremental rules against the direct-solve oracle.
-
-    Raises DomainError if `start` lies above a rule's checked node count
-    (`check_compare_start`).
-    """
-    if thresholds is None:
-        thresholds = DEFAULT_THRESHOLDS
-    check_compare_start(start, thresholds)
     algorithms = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
                   AlgorithmKind.ALG2, AlgorithmKind.ALG3]
     traces, summary = grow_run(ds, kernel, k0sq, start, end, algorithms, seed)

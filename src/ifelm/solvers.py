@@ -273,28 +273,6 @@ def _grown(state: SolverState, h_bar: np.ndarray, w_new: np.ndarray,
                        W=w_new, multiply_adds=counter.multiply_adds, _h_tail=h_tail, **aux)
 
 
-# EXISTING's new B block (the only block `_with_block` fills) of at most
-# this many entries is computed in a contiguous scratch array and then copied
-# in: at such sizes numpy's per-row loop overhead on the strided block costs
-# more than the copy.  Larger blocks are computed in place, which saves a
-# temporary and a pass over memory.
-_SCRATCH_MAX = 1 << 15
-
-
-def _with_block(rows: int, cols: int, fill) -> np.ndarray:
-    """New rows x (cols + 1) array whose leading block `fill(block)` computes.
-
-    `fill` writes into and returns the array it is given; the last column is
-    left for the caller.
-    """
-    out = np.empty((rows, cols + 1))
-    if rows * cols <= _SCRATCH_MAX:
-        out[:, :-1] = fill(np.empty((rows, cols)))
-    else:
-        fill(out[:, :-1])
-    return out
-
-
 def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
               subtract: bool = False) -> np.ndarray:
     """[a + outer(col, row), col] (a - outer with `subtract`) in one new array.
@@ -340,7 +318,7 @@ def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
     u1 = gemm(h_col.T, b, cnt)                       # 1 x l
     g1 = np.multiply(c, b, order="C")                # K x l, then minus h u1 in place
     add_outer(g1, h_bar, u1.reshape(-1), -1.0, cnt)
-    p = gemm(state.H, h_col, cnt)                    # l x 1
+    p = compute_p(state, h_bar, cnt).reshape(-1, 1)  # l x 1
     v = gemm(g1, p, cnt)                             # K x 1
     t1 = gemm(v, u1, cnt)                            # K x l
     d = gemm(u1, p, cnt)[0, 0]                       # h^T B H h
@@ -349,9 +327,11 @@ def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
     u2 = gemm(h_col.T, b, cnt)
     g2 = np.multiply(c, b, order="C")
     add_outer(g2, h_bar, u2.reshape(-1), -1.0, cnt)
-    b_new = _with_block(state.sample_count, state.l, lambda blk: np.add(
-        np.divide(t1, c * delta, out=blk), g2 / c, out=blk))
-
+    t1 /= c * delta
+    g2 /= c
+    t1 += g2
+    b_new = np.empty((state.sample_count, state.l + 1))
+    b_new[:, :-1] = t1
     b_new[:, -1] = (-gemm(b_new[:, :-1], p, cnt).reshape(-1) + h_bar) / c
     w = gemm(state.Y, b_new, cnt)
     return _grown(state, h_bar, w, cnt, B=b_new)
@@ -365,7 +345,7 @@ def add_node_alg1(state: SolverState, h_bar: np.ndarray) -> SolverState:
     b = state.B
     c = float(h_bar @ h_bar) + state.k0sq
 
-    p = gemm(state.H, h_col, cnt)                    # l x 1
+    p = compute_p(state, h_bar, cnt).reshape(-1, 1)  # l x 1
     u = gemm(h_col.T, b, cnt).reshape(-1)            # h^T B, reused twice
     delta = _schur_denominator(c, float(u @ p.reshape(-1)), state.l + 1)
     tau = 1.0 / delta

@@ -73,12 +73,12 @@ class TestCompareCommand:
         assert doc["compare"]["passed"] is True
         assert "pass" in capsys.readouterr().out
 
-    def test_compare_run_fails_under_zero_threshold(self):
+    def test_compare_run_fails_under_zero_threshold(self, monkeypatch):
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 50, 3, 1, seed=3)
         zero = {k: (100, 0.0) for k in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
                                         AlgorithmKind.ALG2, AlgorithmKind.ALG3)}
-        report = compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, seed=3,
-                             thresholds=zero)
+        monkeypatch.setattr(experiments, "DEFAULT_THRESHOLDS", zero)
+        report = compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, seed=3)
         assert report["passed"] is False
         assert all(not e["passed"] for e in report["entries"])
 
@@ -97,8 +97,9 @@ class TestCompareCommand:
             assert e["breakdown"]["node"] == 7
         short = {k: (5, 1e-8) for k in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
                                         AlgorithmKind.ALG2, AlgorithmKind.ALG3)}
-        report = compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, seed=3,
-                             thresholds=short)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "DEFAULT_THRESHOLDS", short)
+            report = compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, seed=3)
         assert report["passed"] is True
         assert all(e["checked_up_to"] == 5 for e in report["entries"])
 
@@ -108,7 +109,7 @@ class TestCompareCommand:
         assert rc == 1
         assert capsys.readouterr().out.count("FAIL (breakdown at node 7)") == 4
 
-    def test_start_above_a_rule_limit_is_rejected(self, tmp_path, capsys):
+    def test_start_above_a_rule_limit_is_rejected(self, monkeypatch, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["compare", "--synth", "sine-mixture", "--samples", "200",
                    "--start", "150", "--end", "160", "--out", str(out)])
@@ -118,8 +119,9 @@ class TestCompareCommand:
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 50, 3, 1, seed=3)
         short = {k: (5, 1e-8) for k in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
                                         AlgorithmKind.ALG2, AlgorithmKind.ALG3)}
+        monkeypatch.setattr(experiments, "DEFAULT_THRESHOLDS", short)
         with pytest.raises(DomainError, match="limit of 5"):
-            compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 6, 10, seed=3, thresholds=short)
+            compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 6, 10, seed=3)
 
 
 class TestBenchCommand:
@@ -204,6 +206,21 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert "end must be >= 1" in err and "start" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--samples", "50", "--kernel", "hardlim", "--k0sq", "1e-14",
+         "--end", "120"],
+        ["eval", "--folds", "1"],
+        ["eval", "--samples", "20", "--folds", "50"],
+        ["bench", "--end", "0"],
+    ], ids=["singular-gram", "one-fold", "more-folds-than-samples", "bench-no-nodes"])
+    def test_run_function_rejection_creates_no_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "d" / "run"
+        rc = main([*argv, "--synth", "sine-mixture", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
 
     def test_unknown_algorithm(self, tmp_path, capsys):
         rc = main(["grow", "--synth", "sine-mixture", "--samples", "20",

@@ -575,9 +575,8 @@ def snapshot(st):
 class TestCopyOnWrite:
     """Steps append into solver-owned buffers; every state must stay intact.
 
-    K=1000 makes EXISTING's chains cross the size at which its new B block
-    moves from a scratch array to in-place computation.  Their rank-one
-    updates fit in one `add_outer` row band; the K=3000 chains span two.
+    At K=1000 the rank-one updates of EXISTING and ALG1 fit in one
+    `add_outer` row band; the K=3000 chains span two.
     """
 
     K, M, STEPS = 1000, 3, 40
