@@ -143,11 +143,10 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     Each algorithm is warm-started to l nodes once; the (l+1)-th addition
     is repeated `repeats` times on the same immutable base state, and the
     step's multiply-adds are read off the last timed child.  The base
-    state's arrays are never at a solver buffer's fill level, so every timed
-    step takes the copy path and pays for copying H (and L, D); chained
-    growth, as in grow_run and eval_run, appends in place instead.  Needs
-    l >= 1 (the CLI's --end), repeats >= 1 and a finite k0sq > 0, else
-    raises DomainError.
+    state comes from `warm_start` and owns no store, so every timed step
+    copies H (and L, D) into a new one; chained growth, as in grow_run and
+    eval_run, appends in place instead.  Needs l >= 1 (the CLI's --end),
+    repeats >= 1 and a finite k0sq > 0, else raises DomainError.
     """
     if l < 1:
         raise DomainError(f"end must be >= 1, got {l}")
@@ -211,6 +210,7 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     """
     _check_inputs(start, end, k0sq)
     splits = kfold_split(ds.sample_count, folds, seed)
+    params = init_random_params(end, ds.X.shape[0], kernel, seed)
     report = {"folds": folds, "task": ds.task.value, "nodes": end, "algorithms": {}}
 
     for kind in algorithms:
@@ -220,7 +220,6 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
             test = Dataset(X=ds.X[:, test_idx], Y=ds.Y[:, test_idx], task=ds.task)
             train_n, transform = normalize_features(train)
             test_n = apply_normalization(test, transform)
-            params = init_random_params(end, ds.X.shape[0], kernel, seed)
             h_train = hidden_matrix(params, train_n.X)
             state = _grow_to(kind, h_train, train_n.Y, k0sq, start, end)
             z_test = state.W @ hidden_matrix(params, test_n.X)

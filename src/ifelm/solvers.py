@@ -23,16 +23,17 @@ gemm; l- and M-sized bookkeeping is deliberately unmetered so recorded
 flops follow the dominant-cost model.  A step's metered count is the new
 state's `multiply_adds` minus its parent's.
 
-Storage model.  States are immutable to the caller, but the append-only
-arrays H (a row per node), L (a column per node) and D (an entry per node)
-live in buffers owned by the solver, whose capacity doubles when full; the
-state's fields are exact l-sized views of them.  A step writes the new row
-or column past the fill level in place only when the state's field is the
-buffer's latest view.  Any other state copies into a new buffer first: one
-that was already stepped, one with a `dataclasses.replace`d field, or one
-whose arrays the caller passed in (`init_solver`'s h1 and `warm_start`'s h
-are never written).  So re-stepping an old state is correct but pays a
-copy, and chained growth appends in place.  B, Q and W are rewritten by
+Storage model.  States are immutable to the caller, but a step does not
+copy the append-only arrays H (a row per node), L (a column per node) and
+D (an entry per node).  Each chain of states keeps them in one store of
+buffers whose capacity doubles when full; the state's fields are exact
+l-sized views of them.  The store's owner is the newest state grown from
+it, held weakly so that a dropped chain is freed at once.  A step appends
+in place only when the state it steps is the owner and the store has room.
+Any other state copies into a new store first: one already stepped, a
+`dataclasses.replace`d one, or one from `warm_start`, which owns no store
+(its h is never written).  So re-stepping an old state is correct but pays
+a copy, and chained growth appends in place.  B, Q and W are rewritten by
 every step and are allocated once per step at their new size.  Two threads
 must not step the same state at the same time.
 """
@@ -40,6 +41,7 @@ must not step the same state at the same time.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -65,48 +67,26 @@ class AlgorithmKind(Enum):
     ALG3 = "alg3"
 
 
-class _Tail:
-    """Owned buffer behind one append-only state array (H, L or D).
+class _Store:
+    """One chain's H, plus L and D for ALG3, in buffers with spare capacity.
 
-    `view` is the array most recently handed out: the filled part of
-    `buf`, which has spare capacity along its grown axes.
+    `owner` weakly references the newest state grown from the store, the
+    only state that may append to it.
     """
 
-    __slots__ = ("buf", "view")
+    __slots__ = ("H", "L", "D", "owner")
 
-    def __init__(self, buf: np.ndarray):
-        self.buf = buf
-        self.view = None
-
-
-def _owns(tail: _Tail | None, a: np.ndarray) -> bool:
-    """True if `a` is `tail`'s latest view and the buffer has room past it."""
-    return tail is not None and tail.view is a and tail.buf.shape[0] > a.shape[0]
-
-
-def _append_row(tail: _Tail | None, a: np.ndarray, row) -> _Tail:
-    """Append `row` to the rows of `a` (H, or the entries of D)."""
-    n = a.shape[0]
-    if not _owns(tail, a):
-        tail = _Tail(np.empty((2 * (n + 1),) + a.shape[1:]))
-        tail.buf[:n] = a
-    tail.buf[n] = row
-    tail.view = tail.buf[: n + 1]
-    return tail
-
-
-def _append_unit_column(tail: _Tail | None, a: np.ndarray, col: np.ndarray) -> _Tail:
-    """Border the unit upper-triangular `a` with column `col` and a unit diagonal."""
-    n = a.shape[0]
-    if not _owns(tail, a):
-        tail = _Tail(np.empty((2 * (n + 1),) * 2))
-        tail.buf[:n, :n] = a
-    buf = tail.buf
-    buf[:n, n] = col
-    buf[n, :n] = 0.0
-    buf[n, n] = 1.0
-    tail.view = buf[: n + 1, : n + 1]
-    return tail
+    def __init__(self, state: SolverState):
+        n, size = state.l, 2 * (state.l + 1)
+        self.H = np.empty((size, state.sample_count))
+        self.H[:n] = state.H
+        self.L = self.D = None
+        if state.kind is AlgorithmKind.ALG3:
+            self.L = np.empty((size, size))
+            self.L[:n, :n] = state.L
+            self.D = np.empty(size)
+            self.D[:n] = state.D
+        self.owner = None
 
 
 @dataclass(frozen=True)
@@ -115,10 +95,11 @@ class SolverState:
 
     Aux content by kind: EXISTING/ALG1 carry B (K x l); ALG2 carries
     Q (l x l); ALG3 carries L (l x l, unit upper-triangular) and D (l,);
-    BASELINE carries nothing beyond H, Y, W.  H, L and D may be views of
-    solver-owned buffers (see the module docstring); treat every array as
-    read-only.  `multiply_adds` is the metered cost of the steps from the
-    start state (0 after `warm_start`) to this one.
+    BASELINE carries nothing beyond H, Y, W.  In a grown state H, L and D
+    are views of its chain's store, which only the chain's newest state
+    appends to (see the module docstring); treat every array as read-only.
+    `multiply_adds` is the metered cost of the steps from the start state
+    (0 after `warm_start`) to this one.
     """
 
     kind: AlgorithmKind
@@ -131,9 +112,7 @@ class SolverState:
     L: np.ndarray | None = None
     D: np.ndarray | None = None
     multiply_adds: int = 0
-    _h_tail: _Tail | None = field(default=None, repr=False, compare=False)
-    _l_tail: _Tail | None = field(default=None, repr=False, compare=False)
-    _d_tail: _Tail | None = field(default=None, repr=False, compare=False)
+    _store: _Store | None = field(default=None, repr=False, compare=False)
 
     @property
     def l(self) -> int:
@@ -142,6 +121,11 @@ class SolverState:
     @property
     def sample_count(self) -> int:
         return self.H.shape[1]
+
+    def __getstate__(self) -> dict:
+        # The store's owner is a weak reference, which cannot be pickled; a
+        # pickled or deep-copied state owns no store and copies on its first step.
+        return {**self.__dict__, "_store": None}
 
 
 def _check_k0sq(k0sq: float) -> float:
@@ -262,15 +246,41 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
     return delta
 
 
-def _grown(state: SolverState, h_bar: np.ndarray, w_new: np.ndarray,
-           counter: FlopCounter, **aux) -> SolverState:
-    """The child state with h_bar appended to H; `aux` is the rule's whole aux set.
+def _append(state: SolverState, h_bar: np.ndarray, col: np.ndarray | None = None,
+            entry: float | None = None) -> _Store:
+    """A store with node l + 1 written past `state`'s l nodes: row h_bar of H,
+    and for ALG3 column col of L above a unit diagonal and entry D[l].
 
-    Aux fields a rule does not pass are None, as in every state of that rule.
+    In place only if `state` owns its store and the store has room; else a
+    new store copies `state`'s arrays first.
     """
-    h_tail = _append_row(state._h_tail, state.H, h_bar)
-    return SolverState(kind=state.kind, k0sq=state.k0sq, H=h_tail.view, Y=state.Y,
-                       W=w_new, multiply_adds=counter.multiply_adds, _h_tail=h_tail, **aux)
+    n = state.l
+    store = state._store
+    if store is None or store.owner() is not state or store.H.shape[0] == n:
+        store = _Store(state)
+    store.H[n] = h_bar
+    if store.L is not None:
+        store.L[:n, n] = col
+        store.L[n, :n] = 0.0
+        store.L[n, n] = 1.0
+        store.D[n] = entry
+    return store
+
+
+def _grown(state: SolverState, store: _Store, w_new: np.ndarray,
+           counter: FlopCounter, **aux) -> SolverState:
+    """The child state over `_append`'s store, made its owner.
+
+    `aux` is the rule's whole aux set but L and D, which come from the
+    store; fields a rule does not pass are None in every state of it.
+    """
+    n = state.l + 1
+    if store.L is not None:
+        aux.update(L=store.L[:n, :n], D=store.D[:n])
+    child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n], Y=state.Y,
+                        W=w_new, multiply_adds=counter.multiply_adds, _store=store, **aux)
+    store.owner = weakref.ref(child)
+    return child
 
 
 def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
@@ -295,10 +305,9 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
 
 def add_node_baseline(state: SolverState, h_bar: np.ndarray) -> SolverState:
     cnt = FlopCounter(state.multiply_adds)
-    h_tail = _append_row(state._h_tail, state.H, _row(state, h_bar))
-    w = solve_direct(h_tail.view, state.Y, state.k0sq, cnt)
-    return SolverState(kind=state.kind, k0sq=state.k0sq, H=h_tail.view, Y=state.Y, W=w,
-                       multiply_adds=cnt.multiply_adds, _h_tail=h_tail)
+    store = _append(state, _row(state, h_bar))
+    w = solve_direct(store.H[: state.l + 1], state.Y, state.k0sq, cnt)
+    return _grown(state, store, w, cnt)
 
 
 def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
@@ -334,7 +343,7 @@ def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
     b_new[:, :-1] = t1
     b_new[:, -1] = (-gemm(b_new[:, :-1], p, cnt).reshape(-1) + h_bar) / c
     w = gemm(state.Y, b_new, cnt)
-    return _grown(state, h_bar, w, cnt, B=b_new)
+    return _grown(state, _append(state, h_bar), w, cnt, B=b_new)
 
 
 def add_node_alg1(state: SolverState, h_bar: np.ndarray) -> SolverState:
@@ -353,7 +362,7 @@ def add_node_alg1(state: SolverState, h_bar: np.ndarray) -> SolverState:
     b_new = _bordered(b, b_bar, u, subtract=True)
     w_bar = gemm(state.Y, b_bar.reshape(-1, 1), cnt).reshape(-1)
     w = _bordered(state.W, w_bar, u, subtract=True)
-    return _grown(state, h_bar, w, cnt, B=b_new)
+    return _grown(state, _append(state, h_bar), w, cnt, B=b_new)
 
 
 def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
@@ -389,7 +398,7 @@ def add_node_alg2(state: SolverState, h_bar: np.ndarray) -> SolverState:
     q_new[-1, -1] = tau
 
     w = _weight_border(state, h_bar, p, tau, t / tau, cnt)
-    return _grown(state, h_bar, w, cnt, Q=q_new)
+    return _grown(state, _append(state, h_bar), w, cnt, Q=q_new)
 
 
 def add_node_alg3(state: SolverState, h_bar: np.ndarray) -> SolverState:
@@ -410,10 +419,7 @@ def add_node_alg3(state: SolverState, h_bar: np.ndarray) -> SolverState:
     tau = 1.0 / delta
 
     w = _weight_border(state, h_bar, p, tau, t_tilde, cnt)
-    l_tail = _append_unit_column(state._l_tail, state.L, t_tilde)
-    d_tail = _append_row(state._d_tail, state.D, tau)
-    return _grown(state, h_bar, w, cnt,
-                  L=l_tail.view, D=d_tail.view, _l_tail=l_tail, _d_tail=d_tail)
+    return _grown(state, _append(state, h_bar, t_tilde, tau), w, cnt)
 
 
 _ADDERS = {

@@ -12,6 +12,7 @@ import numpy as np
 from ifelm.linalg import FlopCounter
 from ifelm.solvers import (
     AlgorithmKind,
+    _append,
     _grown,
     _schur_denominator,
     _weight_border,
@@ -41,7 +42,7 @@ def add_node_q_unsimplified(state, h_bar):
     q_new = np.block([[q_tilde, t.reshape(-1, 1)], [t.reshape(1, -1), tau]])
 
     w = _weight_border(state, h_bar, p, tau, t / tau, cnt)
-    return _grown(state, h_bar, w, cnt, Q=q_new)
+    return _grown(state, _append(state, h_bar), w, cnt, Q=q_new)
 
 
 def reference_step(s, h_bar):

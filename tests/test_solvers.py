@@ -5,6 +5,10 @@ k0sq = 1, then add the row [1, 0].  All frozen fractions below were
 cross-checked against the direct solve with R = [[6, 1], [1, 2]].
 """
 
+import copy
+import gc
+import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -626,6 +630,46 @@ class TestCopyOnWrite:
             assert np.array_equal(getattr(a, name), want), name
         assert_same_state(a2, reference_step(a, h[14]))
         assert_same_state(b2, reference_step(b, h[15]))
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_chain_appends_in_place(self, kind):
+        # only a step that grows the store's capacity may leave its parent's buffers
+        h, y = self.rows()
+        st = init_solver(kind, h[0], y, 0.1)
+        names = ["H", "L", "D"] if kind is AlgorithmKind.ALG3 else ["H"]
+        copies = 0
+        for l in range(1, 1 + self.STEPS):
+            child = add_node(st, h[l])
+            shared = [np.shares_memory(getattr(child, n), getattr(st, n)) for n in names]
+            assert all(shared) or not any(shared), f"l={l}: {dict(zip(names, shared))}"
+            copies += not shared[0]
+            st = child
+        assert copies <= 7
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_dropped_chain_freed_without_cyclic_gc(self, kind):
+        h, y = self.rows()
+        gc.disable()
+        try:
+            st = init_solver(kind, h[0], y, 0.1)
+            for l in range(1, 13):
+                st = add_node(st, h[l])
+            last = weakref.ref(st)
+            del st
+            assert last() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_pickled_state_steps_as_the_original(self, kind):
+        h, y = self.rows()
+        s = self.start(kind, h, y, 1)
+        for l in range(1, 6):
+            s = add_node(s, h[l])
+        for r in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert_same_state(r, s)
+            assert_same_state(add_node(r, h[6]), reference_step(s, h[6]))
+        assert_same_state(add_node(s, h[6]), reference_step(s, h[6]))
 
     @pytest.mark.parametrize("l0", [1, 6])
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
