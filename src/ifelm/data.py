@@ -28,7 +28,7 @@ class SynthKind(Enum):
     TWO_GAUSSIANS = "two-gaussians"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     X: np.ndarray
     Y: np.ndarray

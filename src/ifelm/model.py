@@ -24,7 +24,7 @@ class ActivationKind(Enum):
     HARDLIM = "hardlim"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElmParams:
     """Input weights A (l x N), biases d (l,) and the activation kind."""
 

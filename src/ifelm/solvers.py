@@ -13,9 +13,12 @@ problem W = Y H^T (H H^T + k0sq I)^-1:
 * ALG3        maintains the factors L (unit upper-triangular) and D with
               L diag(D) L^T = Q, avoiding the drift of updating Q itself.
 
+Each rule is a kernel in `_RULES` that holds only its own algebra, and
+`add_node` is the one frame around every step.
 Every rule starts through `warm_start` (`init_solver` is its l0 = 1 case)
 from one Cholesky factor C of H H^T + k0sq I; ALG3's factors come straight
-from C as L = C^-T diag(C) and D = 1/diag(C)^2.
+from C as L = C^-T diag(C) and D = 1/diag(C)^2.  `_gram` is the one checked
+entry to that Gram matrix, for the start and for the direct-solve oracle.
 
 All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  Products along the K (sample) dimension run through the metered
@@ -89,7 +92,7 @@ class _Store:
         self.owner = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverState:
     """Immutable snapshot of one solver after l node additions.
 
@@ -99,7 +102,7 @@ class SolverState:
     are views of its chain's store, which only the chain's newest state
     appends to (see the module docstring); treat every array as read-only.
     `multiply_adds` is the metered cost of the steps from the start state
-    (0 after `warm_start`) to this one.
+    (0 after `warm_start`) to this one.  States compare and hash by identity.
     """
 
     kind: AlgorithmKind
@@ -112,7 +115,7 @@ class SolverState:
     L: np.ndarray | None = None
     D: np.ndarray | None = None
     multiply_adds: int = 0
-    _store: _Store | None = field(default=None, repr=False, compare=False)
+    _store: _Store | None = field(default=None, repr=False)
 
     @property
     def l(self) -> int:
@@ -128,10 +131,25 @@ class SolverState:
         return {**self.__dict__, "_store": None}
 
 
-def _check_k0sq(k0sq: float) -> float:
+def _check_k0sq(k0sq: float) -> None:
     if not (k0sq > 0.0 and math.isfinite(k0sq)):
         raise DomainError(f"regularization k0sq must be finite and > 0, got {k0sq}")
-    return float(k0sq)
+
+
+def _gram(h: np.ndarray, y: np.ndarray, k0sq: float,
+          counter: FlopCounter | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 H and Y, and the Gram matrix H H^T + k0sq I, after one input check.
+
+    k0sq must be finite and > 0 (DomainError); H must be non-empty and 2-D,
+    and Y 2-D with H's K columns (ShapeError).
+    """
+    _check_k0sq(k0sq)
+    h = np.asarray(h, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if h.ndim != 2 or h.size < 1 or y.ndim != 2 or h.shape[1] != y.shape[1]:
+        raise ShapeError(f"need a non-empty 2-D H and a 2-D Y with as many columns, "
+                         f"got H {h.shape}, Y {y.shape}")
+    return h, y, gemm(h, h.T, counter) + k0sq * np.eye(h.shape[0])
 
 
 def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float,
@@ -142,12 +160,8 @@ def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float,
     every incremental rule is compared against (`solve_direct_prefixes`
     gives it for many prefixes of H at once).
     """
-    _check_k0sq(k0sq)
-    if h.ndim != 2 or y.ndim != 2 or h.shape[1] != y.shape[1]:
-        raise ShapeError(f"solve_direct shapes: H {h.shape}, Y {y.shape}")
-    r = gemm(h, h.T, counter) + k0sq * np.eye(h.shape[0])
-    rhs = gemm(h, y.T, counter)
-    return solve_spd(r, rhs).T
+    h, y, r = _gram(h, y, k0sq, counter)
+    return solve_spd(r, gemm(h, y.T, counter)).T
 
 
 def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
@@ -164,16 +178,15 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     is not positive definite raises SingularMatrixError at its first
     non-positive pivot, as the per-l solve of the next larger prefix does.
     """
-    _check_k0sq(k0sq)
-    if h.ndim != 2 or y.ndim != 2 or h.shape[1] != y.shape[1]:
-        raise ShapeError(f"solve_direct_prefixes shapes: H {h.shape}, Y {y.shape}")
     ls = list(ls)
-    if not ls or not 1 <= min(ls) <= max(ls) <= h.shape[0]:
-        span = f"{min(ls)}..{max(ls)}" if ls else "none"
-        raise DomainError(f"prefix lengths must lie in 1..{h.shape[0]}, got {span}")
-    n = max(ls)
-    c = cholesky(gemm(h[:n], h[:n].T) + k0sq * np.eye(n))
-    rhs = gemm(h[:n], y.T)
+    n = max(ls, default=0)
+    # H's shape is checked first, on the rows the prefixes read (at least one)
+    h, y, r = _gram(h[:max(n, 1)], y, k0sq)
+    if not ls or min(ls) < 1 or n > h.shape[0]:
+        span = f"{min(ls)}..{n}" if ls else "none"
+        raise DomainError(f"prefix lengths must lie in 1..rows(H), got {span}")
+    c = cholesky(r)
+    rhs = gemm(h, y.T)
     return {l: lapack.dpotrs(c[:l, :l], rhs[:l], lower=1)[0].T for l in ls}
 
 
@@ -193,16 +206,9 @@ def warm_start(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float) -
     L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.  The start is
     unmetered: the returned state's `multiply_adds` is 0.
     """
-    k0sq = _check_k0sq(k0sq)
-    h = np.asarray(h, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if h.ndim != 2 or y.ndim != 2 or h.shape[1] != y.shape[1]:
-        raise ShapeError(f"warm_start shapes: H {h.shape}, Y {y.shape}")
-    if h.size < 1:
-        raise ShapeError(f"warm_start needs a non-empty H, got {h.shape}")
-    eye = np.eye(h.shape[0])
-    c = cholesky(h @ h.T + k0sq * eye)
-    q = lapack.dpotrs(c, eye, lower=1)[0]
+    h, y, r = _gram(h, y, k0sq)
+    c = cholesky(r)
+    q = lapack.dpotrs(c, np.eye(h.shape[0]), lower=1)[0]
     q = 0.5 * (q + q.T)
     b = h.T @ q
     aux = {}
@@ -215,15 +221,7 @@ def warm_start(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float) -
         upper = lapack.dtrtri(c, lower=1)[0].T * diag
         np.fill_diagonal(upper, 1.0)
         aux = {"L": upper, "D": 1.0 / diag**2}
-    return SolverState(kind=kind, k0sq=k0sq, H=h, Y=y, W=y @ b, **aux)
-
-
-def _row(state: SolverState, h_bar: np.ndarray) -> np.ndarray:
-    """The new hidden row as a flat float64 array; every rule checks it has K entries."""
-    h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
-    if h_bar.size != state.sample_count:
-        raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
-    return h_bar
+    return SolverState(kind=kind, k0sq=float(k0sq), H=h, Y=y, W=y @ b, **aux)
 
 
 def compute_p(state: SolverState, h_bar: np.ndarray, counter: FlopCounter) -> np.ndarray:
@@ -246,43 +244,6 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
     return delta
 
 
-def _append(state: SolverState, h_bar: np.ndarray, col: np.ndarray | None = None,
-            entry: float | None = None) -> _Store:
-    """A store with node l + 1 written past `state`'s l nodes: row h_bar of H,
-    and for ALG3 column col of L above a unit diagonal and entry D[l].
-
-    In place only if `state` owns its store and the store has room; else a
-    new store copies `state`'s arrays first.
-    """
-    n = state.l
-    store = state._store
-    if store is None or store.owner() is not state or store.H.shape[0] == n:
-        store = _Store(state)
-    store.H[n] = h_bar
-    if store.L is not None:
-        store.L[:n, n] = col
-        store.L[n, :n] = 0.0
-        store.L[n, n] = 1.0
-        store.D[n] = entry
-    return store
-
-
-def _grown(state: SolverState, store: _Store, w_new: np.ndarray,
-           counter: FlopCounter, **aux) -> SolverState:
-    """The child state over `_append`'s store, made its owner.
-
-    `aux` is the rule's whole aux set but L and D, which come from the
-    store; fields a rule does not pass are None in every state of it.
-    """
-    n = state.l + 1
-    if store.L is not None:
-        aux.update(L=store.L[:n, :n], D=store.D[:n])
-    child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n], Y=state.Y,
-                        W=w_new, multiply_adds=counter.multiply_adds, _store=store, **aux)
-    store.owner = weakref.ref(child)
-    return child
-
-
 def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
               subtract: bool = False) -> np.ndarray:
     """[a + outer(col, row), col] (a - outer with `subtract`) in one new array.
@@ -303,22 +264,20 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
     return out
 
 
-def add_node_baseline(state: SolverState, h_bar: np.ndarray) -> SolverState:
-    cnt = FlopCounter(state.multiply_adds)
-    store = _append(state, _row(state, h_bar))
-    w = solve_direct(store.H[: state.l + 1], state.Y, state.k0sq, cnt)
-    return _grown(state, store, w, cnt)
+def _baseline(state: SolverState, h_bar: np.ndarray, store: _Store,
+              cnt: FlopCounter) -> tuple[np.ndarray, dict]:
+    """Re-solve the whole system on the stored H, which already holds h_bar."""
+    return solve_direct(store.H[: state.l + 1], state.Y, state.k0sq, cnt), {}
 
 
-def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
+def _existing(state: SolverState, h_bar: np.ndarray, store: _Store,
+              cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Literal two-term bordered update of the pseudo-inverse B.
 
     Both terms evaluate their own ((c I - h h^T) B) product and the output
     weights are recomputed in full as Y B, which is exactly the 16lK + 2MlK
     cost this rule is charged in comparisons.
     """
-    cnt = FlopCounter(state.multiply_adds)
-    h_bar = _row(state, h_bar)
     h_col = h_bar.reshape(-1, 1)
     b = state.B
     c = float(h_bar @ h_bar) + state.k0sq
@@ -342,14 +301,12 @@ def add_node_existing(state: SolverState, h_bar: np.ndarray) -> SolverState:
     b_new = np.empty((state.sample_count, state.l + 1))
     b_new[:, :-1] = t1
     b_new[:, -1] = (-gemm(b_new[:, :-1], p, cnt).reshape(-1) + h_bar) / c
-    w = gemm(state.Y, b_new, cnt)
-    return _grown(state, _append(state, h_bar), w, cnt, B=b_new)
+    return gemm(state.Y, b_new, cnt), {"B": b_new}
 
 
-def add_node_alg1(state: SolverState, h_bar: np.ndarray) -> SolverState:
+def _alg1(state: SolverState, h_bar: np.ndarray, store: _Store,
+          cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Simplified B update; the row u = h^T B is computed once and reused."""
-    cnt = FlopCounter(state.multiply_adds)
-    h_bar = _row(state, h_bar)
     h_col = h_bar.reshape(-1, 1)
     b = state.B
     c = float(h_bar @ h_bar) + state.k0sq
@@ -361,8 +318,7 @@ def add_node_alg1(state: SolverState, h_bar: np.ndarray) -> SolverState:
     b_bar = tau * (h_bar - gemm(b, p, cnt).reshape(-1))
     b_new = _bordered(b, b_bar, u, subtract=True)
     w_bar = gemm(state.Y, b_bar.reshape(-1, 1), cnt).reshape(-1)
-    w = _bordered(state.W, w_bar, u, subtract=True)
-    return _grown(state, _append(state, h_bar), w, cnt, B=b_new)
+    return _bordered(state.W, w_bar, u, subtract=True), {"B": b_new}
 
 
 def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
@@ -378,10 +334,9 @@ def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
     return _bordered(state.W, w_bar, t_tilde)
 
 
-def add_node_alg2(state: SolverState, h_bar: np.ndarray) -> SolverState:
+def _alg2(state: SolverState, h_bar: np.ndarray, store: _Store,
+          cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Bordered update of the inverse Q; the pseudo-inverse is never formed."""
-    cnt = FlopCounter(state.multiply_adds)
-    h_bar = _row(state, h_bar)
     c = float(h_bar @ h_bar) + state.k0sq
     p = compute_p(state, h_bar, cnt)
 
@@ -396,19 +351,18 @@ def add_node_alg2(state: SolverState, h_bar: np.ndarray) -> SolverState:
     q_new[:-1, -1] = t
     q_new[-1, :-1] = t
     q_new[-1, -1] = tau
-
-    w = _weight_border(state, h_bar, p, tau, t / tau, cnt)
-    return _grown(state, _append(state, h_bar), w, cnt, Q=q_new)
+    return _weight_border(state, h_bar, p, tau, t / tau, cnt), {"Q": q_new}
 
 
-def add_node_alg3(state: SolverState, h_bar: np.ndarray) -> SolverState:
+def _alg3(state: SolverState, h_bar: np.ndarray, store: _Store,
+          cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Bordered update of the factors L, D with L diag(D) L^T = Q.
 
     The product L D L^T is never materialized: v = L^T p, then the scaled
-    back product gives both the new column and the Schur denominator.
+    back product gives both the new column and the Schur denominator.  The
+    new column of L above a unit diagonal, and D's new entry tau, are
+    written into the store past the state's l nodes.
     """
-    cnt = FlopCounter(state.multiply_adds)
-    h_bar = _row(state, h_bar)
     c = float(h_bar @ h_bar) + state.k0sq
     p = compute_p(state, h_bar, cnt)
 
@@ -419,18 +373,47 @@ def add_node_alg3(state: SolverState, h_bar: np.ndarray) -> SolverState:
     tau = 1.0 / delta
 
     w = _weight_border(state, h_bar, p, tau, t_tilde, cnt)
-    return _grown(state, _append(state, h_bar, t_tilde, tau), w, cnt)
+    n = state.l
+    store.L[:n, n] = t_tilde
+    store.L[n, :n] = 0.0
+    store.L[n, n] = 1.0
+    store.D[n] = tau
+    return w, {"L": store.L[:n + 1, :n + 1], "D": store.D[:n + 1]}
 
 
-_ADDERS = {
-    AlgorithmKind.BASELINE: add_node_baseline,
-    AlgorithmKind.EXISTING: add_node_existing,
-    AlgorithmKind.ALG1: add_node_alg1,
-    AlgorithmKind.ALG2: add_node_alg2,
-    AlgorithmKind.ALG3: add_node_alg3,
+_RULES = {
+    AlgorithmKind.BASELINE: _baseline,
+    AlgorithmKind.EXISTING: _existing,
+    AlgorithmKind.ALG1: _alg1,
+    AlgorithmKind.ALG2: _alg2,
+    AlgorithmKind.ALG3: _alg3,
 }
 
 
 def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
-    """Dispatch one node addition to the state's update rule."""
-    return _ADDERS[state.kind](state, h_bar)
+    """Add one hidden node with row h_bar to `state`; returns the child state.
+
+    The frame common to every rule, in order: h_bar becomes a flat float64
+    row, checked to have K entries (ShapeError); it is appended to the
+    chain's store, in place only if `state` is the store's owner and the
+    store has room, else into a new store that copies `state`'s arrays; a
+    counter starts from `state.multiply_adds`; the rule's kernel in `_RULES`
+    returns the new W and the rule's aux arrays; the child is built over
+    the store's first l + 1 rows and becomes the store's owner.  A kernel
+    that raises leaves `state` and its chain as they were: the row it
+    appended lies past every state's view and the owner is unchanged.
+    """
+    h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
+    if h_bar.size != state.sample_count:
+        raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
+    n = state.l
+    store = state._store
+    if store is None or store.owner() is not state or store.H.shape[0] == n:
+        store = _Store(state)
+    store.H[n] = h_bar
+    cnt = FlopCounter(state.multiply_adds)
+    w, aux = _RULES[state.kind](state, h_bar, store, cnt)
+    child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1], Y=state.Y, W=w,
+                        multiply_adds=cnt.multiply_adds, _store=store, **aux)
+    store.owner = weakref.ref(child)
+    return child

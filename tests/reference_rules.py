@@ -12,8 +12,6 @@ import numpy as np
 from ifelm.linalg import FlopCounter
 from ifelm.solvers import (
     AlgorithmKind,
-    _append,
-    _grown,
     _schur_denominator,
     _weight_border,
     compute_p,
@@ -42,7 +40,8 @@ def add_node_q_unsimplified(state, h_bar):
     q_new = np.block([[q_tilde, t.reshape(-1, 1)], [t.reshape(1, -1), tau]])
 
     w = _weight_border(state, h_bar, p, tau, t / tau, cnt)
-    return _grown(state, _append(state, h_bar), w, cnt, Q=q_new)
+    return replace(state, H=np.vstack([state.H, h_bar.reshape(1, -1)]), W=w, Q=q_new,
+                   multiply_adds=cnt.multiply_adds)
 
 
 def reference_step(s, h_bar):

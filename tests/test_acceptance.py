@@ -17,7 +17,6 @@ from ifelm.model import ActivationKind
 from ifelm.solvers import (
     AlgorithmKind,
     add_node,
-    add_node_alg2,
     init_solver,
 )
 
@@ -106,7 +105,7 @@ def test_5_unsimplified_and_simplified_inverse_updates_agree():
     uns = init_solver(AlgorithmKind.ALG2, rows[0], y, 0.1)
     ok = True
     for i in range(1, 50):
-        simp = add_node_alg2(simp, rows[i])
+        simp = add_node(simp, rows[i])
         uns = add_node_q_unsimplified(uns, rows[i])
         diff = np.linalg.norm(simp.Q - uns.Q)
         ok = ok and diff <= 1e-11 * (1.0 + np.linalg.norm(simp.Q))

@@ -19,6 +19,7 @@ from ifelm.data import Dataset, SynthKind, synth_dataset
 from ifelm.errors import (
     DefinitenessLossError,
     DomainError,
+    NumericalBreakdownError,
     ShapeError,
     SingularMatrixError,
 )
@@ -28,11 +29,6 @@ from ifelm.model import ActivationKind, hidden_matrix, init_random_params
 from ifelm.solvers import (
     AlgorithmKind,
     add_node,
-    add_node_alg1,
-    add_node_alg2,
-    add_node_alg3,
-    add_node_baseline,
-    add_node_existing,
     compute_p,
     init_solver,
     solve_direct,
@@ -145,6 +141,32 @@ class TestSolveDirectPrefixes:
         assert one_factor.value.pivot_index == per_l.value.pivot_index
 
 
+# the three entry points behind the one Gram check, each returning weights
+GRAM_ENTRIES = {
+    "solve_direct": lambda h, y: solve_direct(h, y, 0.1),
+    "solve_direct_prefixes": lambda h, y: solve_direct_prefixes(h, y, 0.1, [len(h)])[len(h)],
+    "warm_start": lambda h, y: warm_start(AlgorithmKind.ALG2, h, y, 0.1).W,
+}
+
+
+class TestGramInputs:
+    @pytest.mark.parametrize("entry", list(GRAM_ENTRIES))
+    def test_lists_solve_as_arrays(self, entry):
+        h, y, _, _ = oracle_problem(nodes=8, k=30)
+        solve = GRAM_ENTRIES[entry]
+        assert np.array_equal(solve(h.tolist(), y.tolist()), solve(h, y))
+
+    @pytest.mark.parametrize("h,y", [
+        (np.zeros((0, 5)), np.ones((1, 5))),
+        (np.ones((3, 5)), np.ones(5)),
+        (np.ones((3, 5)), np.ones((1, 4))),
+    ], ids=["empty-H", "1-D-Y", "K-mismatch"])
+    @pytest.mark.parametrize("entry", list(GRAM_ENTRIES))
+    def test_bad_shapes_raise_shape_error(self, entry, h, y):
+        with pytest.raises(ShapeError):
+            GRAM_ENTRIES[entry](h, y)
+
+
 class TestGrowRunOracle:
     def test_checkpoint_error_at_end_is_distance_to_solve_direct(self):
         h, y, ds, params = oracle_problem()
@@ -248,29 +270,29 @@ class TestRowLength:
 
 class TestWorkedStep:
     def test_existing(self):
-        st = add_node_existing(worked_state(AlgorithmKind.EXISTING), HBAR)
+        st = add_node(worked_state(AlgorithmKind.EXISTING), HBAR)
         assert np.allclose(st.B, [[1 / 11, 5 / 11], [4 / 11, -2 / 11]], rtol=1e-14)
         assert np.allclose(st.W, W2, rtol=1e-14)
 
     def test_alg1(self):
-        st = add_node_alg1(worked_state(AlgorithmKind.ALG1), HBAR)
+        st = add_node(worked_state(AlgorithmKind.ALG1), HBAR)
         assert np.allclose(st.B, [[1 / 11, 5 / 11], [4 / 11, -2 / 11]], rtol=1e-14)
         assert np.allclose(st.W, W2, rtol=1e-14)
 
     def test_alg2(self):
-        st = add_node_alg2(worked_state(AlgorithmKind.ALG2), HBAR)
+        st = add_node(worked_state(AlgorithmKind.ALG2), HBAR)
         assert np.allclose(st.Q, Q2, rtol=1e-14)
         assert np.allclose(st.W, W2, rtol=1e-14)
 
     def test_alg3(self):
-        st = add_node_alg3(worked_state(AlgorithmKind.ALG3), HBAR)
+        st = add_node(worked_state(AlgorithmKind.ALG3), HBAR)
         assert np.allclose(st.L, [[1.0, -1 / 6], [0.0, 1.0]], rtol=1e-14)
         assert np.allclose(st.D, [1 / 6, 6 / 11], rtol=1e-14)
         assert np.allclose(st.L @ np.diag(st.D) @ st.L.T, Q2, rtol=1e-13)
         assert np.allclose(st.W, W2, rtol=1e-14)
 
     def test_baseline(self):
-        st = add_node_baseline(worked_state(AlgorithmKind.BASELINE), HBAR)
+        st = add_node(worked_state(AlgorithmKind.BASELINE), HBAR)
         assert np.allclose(st.W, W2, rtol=1e-14)
 
     def test_q_unsimplified(self):
@@ -289,13 +311,13 @@ class TestZeroRowStep:
         assert st.W[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_alg2_state(self):
-        st = add_node_alg2(worked_state(AlgorithmKind.ALG2), np.zeros(2))
+        st = add_node(worked_state(AlgorithmKind.ALG2), np.zeros(2))
         assert st.Q[0, 0] == pytest.approx(1 / 6)
         assert st.Q[1, 1] == pytest.approx(1.0)  # tau = 1/k0sq
         assert st.Q[0, 1] == 0.0
 
     def test_alg3_grows_identity_column(self):
-        st = add_node_alg3(worked_state(AlgorithmKind.ALG3), np.zeros(2))
+        st = add_node(worked_state(AlgorithmKind.ALG3), np.zeros(2))
         assert np.allclose(st.L, np.eye(2))
         assert st.D[1] == pytest.approx(1.0)  # tau = 1/k0sq
 
@@ -393,7 +415,7 @@ class TestAlgebraicIdentities:
         simp = init_solver(AlgorithmKind.ALG2, rows[0], y, 0.1)
         uns = init_solver(AlgorithmKind.ALG2, rows[0], y, 0.1)
         for i in range(1, 50):
-            simp = add_node_alg2(simp, rows[i])
+            simp = add_node(simp, rows[i])
             uns = add_node_q_unsimplified(uns, rows[i])
             scale = np.linalg.norm(simp.Q)
             assert np.linalg.norm(simp.Q - uns.Q) <= 1e-11 * scale
@@ -548,14 +570,27 @@ class TestBreakdownErrors:
         st = worked_state(AlgorithmKind.ALG2)
         bad = replace(st, Q=np.array([[100.0]]))  # p^T Q p > h^T h + k0sq
         with pytest.raises(DefinitenessLossError):
-            add_node_alg2(bad, HBAR)
+            add_node(bad, HBAR)
 
     def test_breakdown_reports_node_index(self):
         st = worked_state(AlgorithmKind.ALG3)
         bad = replace(st, D=np.array([100.0]))
         with pytest.raises(DefinitenessLossError) as exc:
-            add_node_alg3(bad, HBAR)
+            add_node(bad, HBAR)
         assert exc.value.node_index == 2
+
+
+class TestIdentitySemantics:
+    @pytest.mark.parametrize("make", [
+        lambda: worked_state(AlgorithmKind.ALG3),
+        lambda: init_random_params(4, 3, ActivationKind.GAUSSIAN, 0),
+        lambda: synth_dataset(SynthKind.SINE_MIXTURE, 20, 3, 2, seed=0),
+    ], ids=["SolverState", "ElmParams", "Dataset"])
+    def test_equal_values_compare_and_hash_by_identity(self, make):
+        a, b = make(), make()
+        assert not a == b and a != b and a == a
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
 
 STATE_ARRAYS = ("H", "W", "B", "Q", "L", "D")
@@ -645,6 +680,24 @@ class TestCopyOnWrite:
             copies += not shared[0]
             st = child
         assert copies <= 7
+
+    @pytest.mark.parametrize("kind", INCREMENTAL)
+    def test_failed_in_place_step_leaves_chain_intact(self, kind):
+        # the step frame appends h_bar to the store before the rule runs
+        rng = np.random.default_rng(31)
+        h = rng.uniform(-1, 1, (12, 50))
+        y = rng.standard_normal((2, 50))
+        owner = init_solver(kind, h[0], y, 1e-14)
+        for l in range(1, 11):
+            owner = add_node(owner, h[l])
+        kept = snapshot(owner)
+        with pytest.raises(NumericalBreakdownError):
+            add_node(owner, owner.H[3].copy())  # delta ~ 2 k0sq
+        child = add_node(owner, h[11])
+        assert np.shares_memory(child.H, owner.H)  # the in-place path
+        assert_same_state(child, reference_step(owner, h[11]))
+        for name, want in kept.items():
+            assert np.array_equal(getattr(owner, name), want), name
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_dropped_chain_freed_without_cyclic_gc(self, kind):
