@@ -2,7 +2,6 @@
 
 from .errors import (
     CsvParseError,
-    DefinitenessLossError,
     DomainError,
     NumericalBreakdownError,
     ShapeError,

@@ -20,10 +20,7 @@ from .data import SynthKind, TaskKind, load_csv, synth_dataset
 from .errors import DomainError
 from .experiments import bench_run, compare_run, eval_run, grow_run
 from .model import ActivationKind
-from .solvers import AlgorithmKind
-
-ALL_INCREMENTAL = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
-                   AlgorithmKind.ALG2, AlgorithmKind.ALG3]
+from .solvers import ALL_INCREMENTAL, AlgorithmKind
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -88,7 +85,7 @@ def _dataset(args):
 
 def _algorithms(spec: str) -> list[AlgorithmKind]:
     if spec == "all":
-        return ALL_INCREMENTAL
+        return list(ALL_INCREMENTAL)
     kinds = []
     for name in spec.split(","):
         try:

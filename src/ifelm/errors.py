@@ -18,11 +18,7 @@ class SingularMatrixError(ArithmeticError):
 
 
 class NumericalBreakdownError(ArithmeticError):
-    """A Schur-complement denominator collapsed to (near) zero."""
-
-
-class DefinitenessLossError(NumericalBreakdownError):
-    """A step scalar that must be positive came out non-positive."""
+    """A step's Schur denominator was not safely positive; `node_index` names the node."""
 
     def __init__(self, message, node_index=None):
         super().__init__(message)

@@ -30,20 +30,16 @@ from .evaluation import (
     weight_output_errors,
 )
 from .model import ActivationKind, ElmParams, hidden_matrix, init_random_params
-from .solvers import AlgorithmKind, SolverState, _check_k0sq, add_node
+from .solvers import ALL_INCREMENTAL, AlgorithmKind, SolverState, _check_k0sq, add_node
 from .data import TaskKind, apply_normalization, normalize_features
 
 # comparison thresholds: algorithm -> (max node count checked, error bound)
-DEFAULT_THRESHOLDS = {
-    AlgorithmKind.EXISTING: (100, 1e-8),
-    AlgorithmKind.ALG1: (100, 1e-8),
-    AlgorithmKind.ALG2: (500, 1e-4),
-    AlgorithmKind.ALG3: (100, 1e-8),
-}
+DEFAULT_THRESHOLDS = {kind: (500, 1e-4) if kind is AlgorithmKind.ALG2 else (100, 1e-8)
+                      for kind in ALL_INCREMENTAL}
 
 
 def _check_inputs(start: int, end: int, k0sq: float) -> None:
-    """Raise DomainError unless 1 <= start <= end and k0sq is finite and > 0."""
+    """Raise DomainError unless 1 <= start <= end and k0sq > 0 has a finite square."""
     if not 1 <= start <= end:
         raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
     _check_k0sq(k0sq)
@@ -71,7 +67,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     (`solvers.solve_direct_prefixes`); at l = end they are bitwise those
     of `solvers.solve_direct`.  The reference outputs at every l are
     computed once and shared by all rules.  Needs 1 <= start <= end <= the
-    node count of `params` and a finite k0sq > 0, else raises DomainError.
+    node count of `params` and a k0sq > 0 with a finite square, else raises DomainError.
 
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
@@ -146,7 +142,7 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     state comes from `warm_start` and owns no store, so every timed step
     copies H (and L, D) into a new one; chained growth, as in grow_run and
     eval_run, appends in place instead.  Needs l >= 1 (the CLI's --end),
-    repeats >= 1 and a finite k0sq > 0, else raises DomainError.
+    repeats >= 1 and a k0sq > 0 with a finite square, else raises DomainError.
     """
     if l < 1:
         raise DomainError(f"end must be >= 1, got {l}")
@@ -205,7 +201,7 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     """K-fold cross-validation; per-fold training uses the chosen rule.
 
     Each fold grows from `start` to `end` nodes; needs 1 <= start <= end,
-    a finite k0sq > 0 and 2 <= folds <= the sample count, else raises
+    a k0sq > 0 with a finite square and 2 <= folds <= the sample count, else raises
     DomainError.
     """
     _check_inputs(start, end, k0sq)
@@ -252,11 +248,9 @@ def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, en
         if start > limit_l:
             raise DomainError(f"start {start} is above {kind.value}'s checked limit "
                               f"of {limit_l} nodes")
-    algorithms = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
-                  AlgorithmKind.ALG2, AlgorithmKind.ALG3]
-    traces, summary = grow_run(ds, kernel, k0sq, start, end, algorithms, seed)
+    traces, summary = grow_run(ds, kernel, k0sq, start, end, list(ALL_INCREMENTAL), seed)
     report = {"nodes": {"start": start, "end": end}, "entries": [], "passed": True}
-    for kind in algorithms:
+    for kind in ALL_INCREMENTAL:
         limit_l, bound = thresholds[kind]
         checked = [r for r in traces[kind.value].records if r.l <= limit_l]
         w_max = max(r.weight_error for r in checked)

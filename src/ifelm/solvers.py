@@ -14,11 +14,13 @@ problem W = Y H^T (H H^T + k0sq I)^-1:
               L diag(D) L^T = Q, avoiding the drift of updating Q itself.
 
 Each rule is a kernel in `_RULES` that holds only its own algebra, and
-`add_node` is the one frame around every step.
+`add_node` is the one frame around every step; it computes the step scalar
+c = h_bar^T h_bar + k0sq once and passes it to every kernel.
 Every rule starts through `warm_start` (`init_solver` is its l0 = 1 case)
 from one Cholesky factor C of H H^T + k0sq I; ALG3's factors come straight
 from C as L = C^-T diag(C) and D = 1/diag(C)^2.  `_gram` is the one checked
-entry to that Gram matrix, for the start and for the direct-solve oracle.
+entry to that Gram matrix, for the start and for the direct-solve oracle,
+whose one solve path is `solve_direct_prefixes`.
 
 All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  Products along the K (sample) dimension run through the metered
@@ -51,12 +53,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import (
-    DefinitenessLossError,
-    DomainError,
-    NumericalBreakdownError,
-    ShapeError,
-)
+from .errors import DomainError, NumericalBreakdownError, ShapeError
 from .linalg import FlopCounter, add_outer, cholesky, gemm, solve_spd
 
 BREAKDOWN_RTOL = 1e-12
@@ -68,6 +65,11 @@ class AlgorithmKind(Enum):
     ALG1 = "alg1"
     ALG2 = "alg2"
     ALG3 = "alg3"
+
+
+# the four incremental rules, in the order every report lists them
+ALL_INCREMENTAL = (AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
+                   AlgorithmKind.ALG2, AlgorithmKind.ALG3)
 
 
 class _Store:
@@ -132,16 +134,18 @@ class SolverState:
 
 
 def _check_k0sq(k0sq: float) -> None:
-    if not (k0sq > 0.0 and math.isfinite(k0sq)):
-        raise DomainError(f"regularization k0sq must be finite and > 0, got {k0sq}")
+    # a step divides by c * delta >= k0sq^2, so k0sq's square must be finite too
+    if not (k0sq > 0.0 and math.isfinite(k0sq * k0sq)):
+        raise DomainError(f"regularization k0sq must be > 0 with a finite square, got {k0sq}")
 
 
 def _gram(h: np.ndarray, y: np.ndarray, k0sq: float,
           counter: FlopCounter | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float64 H and Y, and the Gram matrix H H^T + k0sq I, after one input check.
 
-    k0sq must be finite and > 0 (DomainError); H must be non-empty and 2-D,
-    and Y 2-D with H's K columns (ShapeError).
+    k0sq must be > 0 with a finite square, and the Gram matrix and Y finite
+    (DomainError); H must be non-empty and 2-D, and Y 2-D with H's K
+    columns (ShapeError).
     """
     _check_k0sq(k0sq)
     h = np.asarray(h, dtype=np.float64)
@@ -149,19 +153,20 @@ def _gram(h: np.ndarray, y: np.ndarray, k0sq: float,
     if h.ndim != 2 or h.size < 1 or y.ndim != 2 or h.shape[1] != y.shape[1]:
         raise ShapeError(f"need a non-empty 2-D H and a 2-D Y with as many columns, "
                          f"got H {h.shape}, Y {y.shape}")
-    return h, y, gemm(h, h.T, counter) + k0sq * np.eye(h.shape[0])
+    r = gemm(h, h.T, counter) + k0sq * np.eye(h.shape[0])
+    if not (np.isfinite(r).all() and np.isfinite(y).all()):
+        raise DomainError("H H^T and Y must be finite")
+    return h, y, r
 
 
-def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float,
-                 counter: FlopCounter | None = None) -> np.ndarray:
+def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float) -> np.ndarray:
     """Direct regularized solve W = Y H^T (H H^T + k0sq I)^-1.
 
-    Uses a Cholesky solve, never an explicit inverse; this is the oracle
-    every incremental rule is compared against (`solve_direct_prefixes`
-    gives it for many prefixes of H at once).
+    The oracle every incremental rule is compared against, as the last
+    prefix of `solve_direct_prefixes`: a Cholesky solve, never an explicit
+    inverse.
     """
-    h, y, r = _gram(h, y, k0sq, counter)
-    return solve_spd(r, gemm(h, y.T, counter)).T
+    return solve_direct_prefixes(h, y, k0sq, [len(h)])[len(h)]
 
 
 def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
@@ -173,10 +178,10 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     the prefix Gram H_l H_l^T + k0sq I, and the first l rows of Y H^T are
     the prefix right-hand side.  So one Gram product and one factorization
     serve every l, each solved with two triangular solves on C[:l, :l].
-    At l = n the result is bitwise equal to `solve_direct(h[:n], y, k0sq)`;
-    at smaller l it differs from it by rounding only.  A Gram matrix that
-    is not positive definite raises SingularMatrixError at its first
-    non-positive pivot, as the per-l solve of the next larger prefix does.
+    At l = n the result is `solve_direct(h[:n], y, k0sq)`; at smaller l it
+    differs from it by rounding only.  A Gram matrix that is not positive
+    definite raises SingularMatrixError at its first non-positive pivot, as
+    the per-l solve of the next larger prefix does.
     """
     ls = list(ls)
     n = max(ls, default=0)
@@ -230,15 +235,11 @@ def compute_p(state: SolverState, h_bar: np.ndarray, counter: FlopCounter) -> np
 
 
 def _schur_denominator(c: float, correction: float, node_index: int) -> float:
-    """Validate 1/tau = c - correction; c = h^T h + k0sq is the safe scale."""
+    """1/tau = c - correction, or NumericalBreakdownError unless > BREAKDOWN_RTOL * c."""
     delta = c - correction
-    if abs(delta) <= BREAKDOWN_RTOL * c:
+    if not delta > BREAKDOWN_RTOL * c:
         raise NumericalBreakdownError(
-            f"Schur denominator {delta:.3e} vanished at node {node_index}"
-        )
-    if delta <= 0.0:
-        raise DefinitenessLossError(
-            f"lost positive definiteness at node {node_index} (denominator {delta:.3e})",
+            f"Schur denominator {delta:.3e} is not safely positive at node {node_index}",
             node_index=node_index,
         )
     return delta
@@ -264,13 +265,14 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
     return out
 
 
-def _baseline(state: SolverState, h_bar: np.ndarray, store: _Store,
+def _baseline(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
               cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Re-solve the whole system on the stored H, which already holds h_bar."""
-    return solve_direct(store.H[: state.l + 1], state.Y, state.k0sq, cnt), {}
+    h, y, r = _gram(store.H[: state.l + 1], state.Y, state.k0sq, cnt)
+    return solve_spd(r, gemm(h, y.T, cnt)).T, {}
 
 
-def _existing(state: SolverState, h_bar: np.ndarray, store: _Store,
+def _existing(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
               cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Literal two-term bordered update of the pseudo-inverse B.
 
@@ -280,7 +282,6 @@ def _existing(state: SolverState, h_bar: np.ndarray, store: _Store,
     """
     h_col = h_bar.reshape(-1, 1)
     b = state.B
-    c = float(h_bar @ h_bar) + state.k0sq
 
     # first term: ((c I - h h^T) B) (H h) (h^T B) / (c (c - h^T B H h))
     u1 = gemm(h_col.T, b, cnt)                       # 1 x l
@@ -304,12 +305,11 @@ def _existing(state: SolverState, h_bar: np.ndarray, store: _Store,
     return gemm(state.Y, b_new, cnt), {"B": b_new}
 
 
-def _alg1(state: SolverState, h_bar: np.ndarray, store: _Store,
+def _alg1(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
           cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Simplified B update; the row u = h^T B is computed once and reused."""
     h_col = h_bar.reshape(-1, 1)
     b = state.B
-    c = float(h_bar @ h_bar) + state.k0sq
 
     p = compute_p(state, h_bar, cnt).reshape(-1, 1)  # l x 1
     u = gemm(h_col.T, b, cnt).reshape(-1)            # h^T B, reused twice
@@ -334,10 +334,9 @@ def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
     return _bordered(state.W, w_bar, t_tilde)
 
 
-def _alg2(state: SolverState, h_bar: np.ndarray, store: _Store,
+def _alg2(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
           cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Bordered update of the inverse Q; the pseudo-inverse is never formed."""
-    c = float(h_bar @ h_bar) + state.k0sq
     p = compute_p(state, h_bar, cnt)
 
     qp = state.Q @ p
@@ -354,7 +353,7 @@ def _alg2(state: SolverState, h_bar: np.ndarray, store: _Store,
     return _weight_border(state, h_bar, p, tau, t / tau, cnt), {"Q": q_new}
 
 
-def _alg3(state: SolverState, h_bar: np.ndarray, store: _Store,
+def _alg3(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
           cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Bordered update of the factors L, D with L diag(D) L^T = Q.
 
@@ -363,7 +362,6 @@ def _alg3(state: SolverState, h_bar: np.ndarray, store: _Store,
     new column of L above a unit diagonal, and D's new entry tau, are
     written into the store past the state's l nodes.
     """
-    c = float(h_bar @ h_bar) + state.k0sq
     p = compute_p(state, h_bar, cnt)
 
     v = state.L.T @ p
@@ -394,10 +392,13 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     """Add one hidden node with row h_bar to `state`; returns the child state.
 
     The frame common to every rule, in order: h_bar becomes a flat float64
-    row, checked to have K entries (ShapeError); it is appended to the
-    chain's store, in place only if `state` is the store's owner and the
-    store has room, else into a new store that copies `state`'s arrays; a
-    counter starts from `state.multiply_adds`; the rule's kernel in `_RULES`
+    row, checked to have K entries (ShapeError); the step scalar
+    c = h_bar^T h_bar + k0sq is computed once, and must be finite
+    (DomainError, so a row with a NaN, an inf or an overflowing square is
+    rejected before it is stored); h_bar is appended to the chain's store,
+    in place only if `state` is the store's owner and the store has room,
+    else into a new store that copies `state`'s arrays; a counter starts
+    from `state.multiply_adds`; the rule's kernel in `_RULES` gets c and
     returns the new W and the rule's aux arrays; the child is built over
     the store's first l + 1 rows and becomes the store's owner.  A kernel
     that raises leaves `state` and its chain as they were: the row it
@@ -406,13 +407,16 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
     if h_bar.size != state.sample_count:
         raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
+    c = float(h_bar @ h_bar) + state.k0sq
+    if not math.isfinite(c):
+        raise DomainError(f"h_bar^T h_bar + k0sq is {c}; h_bar must be finite")
     n = state.l
     store = state._store
     if store is None or store.owner() is not state or store.H.shape[0] == n:
         store = _Store(state)
     store.H[n] = h_bar
     cnt = FlopCounter(state.multiply_adds)
-    w, aux = _RULES[state.kind](state, h_bar, store, cnt)
+    w, aux = _RULES[state.kind](state, h_bar, c, store, cnt)
     child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1], Y=state.Y, W=w,
                         multiply_adds=cnt.multiply_adds, _store=store, **aux)
     store.owner = weakref.ref(child)

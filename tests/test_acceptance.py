@@ -91,6 +91,11 @@ def test_3_flop_counts_match_cost_models(big_bench):
 
 
 def test_4_wall_clock_ordering(big_bench):
+    """K=2000, l=500 lies in the l < K/2 regime, where alg2 beats alg1.
+
+    Past l ≈ K/2 alg1 is the faster of the two (see the README), so this
+    ordering holds for this configuration, not for every K and l.
+    """
     t = {name: big_bench["algorithms"][name]["mean_ns"]
          for name in ("existing", "alg1", "alg2")}
     ok = t["alg2"] < t["alg1"] < t["existing"]

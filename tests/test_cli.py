@@ -254,6 +254,16 @@ class TestErrorPaths:
         assert "k0sq" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_regularization_with_overflowing_square(self, tmp_path, capsys):
+        # every step divides by c * delta >= k0sq^2; 1e200^2 overflows
+        argv = ["grow", "--synth", "sine-mixture", "--end", "5"]
+        out = tmp_path / "run"
+        assert main([*argv, "--k0sq", "1e200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "k0sq" in err
+        assert not out.exists()
+        assert main([*argv, "--k0sq", "1e150", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("command,flag", [
         ("grow", "--folds"), ("grow", "--repeats"),
         ("bench", "--start"), ("bench", "--folds"),

@@ -12,10 +12,11 @@ from ifelm.data import (
     normalize_features,
     synth_dataset,
 )
-from ifelm.errors import CsvParseError, DomainError
+from ifelm.errors import CsvParseError, DomainError, ShapeError
 from ifelm.evaluation import classification_metrics, mse
+from ifelm.experiments import eval_run
 from ifelm.model import ActivationKind, hidden_matrix, init_random_params
-from ifelm.solvers import solve_direct
+from ifelm.solvers import AlgorithmKind, solve_direct
 
 
 class TestLoadCsv:
@@ -60,6 +61,28 @@ class TestLoadCsv:
         with pytest.raises(DomainError):
             load_csv(path, 1, TaskKind.REGRESSION)
 
+    def test_blank_line_skipped_and_later_lines_keep_their_number(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n\n3,4\n")
+        assert np.array_equal(load_csv(path, 1, TaskKind.REGRESSION).X, [[1, 3]])
+        path.write_text("1,2\n\n3,4\n5,x\n")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(path, 1, TaskKind.REGRESSION)
+        assert (exc.value.line, exc.value.column) == (4, 2)
+
+    def test_no_target_columns_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n")
+        with pytest.raises(DomainError):
+            load_csv(path, 0, TaskKind.REGRESSION)
+
+    @pytest.mark.parametrize("targets", [2, 3])
+    def test_targets_must_leave_a_feature(self, tmp_path, targets):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(DomainError, match="leaves no features"):
+            load_csv(path, targets, TaskKind.REGRESSION)
+
     def test_header_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,target\n1,2,3\n4,5,6\n")
@@ -100,6 +123,12 @@ class TestNormalizeFeatures:
         out, _ = normalize_features(ds)
         assert np.array_equal(out.X, [[-1.0, 1.0]])
 
+    def test_transform_of_another_width_rejected(self):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=0)
+        _, transform = normalize_features(ds)
+        with pytest.raises(ShapeError):
+            apply_normalization(ds, transform[:2])
+
     def test_constant_feature_maps_to_zero(self):
         ds = Dataset(X=np.array([[5.0, 5.0, 5.0]]), Y=np.zeros((1, 3)),
                      task=TaskKind.REGRESSION)
@@ -139,6 +168,15 @@ class TestSynthDataset:
         rep = classification_metrics(w @ h, dsn.Y)
         assert rep.acc >= 0.95
 
+    def test_two_gaussians_single_output_is_sign_coded(self):
+        ds = synth_dataset(SynthKind.TWO_GAUSSIANS, 120, 3, 1, seed=4)
+        assert ds.task is TaskKind.CLASSIFICATION and ds.Y.shape == (1, 120)
+        assert set(np.unique(ds.Y)) == {-1.0, 1.0}
+        # one output row: eval_run scores through the sign path of the metrics
+        report = eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 20,
+                          [AlgorithmKind.ALG3], seed=4, folds=3)
+        assert report["algorithms"]["alg3"]["mean"]["acc"] >= 0.95
+
     def test_linear_noiseless_exact_recovery(self):
         ds = synth_dataset(SynthKind.LINEAR_NOISY, 200, 4, 2, seed=3, noise=0.0)
         params = init_random_params(6, 4, ActivationKind.LINEAR, seed=5)
@@ -150,3 +188,18 @@ class TestSynthDataset:
     def test_rejects_zero_sizes(self):
         with pytest.raises(DomainError):
             synth_dataset(SynthKind.SINE_MIXTURE, 0, 3, 1, seed=0)
+
+
+class TestDatasetShapes:
+    @pytest.mark.parametrize("x,y", [
+        (np.zeros(3), np.zeros((1, 3))),
+        (np.zeros((2, 3)), np.zeros(3)),
+        (np.zeros((2, 3)), np.zeros((1, 4))),
+    ], ids=["1d-X", "1d-Y", "sample-counts-differ"])
+    def test_bad_shapes_rejected(self, x, y):
+        with pytest.raises(ShapeError):
+            Dataset(X=x, Y=y, task=TaskKind.REGRESSION)
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(DomainError):
+            Dataset(X=np.zeros((2, 0)), Y=np.zeros((1, 0)), task=TaskKind.REGRESSION)

@@ -83,6 +83,10 @@ class TestClassificationMetrics:
         with pytest.raises(DomainError):
             classification_metrics(np.zeros((2, 0)), np.zeros((2, 0)))
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            classification_metrics(np.zeros((2, 3)), np.zeros((2, 4)))
+
 
 class TestWeightOutputErrors:
     def test_identical(self):

@@ -30,6 +30,10 @@ class TestGemm:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             gemm(np.zeros((2, 3)), np.zeros((2, 2)))
 
+    def test_one_dimensional_operand_rejected(self):
+        with pytest.raises(ShapeError, match="2-D"):
+            gemm(np.zeros(3), np.zeros((3, 1)))
+
     def test_associativity(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
@@ -105,6 +109,14 @@ class TestSolveSpd:
         with pytest.raises(SingularMatrixError) as exc:
             solve_spd(r, np.eye(3))
         assert exc.value.pivot_index == 1
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError, match="square"):
+            solve_spd(np.zeros((2, 3)), np.zeros((2, 1)))
+
+    def test_right_hand_side_length_checked(self):
+        with pytest.raises(ShapeError, match="mismatch"):
+            solve_spd(np.eye(2), np.zeros((3, 1)))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError):

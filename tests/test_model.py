@@ -94,6 +94,12 @@ class TestHiddenMatrix:
         with pytest.raises(ShapeError):
             hidden_matrix(p, np.zeros((4, 5)))
 
+    def test_params_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            ElmParams(A=np.zeros(3), d=np.zeros(3), kind=ActivationKind.LINEAR)
+        with pytest.raises(ShapeError, match="3 rows but d has 2"):
+            ElmParams(A=np.zeros((3, 2)), d=np.zeros(2), kind=ActivationKind.LINEAR)
+
     def test_leading_nodes_give_leading_rows(self):
         # growth feeds the rules rows of one hidden matrix: its first l rows
         # must be the hidden matrix of the first l nodes alone

@@ -17,7 +17,6 @@ import scipy.linalg
 
 from ifelm.data import Dataset, SynthKind, synth_dataset
 from ifelm.errors import (
-    DefinitenessLossError,
     DomainError,
     NumericalBreakdownError,
     ShapeError,
@@ -71,7 +70,8 @@ class TestSolveDirect:
         with pytest.raises(DomainError):
             solve_direct(np.ones((1, 2)), Y1, -1.0)
 
-    @pytest.mark.parametrize("k0sq", [np.inf, np.nan, -np.inf])
+    # 1e200 is finite but its square is not, and a step divides by c * delta >= k0sq^2
+    @pytest.mark.parametrize("k0sq", [np.inf, np.nan, -np.inf, 1e200])
     def test_k0sq_must_be_finite(self, k0sq):
         with pytest.raises(DomainError):
             solve_direct(np.ones((1, 2)), Y1, k0sq)
@@ -79,6 +79,35 @@ class TestSolveDirect:
             init_solver(AlgorithmKind.ALG3, H1, Y1, k0sq)
         with pytest.raises(DomainError):
             warm_start(AlgorithmKind.ALG2, np.eye(2), Y1, k0sq)
+
+
+class TestNonFiniteInput:
+    """NaN, inf and overflowing entries raise DomainError at every entry point."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_add_node_rejects_row(self, kind, bad):
+        # numpy also warns when h_bar @ h_bar overflows; the error is the contract
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            add_node(worked_state(kind), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["H", "Y"])
+    @pytest.mark.parametrize("entry", [
+        lambda h, y: warm_start(AlgorithmKind.ALG3, h, y, 1.0),
+        lambda h, y: init_solver(AlgorithmKind.ALG2, h[1], y, 1.0),
+        lambda h, y: solve_direct(h, y, 1.0),
+        lambda h, y: solve_direct_prefixes(h, y, 1.0, [1, 2]),
+    ], ids=["warm_start", "init_solver", "solve_direct", "solve_direct_prefixes"])
+    def test_start_and_oracle_reject(self, entry, where, bad):
+        h = np.array([[1.0, 2.0], [1.0, 0.0]])
+        y = Y1.copy()
+        if where == "H":
+            h[1, 1] = bad
+        else:
+            y[0, 1] = bad
+        with pytest.raises(DomainError):
+            entry(h, y)
 
 
 def oracle_problem(nodes=60, k=200, m=3, seed=5):
@@ -107,7 +136,7 @@ class TestSolveDirectPrefixes:
         assert sorted(w) == [3, 40]
         assert np.array_equal(w[40], solve_direct(h[:40], y, 0.1))
 
-    @pytest.mark.parametrize("k0sq", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("k0sq", [0.0, -1.0, np.inf, np.nan, 1e200])
     def test_k0sq_domain(self, k0sq):
         with pytest.raises(DomainError):
             solve_direct_prefixes(np.eye(2), Y1, k0sq, [1, 2])
@@ -569,13 +598,13 @@ class TestBreakdownErrors:
     def test_definiteness_loss_detected(self):
         st = worked_state(AlgorithmKind.ALG2)
         bad = replace(st, Q=np.array([[100.0]]))  # p^T Q p > h^T h + k0sq
-        with pytest.raises(DefinitenessLossError):
+        with pytest.raises(NumericalBreakdownError):
             add_node(bad, HBAR)
 
     def test_breakdown_reports_node_index(self):
         st = worked_state(AlgorithmKind.ALG3)
         bad = replace(st, D=np.array([100.0]))
-        with pytest.raises(DefinitenessLossError) as exc:
+        with pytest.raises(NumericalBreakdownError) as exc:
             add_node(bad, HBAR)
         assert exc.value.node_index == 2
 
@@ -693,6 +722,22 @@ class TestCopyOnWrite:
         kept = snapshot(owner)
         with pytest.raises(NumericalBreakdownError):
             add_node(owner, owner.H[3].copy())  # delta ~ 2 k0sq
+        child = add_node(owner, h[11])
+        assert np.shares_memory(child.H, owner.H)  # the in-place path
+        assert_same_state(child, reference_step(owner, h[11]))
+        for name, want in kept.items():
+            assert np.array_equal(getattr(owner, name), want), name
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_rejected_row_leaves_chain_intact(self, kind):
+        # a non-finite row is rejected before the step frame stores it
+        h, y = self.rows()
+        owner = init_solver(kind, h[0], y, 0.1)
+        for l in range(1, 11):
+            owner = add_node(owner, h[l])
+        kept = snapshot(owner)
+        with pytest.raises(DomainError):
+            add_node(owner, np.full(self.K, np.nan))
         child = add_node(owner, h[11])
         assert np.shares_memory(child.H, owner.H)  # the in-place path
         assert_same_state(child, reference_step(owner, h[11]))
