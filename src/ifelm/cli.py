@@ -157,7 +157,7 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (DomainError, ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -108,18 +108,16 @@ def load_csv(path, target_columns: int, task: TaskKind,
 def normalize_features(ds: Dataset):
     """Affinely map each feature to [-1, 1]; constant features map to 0.
 
-    Returns the normalized dataset and the per-feature (min, max) transform
-    for reuse on held-out data.
+    Returns the normalized dataset and the transform (lo, hi), the
+    per-feature minimum and maximum as two float64 arrays of length N, for
+    reuse on held-out data with `apply_normalization`.
     """
-    lo = ds.X.min(axis=1)
-    hi = ds.X.max(axis=1)
-    transform = list(zip(lo.tolist(), hi.tolist()))
+    transform = ds.X.min(axis=1), ds.X.max(axis=1)
     return apply_normalization(ds, transform), transform
 
 
 def apply_normalization(ds: Dataset, transform) -> Dataset:
-    lo = np.array([t[0] for t in transform])
-    hi = np.array([t[1] for t in transform])
+    lo, hi = transform
     if lo.size != ds.X.shape[0]:
         raise ShapeError(
             f"transform has {lo.size} features, dataset has {ds.X.shape[0]}"

@@ -119,7 +119,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
             try:
                 state = add_node(parent, h_full[l])
             except solvers.NumericalBreakdownError as exc:
-                entry["breakdown"] = {"node": l + 1, "reason": str(exc)}
+                entry["breakdown"] = {"node": exc.node_index, "reason": str(exc)}
                 break
             elapsed = time.perf_counter_ns() - t0
             record(state, elapsed, state.multiply_adds - parent.multiply_adds)

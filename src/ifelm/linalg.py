@@ -42,16 +42,16 @@ def gemm(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np
 _BAND = 1 << 17
 
 
-def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray, sign: float,
+def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray,
               counter: FlopCounter | None = None) -> np.ndarray:
-    """dst += sign * outer(x, y) in place, for sign +1 or -1; returns dst.
+    """dst += outer(x, y) in place; returns dst.
 
     Runs BLAS dgemm with inner dimension 1 on row bands of dst of at most
     `_BAND` entries (one row if a row is longer).  Each product x[i] y[j]
     is rounded once and added to dst with one more rounding, so the result
-    is bitwise that of `dst + sign * np.outer(x, y)`.  dst must be
-    C-contiguous, x and y 1-D of lengths rows(dst) and cols(dst); metered
-    at 2*rows*cols.
+    is bitwise `dst + np.outer(x, y)`; negation is exact, so with -y it is
+    bitwise `dst - np.outer(x, y)`.  dst must be C-contiguous, x and y 1-D
+    of lengths rows(dst) and cols(dst); metered at 2*rows*cols.
     """
     rows, cols = dst.shape
     if not dst.flags.c_contiguous or x.shape != (rows,) or y.shape != (cols,):
@@ -64,7 +64,7 @@ def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray, sign: float,
     for i in range(0, rows, step):
         band = dst[i:i + step].T                 # F-contiguous, updated in place
         # f2py copies a c it cannot write in place; the update would be lost
-        if blas.dgemm(sign, y_col, x[i:i + step].reshape(1, -1), 1.0, band,
+        if blas.dgemm(1.0, y_col, x[i:i + step].reshape(1, -1), 1.0, band,
                       overwrite_c=1) is not band:
             raise ShapeError("add_outer: BLAS did not update dst in place")
     return dst

@@ -135,7 +135,11 @@ class SolverState:
 
 def _check_k0sq(k0sq: float) -> None:
     # a step divides by c * delta >= k0sq^2, so k0sq's square must be finite too
-    if not (k0sq > 0.0 and math.isfinite(k0sq * k0sq)):
+    try:
+        f = float(k0sq)
+    except OverflowError:
+        raise DomainError("regularization k0sq is beyond float range") from None
+    if not (f > 0.0 and math.isfinite(f * f)):
         raise DomainError(f"regularization k0sq must be > 0 with a finite square, got {k0sq}")
 
 
@@ -184,6 +188,8 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     the per-l solve of the next larger prefix does.
     """
     ls = list(ls)
+    if not all(isinstance(l, (int, np.integer)) for l in ls):
+        raise DomainError(f"prefix lengths must be integers, got {ls}")
     n = max(ls, default=0)
     # H's shape is checked first, on the rows the prefixes read (at least one)
     h, y, r = _gram(h[:max(n, 1)], y, k0sq)
@@ -245,9 +251,8 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
     return delta
 
 
-def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
-              subtract: bool = False) -> np.ndarray:
-    """[a + outer(col, row), col] (a - outer with `subtract`) in one new array.
+def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """[a + outer(col, row), col] in one new array; pass -row to subtract.
 
     a is copied into the new array and updated there by one in-place
     `add_outer` over the whole array, with row padded by a 0 for the last
@@ -260,7 +265,7 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
     padded = np.empty(cols + 1)
     padded[:-1] = row
     padded[-1] = 0.0
-    add_outer(out, col, padded, -1.0 if subtract else 1.0)
+    add_outer(out, col, padded)
     out[:, -1] = col
     return out
 
@@ -286,7 +291,7 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
     # first term: ((c I - h h^T) B) (H h) (h^T B) / (c (c - h^T B H h))
     u1 = gemm(h_col.T, b, cnt)                       # 1 x l
     g1 = np.multiply(c, b, order="C")                # K x l, then minus h u1 in place
-    add_outer(g1, h_bar, u1.reshape(-1), -1.0, cnt)
+    add_outer(g1, h_bar, -u1.reshape(-1), cnt)
     p = compute_p(state, h_bar, cnt).reshape(-1, 1)  # l x 1
     v = gemm(g1, p, cnt)                             # K x 1
     t1 = gemm(v, u1, cnt)                            # K x l
@@ -295,7 +300,7 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
     # second term: ((c I - h h^T) B) / c, evaluated afresh as printed
     u2 = gemm(h_col.T, b, cnt)
     g2 = np.multiply(c, b, order="C")
-    add_outer(g2, h_bar, u2.reshape(-1), -1.0, cnt)
+    add_outer(g2, h_bar, -u2.reshape(-1), cnt)
     t1 /= c * delta
     g2 /= c
     t1 += g2
@@ -316,9 +321,10 @@ def _alg1(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
     delta = _schur_denominator(c, float(u @ p.reshape(-1)), state.l + 1)
     tau = 1.0 / delta
     b_bar = tau * (h_bar - gemm(b, p, cnt).reshape(-1))
-    b_new = _bordered(b, b_bar, u, subtract=True)
+    minus_u = -u                                     # B - b_bar u^T and W - w_bar u^T
+    b_new = _bordered(b, b_bar, minus_u)
     w_bar = gemm(state.Y, b_bar.reshape(-1, 1), cnt).reshape(-1)
-    return _bordered(state.W, w_bar, u, subtract=True), {"B": b_new}
+    return _bordered(state.W, w_bar, minus_u), {"B": b_new}
 
 
 def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,

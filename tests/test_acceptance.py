@@ -15,15 +15,13 @@ from ifelm.evaluation import classification_metrics, kfold_split
 from ifelm.experiments import bench_run, eval_run, grow_run
 from ifelm.model import ActivationKind
 from ifelm.solvers import (
+    ALL_INCREMENTAL,
     AlgorithmKind,
     add_node,
     init_solver,
 )
 
 from reference_rules import add_node_q_unsimplified
-
-ALL_FOUR = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
-            AlgorithmKind.ALG2, AlgorithmKind.ALG3]
 
 
 def report(ident, name, ok):
@@ -37,7 +35,7 @@ def deep_growth():
     ds = synth_dataset(SynthKind.SINE_MIXTURE, 500, 8, 3, seed=7)
     t0 = time.perf_counter()
     _, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 500,
-                          ALL_FOUR, seed=7)
+                          ALL_INCREMENTAL, seed=7)
     return summary, time.perf_counter() - t0
 
 
@@ -45,7 +43,7 @@ def deep_growth():
 def big_bench():
     """100 timed and metered node additions at K=2000, l=500, M=10."""
     ds = synth_dataset(SynthKind.SINE_MIXTURE, 2000, 8, 10, seed=1)
-    return bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 500, ALL_FOUR,
+    return bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 500, ALL_INCREMENTAL,
                      seed=1, repeats=100)
 
 
@@ -176,7 +174,7 @@ def test_7_metrics_and_fold_partitions():
 
 def test_8_all_rules_reach_identical_cv_metrics():
     ds = synth_dataset(SynthKind.TWO_GAUSSIANS, 300, 8, 2, seed=5, noise=8.0)
-    algs = [AlgorithmKind.BASELINE] + ALL_FOUR
+    algs = [AlgorithmKind.BASELINE, *ALL_INCREMENTAL]
     out = eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 100, algs,
                    seed=5, folds=5)
 

@@ -85,7 +85,7 @@ class TestCompareCommand:
     def test_breakdown_fails_only_within_checked_range(self, monkeypatch, tmp_path, capsys):
         def add_node(state, h_bar):
             if state.l + 1 == 7:
-                raise NumericalBreakdownError("breakdown at node 7")
+                raise NumericalBreakdownError("breakdown at node 7", node_index=7)
             return solvers.add_node(state, h_bar)
 
         monkeypatch.setattr(experiments, "add_node", add_node)

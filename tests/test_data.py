@@ -125,9 +125,17 @@ class TestNormalizeFeatures:
 
     def test_transform_of_another_width_rejected(self):
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=0)
-        _, transform = normalize_features(ds)
+        _, (lo, hi) = normalize_features(ds)
         with pytest.raises(ShapeError):
-            apply_normalization(ds, transform[:2])
+            apply_normalization(ds, (lo[:2], hi[:2]))
+
+    def test_transform_is_min_and_max_arrays(self):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=0)
+        _, transform = normalize_features(ds)
+        assert len(transform) == 2
+        for got, want in zip(transform, (ds.X.min(axis=1), ds.X.max(axis=1))):
+            assert got.dtype == np.float64 and got.shape == (3,)
+            assert np.array_equal(got, want)
 
     def test_constant_feature_maps_to_zero(self):
         ds = Dataset(X=np.array([[5.0, 5.0, 5.0]]), Y=np.zeros((1, 3)),

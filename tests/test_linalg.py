@@ -50,33 +50,37 @@ class TestAddOuter:
     # (3001, 61) spans more than one row band and ends in a partial one
     @pytest.mark.parametrize("shape", [(1, 1), (2, 21), (3, 41), (270, 40),
                                        (1999, 37), (3001, 61)])
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_bitwise_equal_to_numpy_outer(self, shape, sign):
+    @pytest.mark.parametrize("factor", [1.0, -1.0])
+    def test_bitwise_equal_to_numpy_outer(self, shape, factor):
         rng = np.random.default_rng(shape[0] * shape[1])
         dst = rng.standard_normal(shape)
         x, y = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
-        want = dst + sign * np.outer(x, y)
-        assert add_outer(dst, x, y, sign) is dst
+        arg = factor * y                                 # exactly y or -y
+        want, minus = dst + np.outer(x, arg), dst - np.outer(x, y)
+        assert add_outer(dst, x, arg) is dst
         assert np.array_equal(dst, want)
+        if factor < 0:
+            # negation is exact, so adding outer(x, -y) rounds as subtracting outer(x, y)
+            assert np.array_equal(dst, minus)
 
     def test_non_contiguous_dst_raises(self):
         out = np.zeros((4, 6))
         with pytest.raises(ShapeError):
-            add_outer(out[:, :-1], np.ones(4), np.ones(5), 1.0)
+            add_outer(out[:, :-1], np.ones(4), np.ones(5))
         assert not out.any()
 
     def test_foreign_dtype_raises_instead_of_losing_the_update(self):
         dst = np.zeros((3, 2), dtype=np.float32)
         with pytest.raises(ShapeError):
-            add_outer(dst, np.ones(3), np.ones(2), 1.0)
+            add_outer(dst, np.ones(3), np.ones(2))
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            add_outer(np.zeros((3, 2)), np.ones(2), np.ones(2), 1.0)
+            add_outer(np.zeros((3, 2)), np.ones(2), np.ones(2))
 
     def test_counter_gains_2_rows_cols(self):
         c = FlopCounter(5)
-        add_outer(np.zeros((7, 3)), np.ones(7), np.ones(3), -1.0, c)
+        add_outer(np.zeros((7, 3)), np.ones(7), np.ones(3), c)
         assert c.multiply_adds == 5 + 2 * 7 * 3
 
 

@@ -26,6 +26,7 @@ from ifelm.experiments import grow_run
 from ifelm.linalg import FlopCounter
 from ifelm.model import ActivationKind, hidden_matrix, init_random_params
 from ifelm.solvers import (
+    ALL_INCREMENTAL,
     AlgorithmKind,
     add_node,
     compute_p,
@@ -42,9 +43,6 @@ Y1 = np.array([[3.0, 0.0]])
 HBAR = np.array([1.0, 0.0])
 W2 = np.array([[3 / 11, 15 / 11]])
 Q2 = np.array([[2 / 11, -1 / 11], [-1 / 11, 6 / 11]])
-
-INCREMENTAL = [AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
-               AlgorithmKind.ALG2, AlgorithmKind.ALG3]
 
 
 def worked_state(kind):
@@ -70,8 +68,9 @@ class TestSolveDirect:
         with pytest.raises(DomainError):
             solve_direct(np.ones((1, 2)), Y1, -1.0)
 
-    # 1e200 is finite but its square is not, and a step divides by c * delta >= k0sq^2
-    @pytest.mark.parametrize("k0sq", [np.inf, np.nan, -np.inf, 1e200])
+    # 1e200 is finite but its square is not, and a step divides by c * delta >= k0sq^2;
+    # 10**400 has no float at all
+    @pytest.mark.parametrize("k0sq", [np.inf, np.nan, -np.inf, 1e200, 10**400])
     def test_k0sq_must_be_finite(self, k0sq):
         with pytest.raises(DomainError):
             solve_direct(np.ones((1, 2)), Y1, k0sq)
@@ -136,7 +135,7 @@ class TestSolveDirectPrefixes:
         assert sorted(w) == [3, 40]
         assert np.array_equal(w[40], solve_direct(h[:40], y, 0.1))
 
-    @pytest.mark.parametrize("k0sq", [0.0, -1.0, np.inf, np.nan, 1e200])
+    @pytest.mark.parametrize("k0sq", [0.0, -1.0, np.inf, np.nan, 1e200, 10**400])
     def test_k0sq_domain(self, k0sq):
         with pytest.raises(DomainError):
             solve_direct_prefixes(np.eye(2), Y1, k0sq, [1, 2])
@@ -150,7 +149,7 @@ class TestSolveDirectPrefixes:
         with pytest.raises(ShapeError):
             solve_direct_prefixes(h, y, 0.1, [1])
 
-    @pytest.mark.parametrize("ls", [[], [0, 2], [1, 3]])
+    @pytest.mark.parametrize("ls", [[], [0, 2], [1, 3], [2.5]])
     def test_prefix_lengths_in_range(self, ls):
         with pytest.raises(DomainError):
             solve_direct_prefixes(np.ones((2, 2)), Y1, 0.1, ls)
@@ -199,10 +198,10 @@ class TestGramInputs:
 class TestGrowRunOracle:
     def test_checkpoint_error_at_end_is_distance_to_solve_direct(self):
         h, y, ds, params = oracle_problem()
-        _, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 60, INCREMENTAL,
+        _, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 60, ALL_INCREMENTAL,
                               seed=5, params=params)
         w_end = solve_direct(h, y, 0.1)
-        for kind in INCREMENTAL:
+        for kind in ALL_INCREMENTAL:
             state = warm_start(kind, h[:1], y, 0.1)
             for l in range(1, 60):
                 state = add_node(state, h[l])
@@ -368,11 +367,11 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(100 + k + m)
         rows = np.exp(-np.square(rng.uniform(-1, 1, (100, k))))
         y = rng.standard_normal((m, k))
-        states = {kind: init_solver(kind, rows[0], y, 0.1) for kind in INCREMENTAL}
+        states = {kind: init_solver(kind, rows[0], y, 0.1) for kind in ALL_INCREMENTAL}
         for i in range(1, 100):
             w_base = solve_direct(rows[: i + 1], y, 0.1)
             bound = 1e-8 * (1.0 + np.linalg.norm(w_base))
-            for kind in INCREMENTAL:
+            for kind in ALL_INCREMENTAL:
                 states[kind] = add_node(states[kind], rows[i])
                 err = np.linalg.norm(states[kind].W - w_base)
                 assert err <= bound, f"{kind} diverged at step {i}: {err:.2e}"
@@ -381,7 +380,7 @@ class TestOracleEquivalence:
         for _, states in grow_states(list(AlgorithmKind), steps=25):
             base = states[AlgorithmKind.BASELINE].W
             scale = 1.0 + np.linalg.norm(base)
-            for kind in INCREMENTAL:
+            for kind in ALL_INCREMENTAL:
                 assert np.linalg.norm(states[kind].W - base) <= 1e-10 * scale
 
 
@@ -564,7 +563,7 @@ class TestFlopAccounting:
             "alg3": lambda l: 2 * l * k + 2 * m * k,
         }
         traces, _ = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, end,
-                             INCREMENTAL, seed=4)
+                             ALL_INCREMENTAL, seed=4)
         for name, cost in model.items():
             recs = traces[name].records
             assert [r.l for r in recs] == list(range(1, end + 1))
@@ -710,7 +709,7 @@ class TestCopyOnWrite:
             st = child
         assert copies <= 7
 
-    @pytest.mark.parametrize("kind", INCREMENTAL)
+    @pytest.mark.parametrize("kind", ALL_INCREMENTAL)
     def test_failed_in_place_step_leaves_chain_intact(self, kind):
         # the step frame appends h_bar to the store before the rule runs
         rng = np.random.default_rng(31)
