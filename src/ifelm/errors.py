@@ -10,19 +10,25 @@ class DomainError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """A symmetric factorization failed because a pivot was not positive."""
+    """A symmetric factorization failed; `pivot_index` names the first non-positive pivot."""
 
-    def __init__(self, message, pivot_index=None):
+    def __init__(self, message, pivot_index):
         super().__init__(message)
         self.pivot_index = pivot_index
+
+    def __reduce__(self):  # the index is required, so unpickling must pass it back
+        return type(self), (*self.args, self.pivot_index)
 
 
 class NumericalBreakdownError(ArithmeticError):
     """A step's Schur denominator was not safely positive; `node_index` names the node."""
 
-    def __init__(self, message, node_index=None):
+    def __init__(self, message, node_index):
         super().__init__(message)
         self.node_index = node_index
+
+    def __reduce__(self):  # the index is required, so unpickling must pass it back
+        return type(self), (*self.args, self.node_index)
 
 
 class CsvParseError(ValueError):

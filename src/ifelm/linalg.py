@@ -49,8 +49,8 @@ def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray,
     Runs BLAS dgemm with inner dimension 1 on row bands of dst of at most
     `_BAND` entries (one row if a row is longer).  Each product x[i] y[j]
     is rounded once and added to dst with one more rounding, so the result
-    is bitwise `dst + np.outer(x, y)`; negation is exact, so with -y it is
-    bitwise `dst - np.outer(x, y)`.  dst must be C-contiguous, x and y 1-D
+    is bitwise numpy's `dst + outer(x, y)`; negation is exact, so with -y it
+    is bitwise `dst - outer(x, y)`.  dst must be C-contiguous, x and y 1-D
     of lengths rows(dst) and cols(dst); metered at 2*rows*cols.
     """
     rows, cols = dst.shape

@@ -251,22 +251,25 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
     return delta
 
 
-def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
+def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
+              corner: float | None = None) -> np.ndarray:
     """[a + outer(col, row), col] in one new array; pass -row to subtract.
 
+    With a `corner`, the square a also gets the last row [col^T, corner].
     a is copied into the new array and updated there by one in-place
-    `add_outer` over the whole array, with row padded by a 0 for the last
-    column, which is then overwritten by col.  Rounds exactly as forming the
-    outer product, the sum and the hstack apart.
+    `add_outer` over its rows, with row padded by a 0 for the last column,
+    which is then overwritten by col.  Rounds exactly as forming the outer
+    product, the sum and the block apart.
     """
     rows, cols = a.shape
-    out = np.empty((rows, cols + 1))
-    out[:, :-1] = a
-    padded = np.empty(cols + 1)
+    out = np.empty((rows + (corner is not None), cols + 1))
+    out[:rows, :-1] = a
+    padded = np.zeros(cols + 1)
     padded[:-1] = row
-    padded[-1] = 0.0
-    add_outer(out, col, padded)
-    out[:, -1] = col
+    add_outer(out[:rows], col, padded)
+    out[:rows, -1] = col
+    if corner is not None:
+        out[-1, :-1], out[-1, -1] = col, corner
     return out
 
 
@@ -342,21 +345,16 @@ def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
 
 def _alg2(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
           cnt: FlopCounter) -> tuple[np.ndarray, dict]:
-    """Bordered update of the inverse Q; the pseudo-inverse is never formed."""
+    """Bordered update of the inverse Q by t_tilde = t / tau, the vector W's border takes."""
     p = compute_p(state, h_bar, cnt)
 
     qp = state.Q @ p
     delta = _schur_denominator(c, float(p @ qp), state.l + 1)
     tau = 1.0 / delta
     t = -tau * qp
-    q_new = np.empty((state.l + 1, state.l + 1))
-    q_tilde = np.outer(t, t, out=q_new[:-1, :-1])
-    q_tilde /= tau
-    q_tilde += state.Q
-    q_new[:-1, -1] = t
-    q_new[-1, :-1] = t
-    q_new[-1, -1] = tau
-    return _weight_border(state, h_bar, p, tau, t / tau, cnt), {"Q": q_new}
+    t_tilde = t / tau
+    q_new = _bordered(state.Q, t, t_tilde, corner=tau)
+    return _weight_border(state, h_bar, p, tau, t_tilde, cnt), {"Q": q_new}
 
 
 def _alg3(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
@@ -413,7 +411,7 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
     if h_bar.size != state.sample_count:
         raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
-    c = float(h_bar @ h_bar) + state.k0sq
+    c = float(np.vdot(h_bar, h_bar)) + state.k0sq
     if not math.isfinite(c):
         raise DomainError(f"h_bar^T h_bar + k0sq is {c}; h_bar must be finite")
     n = state.l

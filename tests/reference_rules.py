@@ -91,7 +91,7 @@ def reference_step(s, h_bar):
         qp = s.Q @ p
         tau = 1.0 / (c - float(p @ qp))
         t = -tau * qp
-        q_tilde = s.Q + np.outer(t, t) / tau
+        q_tilde = s.Q + np.outer(t, t / tau)
         q_new = np.block([[q_tilde, t.reshape(-1, 1)], [t.reshape(1, -1), tau]])
         return replace(s, H=h_new, W=weight_border(p, tau, t / tau), Q=q_new)
     v = s.L.T @ p

@@ -1,18 +1,23 @@
-"""Print one sha256 over the solver states of fixed growth runs.
+"""Print sha256 digests of the solver states of fixed growth runs.
 
 Run from a checkout, with one BLAS thread so that products round the same
 way from run to run:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/state_digest.py
 
-Two commits that print the same digest produce bitwise the same states.
 For each configuration (K, l0, steps), every rule starts from the first l0
 rows (`init_solver` when l0 = 1, else `warm_start`) and takes `steps`
 chained steps.  Half-way, the parent of the newest state is stepped once
 more with another row, which takes the copy path.  The digest covers H, W,
 B, Q, L, D and `multiply_adds` of every state, then `solve_direct` and
-`solve_direct_prefixes` on all rows of each configuration.  Only public
-names are used, so the script runs unchanged on older commits.
+`solve_direct_prefixes` on all rows of each configuration.
+
+The first line is one digest over all of it; two commits that print the
+same first line produce bitwise the same states.  The lines after it
+digest the same bytes split by source, one per rule (`baseline`,
+`existing`, `alg1`, `alg2`, `alg3`) and one for the oracle (`oracle`), so
+they show which of them moved.  Only public names are used, so the script
+runs unchanged on older commits.
 """
 
 import hashlib
@@ -27,6 +32,18 @@ from ifelm.solvers import (
     solve_direct_prefixes,
     warm_start,
 )
+
+
+class Tee:
+    """Feeds every update to several digests."""
+
+    def __init__(self, *digests):
+        self.digests = digests
+
+    def update(self, data):
+        for d in self.digests:
+            d.update(data)
+
 
 CONFIGS = [(270, 1, 60), (1000, 6, 80), (2000, 500, 20), (1999, 40, 30)]
 M, K0SQ = 3, 0.1
@@ -54,22 +71,27 @@ def problem(k, rows, seed):
 
 def main():
     digest = hashlib.sha256()
+    parts = {name: hashlib.sha256() for name in [k.value for k in AlgorithmKind] + ["oracle"]}
     for seed, (k, l0, steps) in enumerate(CONFIGS):
         h, y = problem(k, l0 + steps + 1, seed)
         for kind in AlgorithmKind:
+            feed = Tee(digest, parts[kind.value])
             st = init_solver(kind, h[0], y, K0SQ) if l0 == 1 else warm_start(kind, h[:l0], y, K0SQ)
-            feed_state(digest, st)
+            feed_state(feed, st)
             for i in range(steps):
                 parent, st = st, add_node(st, h[l0 + i])
-                feed_state(digest, st)
+                feed_state(feed, st)
                 if i == steps // 2:
-                    feed_state(digest, add_node(parent, h[l0 + steps]))
+                    feed_state(feed, add_node(parent, h[l0 + steps]))
+        feed = Tee(digest, parts["oracle"])
         n = l0 + steps
-        feed_array(digest, solve_direct(h[:n], y, K0SQ))
+        feed_array(feed, solve_direct(h[:n], y, K0SQ))
         prefixes = solve_direct_prefixes(h[:n], y, K0SQ, range(1, n + 1))
         for l in range(1, n + 1):
-            feed_array(digest, prefixes[l])
+            feed_array(feed, prefixes[l])
     print(digest.hexdigest())
+    for name, part in parts.items():
+        print(f"{name:9s}{part.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies
 
 from ifelm.data import Dataset, SynthKind, synth_dataset
 from ifelm.errors import (
@@ -86,8 +87,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_add_node_rejects_row(self, kind, bad):
-        # numpy also warns when h_bar @ h_bar overflows; the error is the contract
-        with np.errstate(over="ignore"), pytest.raises(DomainError):
+        with pytest.raises(DomainError):
             add_node(worked_state(kind), np.array([1.0, bad]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -607,6 +607,14 @@ class TestBreakdownErrors:
             add_node(bad, HBAR)
         assert exc.value.node_index == 2
 
+    @pytest.mark.parametrize("error,name", [(NumericalBreakdownError, "node_index"),
+                                            (SingularMatrixError, "pivot_index")])
+    def test_error_requires_and_pickles_its_index(self, error, name):
+        with pytest.raises(TypeError):
+            error("no node or pivot named")
+        back = pickle.loads(pickle.dumps(error("at index 3", **{name: 3})))
+        assert (type(back), str(back), getattr(back, name)) == (error, "at index 3", 3)
+
 
 class TestIdentitySemantics:
     @pytest.mark.parametrize("make", [
@@ -803,3 +811,34 @@ class TestCopyOnWrite:
         assert np.array_equal(getattr(r, name), changed)
         # the original still owns its buffers and steps as before
         assert_same_state(add_node(s, h[10]), reference_step(s, h[10]))
+
+
+class TestBorderedStepProperty:
+    """At small sizes every rule's chain equals the copy reference bitwise.
+
+    Reaches K = 1, M = 1, 1 x 1 Q borders, zero rows and duplicate rows.
+    """
+
+    @given(kind=strategies.sampled_from(list(AlgorithmKind)),
+           k=strategies.integers(1, 12), m=strategies.integers(1, 3),
+           l0=strategies.integers(1, 4), steps=strategies.integers(1, 8),
+           k0sq=strategies.sampled_from([1e-2, 0.1, 1.0]),
+           zero_step=strategies.none() | strategies.integers(0, 7),
+           repeat_first=strategies.booleans(), seed=strategies.integers(0, 2**32 - 1))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_chain_matches_copy_reference_bitwise(self, kind, k, m, l0, steps, k0sq,
+                                                  zero_step, repeat_first, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(-1, 1, (l0 + steps, k))
+        y = rng.standard_normal((m, k))
+        if zero_step is not None and zero_step < steps:
+            h[l0 + zero_step] = 0.0
+        if repeat_first:
+            h[-1] = h[0]                        # the last step adds a row H already has
+        if l0 == 1:
+            st = ref = init_solver(kind, h[0], y, k0sq)
+        else:
+            st = ref = warm_start(kind, h[:l0], y, k0sq)
+        for row in h[l0:]:
+            st, ref = add_node(st, row), reference_step(ref, row)
+            assert_same_state(st, ref)
