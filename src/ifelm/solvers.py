@@ -17,10 +17,13 @@ Each rule is a kernel in `_RULES` that holds only its own algebra, and
 `add_node` is the one frame around every step; it computes the step scalar
 c = h_bar^T h_bar + k0sq once and passes it to every kernel.
 Every rule starts through `warm_start` (`init_solver` is its l0 = 1 case)
-from one Cholesky factor C of H H^T + k0sq I; ALG3's factors come straight
-from C as L = C^-T diag(C) and D = 1/diag(C)^2.  `_gram` is the one checked
-entry to that Gram matrix, for the start and for the direct-solve oracle,
-whose one solve path is `solve_direct_prefixes`.
+from one Cholesky factor C of H H^T + k0sq I, and builds only what it
+carries.  The start W of every rule is the oracle's own Cholesky solve.
+ALG2 takes Q from C by `dpotri`, EXISTING and ALG1 form B = H^T Q from that
+Q and drop it, BASELINE keeps W only, and ALG3 never forms Q: its factors
+come straight from C as L = C^-T diag(C) and D = 1/diag(C)^2.  `_gram` is
+the one checked entry to that Gram matrix, for the start and for the
+direct-solve oracle, whose one solve path is `solve_direct_prefixes`.
 
 All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  Products along the K (sample) dimension run through the metered
@@ -201,38 +204,50 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     return {l: lapack.dpotrs(c[:l, :l], rhs[:l], lower=1)[0].T for l in ls}
 
 
-def init_solver(kind: AlgorithmKind, h1: np.ndarray, y: np.ndarray, k0sq: float) -> SolverState:
+def init_solver(kind: AlgorithmKind | str, h1: np.ndarray, y: np.ndarray,
+                k0sq: float) -> SolverState:
     """Start from the single hidden row h1: `warm_start` with l0 = 1."""
     h1 = np.asarray(h1, dtype=np.float64).reshape(1, -1)
     return warm_start(kind, h1, y, k0sq)
 
 
-def warm_start(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float) -> SolverState:
+def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
+               k0sq: float) -> SolverState:
     """Start any rule from an l0 >= 1 node block with one Cholesky factorization.
 
-    With C the lower Cholesky factor of R = H H^T + k0sq I, Q = R^-1 comes
-    from two triangular solves with C (symmetrised), B = H^T Q and W = Y B.
-    ALG3 takes its factors from C without forming Q: C^-T is upper
-    triangular with diagonal 1/diag(C), so Q = C^-T C^-1 = L diag(D) L^T for
-    L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.  The start is
-    unmetered: the returned state's `multiply_adds` is 0.
+    `kind` is an `AlgorithmKind` or its name (DomainError for any other).
+    With C the lower Cholesky factor of R = H H^T + k0sq I, every kind gets
+    W = Y H^T R^-1 from two triangular solves with C, the oracle's own solve:
+    it is bitwise `solve_direct(h, y, k0sq)`.  Each kind then builds only
+    the state its rule carries.  ALG2 takes Q = R^-1 from C by `dpotri`,
+    mirrored to be exactly symmetric; EXISTING and ALG1 take the same Q
+    only to form B = H^T Q, and keep B.  ALG3 never forms Q: C^-T is upper
+    triangular with diagonal 1/diag(C), so Q = C^-T C^-1 = L diag(D) L^T
+    for L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.  BASELINE
+    keeps W only.  The start is unmetered: the returned state's
+    `multiply_adds` is 0.
     """
+    try:
+        kind = AlgorithmKind(kind)
+    except ValueError:
+        raise DomainError(f"unknown rule {kind!r}; expected one of "
+                          f"{', '.join(k.value for k in AlgorithmKind)}") from None
     h, y, r = _gram(h, y, k0sq)
     c = cholesky(r)
-    q = lapack.dpotrs(c, np.eye(h.shape[0]), lower=1)[0]
-    q = 0.5 * (q + q.T)
-    b = h.T @ q
+    w = lapack.dpotrs(c, gemm(h, y.T), lower=1)[0].T
     aux = {}
-    if kind in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1):
-        aux = {"B": b}
-    elif kind is AlgorithmKind.ALG2:
-        aux = {"Q": q}
-    elif kind is AlgorithmKind.ALG3:
+    if kind is AlgorithmKind.ALG3:
         diag = np.diag(c)
         upper = lapack.dtrtri(c, lower=1)[0].T * diag
         np.fill_diagonal(upper, 1.0)
         aux = {"L": upper, "D": 1.0 / diag**2}
-    return SolverState(kind=kind, k0sq=float(k0sq), H=h, Y=y, W=y @ b, **aux)
+    elif kind is not AlgorithmKind.BASELINE:
+        # R^-1 in the lower triangle; above it dpotri leaves C's zeros
+        q = lapack.dpotri(c, lower=1)[0]
+        q += np.tril(q, -1).T
+        q = q.T                                      # exactly symmetric, so C order for free
+        aux = {"Q": q} if kind is AlgorithmKind.ALG2 else {"B": h.T @ q}
+    return SolverState(kind=kind, k0sq=float(k0sq), H=h, Y=y, W=w, **aux)
 
 
 def compute_p(state: SolverState, h_bar: np.ndarray, counter: FlopCounter) -> np.ndarray:
@@ -302,7 +317,7 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
     delta = _schur_denominator(c, d, state.l + 1)
     # second term: ((c I - h h^T) B) / c, evaluated afresh as printed
     u2 = gemm(h_col.T, b, cnt)
-    g2 = np.multiply(c, b, order="C")
+    g2 = np.multiply(c, b, out=g1)                   # g1 is dead once v is formed
     add_outer(g2, h_bar, -u2.reshape(-1), cnt)
     t1 /= c * delta
     g2 /= c

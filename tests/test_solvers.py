@@ -502,6 +502,51 @@ class TestWarmStart:
         assert_same_state(init_solver(kind, rows[0], y, 0.1),
                           warm_start(kind, rows[:1], y, 0.1))
 
+    @pytest.mark.parametrize("l0", [1, 7, 60])
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_start_weights_are_the_oracle_solve(self, kind, l0):
+        rng = np.random.default_rng(40 + l0)
+        rows = rng.uniform(-1, 1, (l0, 80))
+        y = rng.standard_normal((3, 80))
+        assert np.array_equal(warm_start(kind, rows, y, 0.1).W, solve_direct(rows, y, 0.1))
+
+    def test_each_kind_builds_only_its_state(self):
+        rng = np.random.default_rng(41)
+        rows = rng.uniform(-1, 1, (9, 40))
+        y = rng.standard_normal((2, 40))
+        a2 = warm_start(AlgorithmKind.ALG2, rows, y, 0.1)
+        assert np.array_equal(a2.Q, a2.Q.T)
+        assert a2.B is None
+        a3 = warm_start(AlgorithmKind.ALG3, rows, y, 0.1)
+        assert a3.Q is None and a3.B is None
+        for kind in (AlgorithmKind.EXISTING, AlgorithmKind.ALG1):
+            st = warm_start(kind, rows, y, 0.1)
+            assert st.Q is None and st.B.shape == (40, 9)
+        base = warm_start(AlgorithmKind.BASELINE, rows, y, 0.1)
+        assert base.B is None and base.Q is None and base.L is None and base.D is None
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_rule_name_starts_like_the_enum(self, kind):
+        rng = np.random.default_rng(42)
+        rows = rng.uniform(-1, 1, (4, 20))
+        y = rng.standard_normal((2, 20))
+        st = warm_start(kind.value, rows, y, 0.1)
+        assert st.kind is kind
+        assert_same_state(st, warm_start(kind, rows, y, 0.1))
+        one = init_solver(kind.value, rows[0], y, 0.1)
+        assert one.kind is kind
+        assert_same_state(add_node(one, rows[1]),
+                          add_node(init_solver(kind, rows[0], y, 0.1), rows[1]))
+
+    def test_unknown_rule_name_rejected(self):
+        rng = np.random.default_rng(43)
+        rows = rng.uniform(-1, 1, (2, 10))
+        y = rng.standard_normal((1, 10))
+        with pytest.raises(DomainError, match="nope"):
+            warm_start("nope", rows, y, 0.1)
+        with pytest.raises(DomainError, match="nope"):
+            init_solver("nope", rows[0], y, 0.1)
+
 
 class TestFlopAccounting:
     """Per-step metered counts must equal the dominant-cost model exactly.
