@@ -88,10 +88,7 @@ def _algorithms(spec: str) -> list[AlgorithmKind]:
         return list(ALL_INCREMENTAL)
     kinds = []
     for name in spec.split(","):
-        try:
-            kind = AlgorithmKind(name.strip())
-        except ValueError:
-            raise DomainError(f"unknown algorithm {name.strip()!r}") from None
+        kind = AlgorithmKind(name.strip())
         if kind in kinds:
             raise DomainError(f"algorithm {kind.value!r} named twice")
         kinds.append(kind)

@@ -1,9 +1,10 @@
 """Dataset ingestion, normalization and synthetic data generation.
 
-CSV layout: UTF-8, comma-delimited, one sample per row, optional single
-header row, every other cell a finite number, the last `target_columns`
-columns are targets.  Internally samples become columns: X is N x K, Y is
-M x K.
+CSV layout: UTF-8, optionally starting with a byte-order mark (as
+spreadsheet exports often do), comma-delimited, one sample per row,
+optional single header row, every other cell a finite number, the last
+`target_columns` columns are targets.  Internally samples become columns:
+X is N x K, Y is M x K.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def load_csv(path, target_columns: int, task: TaskKind,
     if target_columns < 1:
         raise DomainError(f"target_columns must be >= 1, got {target_columns}")
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     start = 1 if has_header and lines else 0
     width = None

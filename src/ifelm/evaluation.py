@@ -74,25 +74,16 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den != 0.0 else 0.0
 
 
-def _binary_counts(pred: np.ndarray, true: np.ndarray) -> tuple[int, int, int, int]:
+def _binary_report(pred: np.ndarray, true: np.ndarray) -> ClassificationReport:
+    """Report for boolean "is positive" predictions and targets."""
     tp = int(np.sum(pred & true))
     tn = int(np.sum(~pred & ~true))
     fp = int(np.sum(pred & ~true))
     fn = int(np.sum(~pred & true))
-    return tp, tn, fp, fn
-
-
-def _mcc(tp: int, tn: int, fp: int, fn: int) -> float:
-    den = math.sqrt(float(tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
-    return _safe_div(tp * tn - fp * fn, den)
-
-
-def _binary_report(pred: np.ndarray, true: np.ndarray) -> ClassificationReport:
-    """Report for boolean "is positive" predictions and targets."""
-    tp, tn, fp, fn = _binary_counts(pred, true)
+    mcc_den = math.sqrt(float(tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
     return ClassificationReport(
         acc=(tp + tn) / pred.size, sn=_safe_div(tp, tp + fn), pe=_safe_div(tp, tp + fp),
-        mcc=_mcc(tp, tn, fp, fn), tp=tp, tn=tn, fp=fp, fn=fn,
+        mcc=_safe_div(tp * tn - fp * fn, mcc_den), tp=tp, tn=tn, fp=fp, fn=fn,
     )
 
 
@@ -118,20 +109,13 @@ def classification_metrics(z: np.ndarray, y: np.ndarray) -> ClassificationReport
         # positive class is row index 0
         return _binary_report(pred_label == 0, true_label == 0)
 
-    # multiclass: micro accuracy, macro SN/PE/MCC over one-vs-rest
-    acc = float(np.mean(pred_label == true_label))
-    sns, pes, mccs = [], [], []
-    tot = [0, 0, 0, 0]
-    for cls in range(m):
-        tp, tn, fp, fn = _binary_counts(pred_label == cls, true_label == cls)
-        sns.append(_safe_div(tp, tp + fn))
-        pes.append(_safe_div(tp, tp + fp))
-        mccs.append(_mcc(tp, tn, fp, fn))
-        for i, v in enumerate((tp, tn, fp, fn)):
-            tot[i] += v
+    # multiclass: micro accuracy, macro SN/PE/MCC and summed counts over one-vs-rest
+    reps = [_binary_report(pred_label == cls, true_label == cls) for cls in range(m)]
     return ClassificationReport(
-        acc=acc, sn=float(np.mean(sns)), pe=float(np.mean(pes)),
-        mcc=float(np.mean(mccs)), tp=tot[0], tn=tot[1], fp=tot[2], fn=tot[3],
+        acc=float(np.mean(pred_label == true_label)),
+        sn=float(np.mean([r.sn for r in reps])), pe=float(np.mean([r.pe for r in reps])),
+        mcc=float(np.mean([r.mcc for r in reps])), tp=sum(r.tp for r in reps),
+        tn=sum(r.tn for r in reps), fp=sum(r.fp for r in reps), fn=sum(r.fn for r in reps),
     )
 
 

@@ -30,7 +30,7 @@ from .evaluation import (
     weight_output_errors,
 )
 from .model import ActivationKind, ElmParams, hidden_matrix, init_random_params
-from .solvers import ALL_INCREMENTAL, AlgorithmKind, SolverState, _check_k0sq, add_node
+from .solvers import ALL_INCREMENTAL, AlgorithmKind, _check_k0sq, add_node
 from .data import TaskKind, apply_normalization, normalize_features
 
 # comparison thresholds: algorithm -> (max node count checked, error bound)
@@ -99,35 +99,34 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     for kind in algorithms:
         trace = GrowthTrace(algorithm=kind.value)
         state = solvers.warm_start(kind, h_full[:start], y, k0sq)
-        entry = {"checkpoint_errors": {}, "breakdown": None}
+        breakdown, elapsed, flops = None, 0, 0
+        for l in range(start, end + 1):
+            if l > start:
+                parent = state
+                t0 = time.perf_counter_ns()
+                try:
+                    state = add_node(parent, h_full[l - 1])
+                except solvers.NumericalBreakdownError as exc:
+                    breakdown = {"node": exc.node_index, "reason": str(exc)}
+                    break
+                elapsed = time.perf_counter_ns() - t0
+                flops = state.multiply_adds - parent.multiply_adds
+            w_err, z_err = weight_output_errors(state.W, base_w[l], state.W @ h_full[:l],
+                                                base_z[l])
+            trace.append(StepRecord(l=l, weight_error=w_err, output_error=z_err,
+                                    flops=flops, elapsed_ns=elapsed))
 
-        def record(st: SolverState, elapsed_ns: int, flops: int):
-            w_err, z_err = weight_output_errors(
-                st.W, base_w[st.l], st.W @ h_full[: st.l], base_z[st.l]
-            )
-            trace.append(StepRecord(l=st.l, weight_error=w_err, output_error=z_err,
-                                    flops=flops, elapsed_ns=elapsed_ns))
-            if st.l in checkpoints:
-                entry["checkpoint_errors"][str(st.l)] = {
-                    "weight_error": w_err, "output_error": z_err,
-                }
-
-        record(state, 0, 0)
-        for l in range(start, end):
-            parent = state
-            t0 = time.perf_counter_ns()
-            try:
-                state = add_node(parent, h_full[l])
-            except solvers.NumericalBreakdownError as exc:
-                entry["breakdown"] = {"node": exc.node_index, "reason": str(exc)}
-                break
-            elapsed = time.perf_counter_ns() - t0
-            record(state, elapsed, state.multiply_adds - parent.multiply_adds)
-
-        entry["max_weight_error"] = max(r.weight_error for r in trace.records)
-        entry["max_output_error"] = max(r.output_error for r in trace.records)
+        records = trace.records
         traces[kind.value] = trace
-        summary["algorithms"][kind.value] = entry
+        summary["algorithms"][kind.value] = {
+            "checkpoint_errors": {
+                str(r.l): {"weight_error": r.weight_error, "output_error": r.output_error}
+                for r in records if r.l in checkpoints
+            },
+            "breakdown": breakdown,
+            "max_weight_error": max(r.weight_error for r in records),
+            "max_output_error": max(r.output_error for r in records),
+        }
 
     return traces, summary
 
@@ -189,7 +188,7 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
 
 
 def _grow_to(kind: AlgorithmKind, h_full: np.ndarray, y: np.ndarray, k0sq: float,
-             start: int, end: int) -> SolverState:
+             start: int, end: int) -> solvers.SolverState:
     state = solvers.warm_start(kind, h_full[:start], y, k0sq)
     for l in range(start, end):
         state = add_node(state, h_full[l])
@@ -242,16 +241,14 @@ def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, en
     `DEFAULT_THRESHOLDS`, so a `start` above any limit raises DomainError,
     as do the checks of `grow_run`.
     """
-    _check_inputs(start, end, k0sq)
-    thresholds = DEFAULT_THRESHOLDS
-    for kind, (limit_l, _) in thresholds.items():
+    for kind, (limit_l, _) in DEFAULT_THRESHOLDS.items():
         if start > limit_l:
             raise DomainError(f"start {start} is above {kind.value}'s checked limit "
                               f"of {limit_l} nodes")
     traces, summary = grow_run(ds, kernel, k0sq, start, end, list(ALL_INCREMENTAL), seed)
-    report = {"nodes": {"start": start, "end": end}, "entries": [], "passed": True}
+    entries = []
     for kind in ALL_INCREMENTAL:
-        limit_l, bound = thresholds[kind]
+        limit_l, bound = DEFAULT_THRESHOLDS[kind]
         checked = [r for r in traces[kind.value].records if r.l <= limit_l]
         w_max = max(r.weight_error for r in checked)
         z_max = max(r.output_error for r in checked)
@@ -259,11 +256,10 @@ def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, en
         ok = (w_max <= bound and z_max <= bound
               and (breakdown is None or breakdown["node"] > min(limit_l, end)))
         worst = max(checked, key=lambda r: max(r.weight_error, r.output_error))
-        report["entries"].append({
+        entries.append({
             "algorithm": kind.value, "checked_up_to": checked[-1].l,
             "threshold": bound, "max_weight_error": w_max, "max_output_error": z_max,
             "worst_step": worst.l, "breakdown": breakdown, "passed": ok,
         })
-        if not ok:
-            report["passed"] = False
-    return report
+    return {"nodes": {"start": start, "end": end}, "entries": entries,
+            "passed": all(e["passed"] for e in entries)}

@@ -69,6 +69,11 @@ class AlgorithmKind(Enum):
     ALG2 = "alg2"
     ALG3 = "alg3"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown rule {value!r}; expected one of "
+                          f"{', '.join(k.value for k in cls)}")
+
 
 # the four incremental rules, in the order every report lists them
 ALL_INCREMENTAL = (AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
@@ -227,11 +232,7 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
     keeps W only.  The start is unmetered: the returned state's
     `multiply_adds` is 0.
     """
-    try:
-        kind = AlgorithmKind(kind)
-    except ValueError:
-        raise DomainError(f"unknown rule {kind!r}; expected one of "
-                          f"{', '.join(k.value for k in AlgorithmKind)}") from None
+    kind = AlgorithmKind(kind)
     h, y, r = _gram(h, y, k0sq)
     c = cholesky(r)
     w = lapack.dpotrs(c, gemm(h, y.T), lower=1)[0].T

@@ -227,7 +227,10 @@ class TestErrorPaths:
                    "--features", "2", "--outputs", "1", "--end", "3",
                    "--alg", "alg9", "--out", str(tmp_path)])
         assert rc == 2
-        assert "alg9" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'alg9'" in err
+        assert all(kind.value in err for kind in AlgorithmKind)
 
     @pytest.mark.parametrize("command", ["grow", "bench", "eval"])
     def test_repeated_algorithm(self, tmp_path, capsys, command):

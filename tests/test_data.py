@@ -26,6 +26,15 @@ class TestLoadCsv:
         ds = load_csv(path, 1, TaskKind.REGRESSION)
         assert ds.X.shape == (2, 3) and ds.Y.shape == (1, 3)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        body = "1.0,2.5,0.5\n-3.0,4.0,1.5\n0.25,1e-3,-2\n".encode()
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        a = load_csv(plain, 1, TaskKind.REGRESSION)
+        b = load_csv(marked, 1, TaskKind.REGRESSION)
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+
     def test_one_hot_in_appearance_order(self, tmp_path):
         # label 5 appears first, so it takes row 0 though 3 < 5
         path = tmp_path / "d.csv"

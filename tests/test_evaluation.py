@@ -79,6 +79,21 @@ class TestClassificationMetrics:
         rep = classification_metrics(y, y)
         assert rep.acc == 1.0 and rep.sn == 1.0 and rep.pe == 1.0 and rep.mcc == 1.0
 
+    def test_multiclass_confusion_by_hand(self):
+        true = [0, 0, 0, 1, 1, 1, 2, 2]
+        pred = [0, 0, 1, 1, 2, 1, 2, 1]
+        rep = classification_metrics(np.eye(3)[:, pred], np.eye(3)[:, true])
+        # one-vs-rest (tp, tn, fp, fn): class 0 (2, 5, 0, 1), class 1 (2, 3, 2, 1),
+        # class 2 (1, 5, 1, 1); 5 of the 8 labels are right
+        assert (rep.tp, rep.tn, rep.fp, rep.fn) == (5, 13, 3, 3)
+        assert rep.acc == 5 / 8
+        assert rep.sn == pytest.approx((2 / 3 + 2 / 3 + 1 / 2) / 3, rel=1e-15)
+        assert rep.pe == pytest.approx((1 + 1 / 2 + 1 / 2) / 3, rel=1e-15)
+        mccs = [(2 * 5 - 0 * 1) / np.sqrt(2 * 3 * 5 * 6),
+                (2 * 3 - 2 * 1) / np.sqrt(4 * 3 * 5 * 4),
+                (1 * 5 - 1 * 1) / np.sqrt(2 * 2 * 6 * 6)]
+        assert rep.mcc == pytest.approx(sum(mccs) / 3, rel=1e-15)
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             classification_metrics(np.zeros((2, 0)), np.zeros((2, 0)))

@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies
 
+from ifelm import experiments
 from ifelm.data import Dataset, SynthKind, synth_dataset
 from ifelm.errors import (
     DomainError,
@@ -222,6 +223,33 @@ class TestGrowRunOracle:
         _, summary = grow_run(zero, ActivationKind.GAUSSIAN, 0.1, 1, 10, [AlgorithmKind.ALG3],
                               seed=5, params=params)
         assert summary["oracle_residual"] == {"3": 0.0, "10": 0.0}
+
+    def test_breakdown_ends_the_trace_and_the_summary(self, monkeypatch):
+        _, _, ds, params = oracle_problem()
+        full, _ = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, ALL_INCREMENTAL,
+                           seed=5, params=params)
+
+        def add_node_failing_at_7(state, h_bar):
+            if state.l + 1 == 7:
+                raise NumericalBreakdownError("breakdown at node 7", node_index=7)
+            return add_node(state, h_bar)
+
+        monkeypatch.setattr(experiments, "add_node", add_node_failing_at_7)
+        traces, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, ALL_INCREMENTAL,
+                                   seed=5, params=params)
+        assert summary["checkpoints"] == [3, 10]
+        for kind in ALL_INCREMENTAL:
+            records = traces[kind.value].records
+            assert [r.l for r in records] == list(range(1, 7))
+            entry = summary["algorithms"][kind.value]
+            assert list(entry["checkpoint_errors"]) == ["3"]
+            at_3 = full[kind.value].records[2]
+            assert entry["checkpoint_errors"]["3"] == {"weight_error": at_3.weight_error,
+                                                       "output_error": at_3.output_error}
+            upto_6 = full[kind.value].records[:6]
+            assert entry["max_weight_error"] == max(r.weight_error for r in upto_6)
+            assert entry["max_output_error"] == max(r.output_error for r in upto_6)
+            assert entry["breakdown"]["node"] == 7
 
     @pytest.mark.parametrize("start,end", [(0, 5), (6, 5), (1, 61)])
     def test_node_range_checked(self, start, end):
@@ -539,6 +567,10 @@ class TestWarmStart:
                           add_node(init_solver(kind, rows[0], y, 0.1), rows[1]))
 
     def test_unknown_rule_name_rejected(self):
+        with pytest.raises(DomainError) as info:
+            AlgorithmKind("nope")
+        assert "'nope'" in str(info.value)
+        assert all(kind.value in str(info.value) for kind in AlgorithmKind)
         rng = np.random.default_rng(43)
         rows = rng.uniform(-1, 1, (2, 10))
         y = rng.standard_normal((1, 10))
