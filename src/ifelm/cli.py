@@ -4,17 +4,23 @@ Every error path exits nonzero with a single `error: ...` line on stderr.
 The CLI adds no input checks of its own: argparse, the data loader and the
 run functions in `experiments` reject bad input, and the output directory
 is created only after the run succeeds, so a rejected run leaves none.
-Summary files separate deterministic content from wall-clock data so that
-identical configurations produce identical report bodies.
+Summary files separate deterministic content from wall-clock data and the
+run's environment so that identical configurations produce identical report
+bodies.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from .data import SynthKind, TaskKind, load_csv, synth_dataset
 from .errors import DomainError
@@ -95,9 +101,22 @@ def _algorithms(spec: str) -> list[AlgorithmKind]:
     return kinds
 
 
+def _environment() -> dict:
+    """Versions, BLAS build and thread variables; null where unknown or unset."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def _write_json(out: Path, name: str, config: dict, body: dict, started: float) -> None:
     """Write out/name, creating `out`: the first write of every command."""
-    doc = {"config": config, **body,
+    doc = {"config": config, **body, "environment": _environment(),
            "timing": {"started_unix": started, "elapsed_s": time.time() - started}}
     out.mkdir(parents=True, exist_ok=True)
     (out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

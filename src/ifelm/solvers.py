@@ -13,9 +13,9 @@ problem W = Y H^T (H H^T + k0sq I)^-1:
 * ALG3        maintains the factors L (unit upper-triangular) and D with
               L diag(D) L^T = Q, avoiding the drift of updating Q itself.
 
-Each rule is a kernel in `_RULES` that holds only its own algebra, and
-`add_node` is the one frame around every step; it computes the step scalar
-c = h_bar^T h_bar + k0sq once and passes it to every kernel.
+Each rule is a kernel in `_RULES` holding only its own algebra.  `add_node` is
+the one frame around every step: it computes c = h_bar^T h_bar + k0sq and the
+cross term p = H h_bar once per step and hands both to the kernel.
 Every rule starts through `warm_start` (`init_solver` is its l0 = 1 case)
 from one Cholesky factor C of H H^T + k0sq I, and builds only what it
 carries.  The start W of every rule is the oracle's own Cholesky solve.
@@ -252,7 +252,10 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
 
 
 def compute_p(state: SolverState, h_bar: np.ndarray, counter: FlopCounter) -> np.ndarray:
-    """Cross term p = H h_bar shared by every incremental rule (cost 2lK)."""
+    """Cross term p = H h_bar shared by every incremental rule (cost 2lK).
+
+    `add_node` computes it and c once per step; kernels hold only their own algebra.
+    """
     return gemm(state.H, np.asarray(h_bar, dtype=np.float64).reshape(-1, 1), counter).reshape(-1)
 
 
@@ -289,15 +292,15 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
     return out
 
 
-def _baseline(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
-              cnt: FlopCounter) -> tuple[np.ndarray, dict]:
+def _baseline(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray | None,
+              store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Re-solve the whole system on the stored H, which already holds h_bar."""
     h, y, r = _gram(store.H[: state.l + 1], state.Y, state.k0sq, cnt)
     return solve_spd(r, gemm(h, y.T, cnt)).T, {}
 
 
-def _existing(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
-              cnt: FlopCounter) -> tuple[np.ndarray, dict]:
+def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
+              store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Literal two-term bordered update of the pseudo-inverse B.
 
     Both terms evaluate their own ((c I - h h^T) B) product and the output
@@ -311,7 +314,7 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
     u1 = gemm(h_col.T, b, cnt)                       # 1 x l
     g1 = np.multiply(c, b, order="C")                # K x l, then minus h u1 in place
     add_outer(g1, h_bar, -u1.reshape(-1), cnt)
-    p = compute_p(state, h_bar, cnt).reshape(-1, 1)  # l x 1
+    p = p.reshape(-1, 1)                             # l x 1
     v = gemm(g1, p, cnt)                             # K x 1
     t1 = gemm(v, u1, cnt)                            # K x l
     d = gemm(u1, p, cnt)[0, 0]                       # h^T B H h
@@ -329,17 +332,14 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
     return gemm(state.Y, b_new, cnt), {"B": b_new}
 
 
-def _alg1(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
-          cnt: FlopCounter) -> tuple[np.ndarray, dict]:
+def _alg1(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
+          store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Simplified B update; the row u = h^T B is computed once and reused."""
-    h_col = h_bar.reshape(-1, 1)
     b = state.B
-
-    p = compute_p(state, h_bar, cnt).reshape(-1, 1)  # l x 1
-    u = gemm(h_col.T, b, cnt).reshape(-1)            # h^T B, reused twice
-    delta = _schur_denominator(c, float(u @ p.reshape(-1)), state.l + 1)
+    u = gemm(h_bar.reshape(1, -1), b, cnt).reshape(-1)  # h^T B, reused twice
+    delta = _schur_denominator(c, float(u @ p), state.l + 1)
     tau = 1.0 / delta
-    b_bar = tau * (h_bar - gemm(b, p, cnt).reshape(-1))
+    b_bar = tau * (h_bar - gemm(b, p.reshape(-1, 1), cnt).reshape(-1))
     minus_u = -u                                     # B - b_bar u^T and W - w_bar u^T
     b_new = _bordered(b, b_bar, minus_u)
     w_bar = gemm(state.Y, b_bar.reshape(-1, 1), cnt).reshape(-1)
@@ -359,11 +359,9 @@ def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
     return _bordered(state.W, w_bar, t_tilde)
 
 
-def _alg2(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
-          cnt: FlopCounter) -> tuple[np.ndarray, dict]:
+def _alg2(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
+          store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Bordered update of the inverse Q by t_tilde = t / tau, the vector W's border takes."""
-    p = compute_p(state, h_bar, cnt)
-
     qp = state.Q @ p
     delta = _schur_denominator(c, float(p @ qp), state.l + 1)
     tau = 1.0 / delta
@@ -373,8 +371,8 @@ def _alg2(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
     return _weight_border(state, h_bar, p, tau, t_tilde, cnt), {"Q": q_new}
 
 
-def _alg3(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
-          cnt: FlopCounter) -> tuple[np.ndarray, dict]:
+def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
+          store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Bordered update of the factors L, D with L diag(D) L^T = Q.
 
     The product L D L^T is never materialized: v = L^T p, then the scaled
@@ -382,8 +380,6 @@ def _alg3(state: SolverState, h_bar: np.ndarray, c: float, store: _Store,
     new column of L above a unit diagonal, and D's new entry tau, are
     written into the store past the state's l nodes.
     """
-    p = compute_p(state, h_bar, cnt)
-
     v = state.L.T @ p
     dv = state.D * v
     t_tilde = -(state.L @ dv)
@@ -418,7 +414,9 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     rejected before it is stored); h_bar is appended to the chain's store,
     in place only if `state` is the store's owner and the store has room,
     else into a new store that copies `state`'s arrays; a counter starts
-    from `state.multiply_adds`; the rule's kernel in `_RULES` gets c and
+    from `state.multiply_adds`; the cross term p = H h_bar is computed once
+    by `compute_p`, except for BASELINE, which re-solves from scratch; the
+    rule's kernel in `_RULES` gets c and p, holds only its own algebra, and
     returns the new W and the rule's aux arrays; the child is built over
     the store's first l + 1 rows and becomes the store's owner.  A kernel
     that raises leaves `state` and its chain as they were: the row it
@@ -436,7 +434,8 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
         store = _Store(state)
     store.H[n] = h_bar
     cnt = FlopCounter(state.multiply_adds)
-    w, aux = _RULES[state.kind](state, h_bar, c, store, cnt)
+    p = None if state.kind is AlgorithmKind.BASELINE else compute_p(state, h_bar, cnt)
+    w, aux = _RULES[state.kind](state, h_bar, c, p, store, cnt)
     child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1], Y=state.Y, W=w,
                         multiply_adds=cnt.multiply_adds, _store=store, **aux)
     store.owner = weakref.ref(child)

@@ -1,7 +1,9 @@
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from ifelm import experiments, solvers
 from ifelm.cli import main
@@ -15,6 +17,7 @@ from ifelm.solvers import AlgorithmKind
 def _strip_timing(path):
     doc = json.loads(path.read_text())
     doc.pop("timing")
+    doc.pop("environment")
     return doc
 
 
@@ -173,6 +176,30 @@ class TestEvalCommand:
         with pytest.raises(DomainError, match="start <= end"):
             experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, start, end,
                                  [AlgorithmKind.ALG3], seed=0, folds=2)
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("command,report,flags", [
+        ("grow", "summary.json", []),
+        ("bench", "bench.json", ["--repeats", "1"]),
+        ("eval", "eval.json", ["--folds", "2"]),
+        ("compare", "compare.json", []),
+    ])
+    def test_every_report_records_it(self, tmp_path, monkeypatch, command, report, flags):
+        # read at startup by the BLAS, so setting them here only changes the record
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        rc = main([command, "--synth", "sine-mixture", "--samples", "40", "--features", "2",
+                   "--outputs", "1", "--end", "6", "--out", str(tmp_path), *flags])
+        assert rc == 0
+        env = json.loads((tmp_path / report).read_text())["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads"}
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+                                  "MKL_NUM_THREADS": None}
 
 
 class TestErrorPaths:

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies
 
-from ifelm import experiments
+from ifelm import experiments, solvers
 from ifelm.data import Dataset, SynthKind, synth_dataset
 from ifelm.errors import (
     DomainError,
@@ -311,6 +311,26 @@ class TestComputeP:
     def test_wrong_length(self):
         with pytest.raises(ShapeError):
             compute_p(worked_state(AlgorithmKind.ALG2), np.zeros(5), FlopCounter())
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_add_node_computes_it_once_per_incremental_step(self, kind, monkeypatch):
+        # the frame owns the cross term: tracing times it by rebinding solvers.compute_p
+        rng = np.random.default_rng(44)
+        rows = rng.uniform(-1, 1, (6, 30))
+        y = rng.standard_normal((2, 30))
+        st = warm_start(kind, rows[:5], y, 0.1)
+        plain = add_node(st, rows[5])
+        calls = []
+
+        def counting(state, h_bar, counter):
+            calls.append(state)
+            return compute_p(state, h_bar, counter)
+
+        monkeypatch.setattr(solvers, "compute_p", counting)
+        child = add_node(st, rows[5])
+        assert calls == ([] if kind is AlgorithmKind.BASELINE else [st])
+        assert np.array_equal(child.W, plain.W)
+        assert child.multiply_adds == plain.multiply_adds
 
 
 class TestRowLength:
