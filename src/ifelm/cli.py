@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = {}
     for name, text in (
         ("grow", "grow node by node, tracing errors vs the direct solve"),
-        ("bench", "time and meter a single node addition per algorithm"),
+        ("bench", "time and meter chained node additions per algorithm"),
         ("eval", "k-fold cross-validation report"),
         ("compare", "equivalence check of the rules against the direct solve"),
     ):
@@ -76,8 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("grow", "bench", "eval"):
         commands[name].add_argument(
             "--alg", default="all", help="comma list of baseline,existing,alg1,alg2,alg3 or 'all'")
-    commands["bench"].add_argument("--repeats", type=int, default=100)
-    commands["eval"].add_argument("--folds", type=int, default=5)
+    commands["bench"].add_argument(
+        "--repeats", type=int, default=100,
+        help="chained steps timed from l = --end; the chain grows to --end + --repeats nodes")
+    commands["eval"].add_argument("--folds", type=int, default=5,
+                                  help="cross-validation folds, 2 to the sample count")
     return parser
 
 

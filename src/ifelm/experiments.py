@@ -1,9 +1,13 @@
 """Growth, benchmark, cross-validation and equivalence runs.
 
 All runs share one set of random hidden-node parameters and one node order
-so differences between algorithms isolate the update rule.  Timing covers
-the add_node call only; hidden-row generation and data loading are shared
-cost and excluded.
+so differences between algorithms isolate the update rule.  Every runner
+steps through one chain loop, `_chain`: a warm start on the first rows,
+then one add_node call per further row, each child stepped from the one
+before, so every step after the first appends in place to the chain's
+store.  `grow`, `eval`, `compare` and `bench` thus time and run the same
+step.  Timing covers the add_node call only; hidden-row generation and
+data loading are shared cost and excluded.
 
 grow_run's oracle is independent of every update rule: one Gram product
 and one Cholesky factorization of all `end` nodes, whose leading l x l
@@ -19,7 +23,7 @@ import time
 import numpy as np
 
 from . import solvers
-from .data import Dataset
+from .data import Dataset, TaskKind, apply_normalization, normalize_features
 from .errors import DomainError
 from .evaluation import (
     GrowthTrace,
@@ -31,7 +35,6 @@ from .evaluation import (
 )
 from .model import ActivationKind, ElmParams, hidden_matrix, init_random_params
 from .solvers import ALL_INCREMENTAL, AlgorithmKind, _check_k0sq, add_node
-from .data import TaskKind, apply_normalization, normalize_features
 
 # comparison thresholds: algorithm -> (max node count checked, error bound)
 DEFAULT_THRESHOLDS = {kind: (500, 1e-4) if kind is AlgorithmKind.ALG2 else (100, 1e-8)
@@ -55,6 +58,24 @@ def _normal_residual(w: np.ndarray, h: np.ndarray, y: np.ndarray, k0sq: float) -
     res = float(np.linalg.norm((w @ h) @ h.T + k0sq * w - rhs))
     scale = float(np.linalg.norm(rhs))
     return res / scale if scale > 0 else res
+
+
+def _chain(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float,
+           start: int, end: int):
+    """Grow one chain of `kind` states from `start` to `end` nodes.
+
+    Warm-starts on h[:start] and yields (state, 0); then adds rows
+    start..end-1 one at a time, each to the previous child, and yields
+    (child, ns), where ns is the wall time of that add_node call alone.
+    add_node is this module's global, looked up at each step, so a wrapper
+    set on `experiments.add_node` sees every step of every runner.
+    """
+    state = solvers.warm_start(kind, h[:start], y, k0sq)
+    yield state, 0
+    for l in range(start, end):
+        t0 = time.perf_counter_ns()
+        state = add_node(state, h[l])
+        yield state, time.perf_counter_ns() - t0
 
 
 def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
@@ -98,23 +119,18 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
     for kind in algorithms:
         trace = GrowthTrace(algorithm=kind.value)
-        state = solvers.warm_start(kind, h_full[:start], y, k0sq)
-        breakdown, elapsed, flops = None, 0, 0
-        for l in range(start, end + 1):
-            if l > start:
-                parent = state
-                t0 = time.perf_counter_ns()
-                try:
-                    state = add_node(parent, h_full[l - 1])
-                except solvers.NumericalBreakdownError as exc:
-                    breakdown = {"node": exc.node_index, "reason": str(exc)}
-                    break
-                elapsed = time.perf_counter_ns() - t0
-                flops = state.multiply_adds - parent.multiply_adds
-            w_err, z_err = weight_output_errors(state.W, base_w[l], state.W @ h_full[:l],
-                                                base_z[l])
-            trace.append(StepRecord(l=l, weight_error=w_err, output_error=z_err,
-                                    flops=flops, elapsed_ns=elapsed))
+        breakdown, metered = None, 0
+        try:
+            for state, elapsed in _chain(kind, h_full, y, k0sq, start, end):
+                l = state.l
+                w_err, z_err = weight_output_errors(state.W, base_w[l], state.W @ h_full[:l],
+                                                    base_z[l])
+                trace.append(StepRecord(l=l, weight_error=w_err, output_error=z_err,
+                                        flops=state.multiply_adds - metered,
+                                        elapsed_ns=elapsed))
+                metered = state.multiply_adds
+        except solvers.NumericalBreakdownError as exc:
+            breakdown = {"node": exc.node_index, "reason": str(exc)}
 
         records = trace.records
         traces[kind.value] = trace
@@ -133,24 +149,27 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
 def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
               algorithms: list[AlgorithmKind], seed: int, repeats: int):
-    """Time and meter a single node addition at node count l.
+    """Time and meter `repeats` chained node additions from node count l.
 
-    Each algorithm is warm-started to l nodes once; the (l+1)-th addition
-    is repeated `repeats` times on the same immutable base state, and the
-    step's multiply-adds are read off the last timed child.  The base
-    state comes from `warm_start` and owns no store, so every timed step
-    copies H (and L, D) into a new one; chained growth, as in grow_run and
-    eval_run, appends in place instead.  Needs l >= 1 (the CLI's --end),
-    repeats >= 1 and a k0sq > 0 with a finite square, else raises DomainError.
+    Each algorithm is warm-started to l nodes and grown to l + repeats
+    through `_chain`, the loop `grow_run` and `eval_run` step through, so
+    every timed step is the step those runs take.  The first step also
+    builds the chain's store, copying H (and L, D); every later one
+    appends in place, so `min_ns` is the in-place cost and `mean_ns`
+    includes the one copy.  `flops_per_step` is the first step's
+    multiply-adds, the count at l that `flop_model` predicts.  The hidden
+    rows come from `init_random_params(l + repeats, ...)`, so they change
+    with `repeats`, and a large `repeats` grows l with it.  Needs l >= 1
+    (the CLI's --end), repeats >= 1 and a k0sq > 0 with a finite square,
+    else raises DomainError.
     """
     if l < 1:
         raise DomainError(f"end must be >= 1, got {l}")
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
     _check_k0sq(k0sq)
-    params = init_random_params(l + 1, ds.X.shape[0], kernel, seed)
+    params = init_random_params(l + repeats, ds.X.shape[0], kernel, seed)
     h_full = hidden_matrix(params, ds.X)
-    h_bar = h_full[l]
     m = ds.Y.shape[0]
     k = ds.X.shape[1]
 
@@ -165,14 +184,12 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
         "algorithms": {},
     }
     for kind in algorithms:
-        base = solvers.warm_start(kind, h_full[:l], ds.Y, k0sq)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter_ns()
-            child = add_node(base, h_bar)
-            times.append(time.perf_counter_ns() - t0)
+        steps = _chain(kind, h_full, ds.Y, k0sq, l, l + repeats)
+        next(steps)  # the warm start at l nodes, untimed
+        first, ns = next(steps)
+        times = [ns, *(ns for _, ns in steps)]
         report["algorithms"][kind.value] = {
-            "flops_per_step": child.multiply_adds - base.multiply_adds,
+            "flops_per_step": first.multiply_adds,
             "mean_ns": float(np.mean(times)),
             "min_ns": int(np.min(times)),
         }
@@ -185,14 +202,6 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
             entry["speedup_mean"] = existing["mean_ns"] / entry["mean_ns"]
             entry["flop_ratio_vs_existing"] = existing["flops_per_step"] / entry["flops_per_step"]
     return report
-
-
-def _grow_to(kind: AlgorithmKind, h_full: np.ndarray, y: np.ndarray, k0sq: float,
-             start: int, end: int) -> solvers.SolverState:
-    state = solvers.warm_start(kind, h_full[:start], y, k0sq)
-    for l in range(start, end):
-        state = add_node(state, h_full[l])
-    return state
 
 
 def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
@@ -216,7 +225,8 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
             train_n, transform = normalize_features(train)
             test_n = apply_normalization(test, transform)
             h_train = hidden_matrix(params, train_n.X)
-            state = _grow_to(kind, h_train, train_n.Y, k0sq, start, end)
+            for state, _ in _chain(kind, h_train, train_n.Y, k0sq, start, end):
+                pass
             z_test = state.W @ hidden_matrix(params, test_n.X)
             if ds.task is TaskKind.REGRESSION:
                 fold_metrics.append({"mse": mse(z_test, test_n.Y)})

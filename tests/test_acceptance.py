@@ -91,6 +91,9 @@ def test_3_flop_counts_match_cost_models(big_bench):
 def test_4_wall_clock_ordering(big_bench):
     """K=2000, l=500 lies in the l ≤ K regime, where alg2 beats alg1.
 
+    The times are `bench_run`'s: 100 chained steps over l = 500…600, the
+    first of which also builds the chain's store.
+
     At l = 2K alg2's l x l update of Q costs more than alg1's K x l update
     of B and alg1 is the faster of the two (see the README), so this
     ordering holds for this configuration, not for every K and l.

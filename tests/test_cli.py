@@ -149,6 +149,70 @@ class TestBenchCommand:
                                   [AlgorithmKind.ALG3], seed=0, repeats=0)
 
 
+
+def _record_steps(monkeypatch):
+    """Wrap experiments.add_node; the returned list gets each call's (parent, child)."""
+    calls = []
+    step = experiments.add_node
+
+    def recording(state, h_bar):
+        child = step(state, h_bar)
+        calls.append((state, child))
+        return child
+
+    monkeypatch.setattr(experiments, "add_node", recording)
+    return calls
+
+
+def _chains(calls, start, end):
+    """Split recorded calls into chains of end - start steps, each from a fresh start.
+
+    Every chain's first parent is a warm start at `start` nodes; each later
+    call steps the previous call's child.
+    """
+    n = end - start
+    assert len(calls) % n == 0
+    chains = [calls[i:i + n] for i in range(0, len(calls), n)]
+    for chain in chains:
+        assert chain[0][0].l == start and chain[0][0].multiply_adds == 0
+        for (_, prev), (parent, _) in zip(chain, chain[1:]):
+            assert parent is prev
+    return chains
+
+
+class TestChainContract:
+    def test_bench_run_times_one_chain_in_place(self, monkeypatch):
+        calls = _record_steps(monkeypatch)
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 80, 3, 2, seed=0)
+        kinds = list(solvers.ALL_INCREMENTAL)
+        report = experiments.bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 8, kinds,
+                                       seed=0, repeats=5)
+        chains = _chains(calls, 8, 13)
+        assert [chain[0][0].kind for chain in chains] == kinds
+        for kind, chain in zip(kinds, chains):
+            for parent, child in chain[1:]:
+                assert np.shares_memory(child.H, parent.H)
+            first_child = chain[0][1]
+            assert report["algorithms"][kind.value]["flops_per_step"] == \
+                first_child.multiply_adds
+
+    def test_grow_run_steps_one_chain_per_rule(self, monkeypatch):
+        calls = _record_steps(monkeypatch)
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 60, 3, 2, seed=0)
+        kinds = list(solvers.ALL_INCREMENTAL)
+        experiments.grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 3, 12, kinds, seed=0)
+        chains = _chains(calls, 3, 12)
+        assert [chain[0][0].kind for chain in chains] == kinds
+
+    def test_eval_run_steps_one_chain_per_rule_and_fold(self, monkeypatch):
+        calls = _record_steps(monkeypatch)
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 60, 3, 2, seed=0)
+        kinds = list(solvers.ALL_INCREMENTAL)
+        experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 6, kinds, seed=0, folds=3)
+        chains = _chains(calls, 1, 6)
+        assert [chain[0][0].kind for chain in chains] == [k for k in kinds for _ in range(3)]
+
+
 class TestEvalCommand:
     def test_classification_smoke(self, tmp_path, capsys):
         rc = main(["eval", "--synth", "two-gaussians", "--task", "classification",
