@@ -38,7 +38,10 @@ def gemm(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np
 # Entries per dgemm call in `add_outer`.  OpenBLAS runs a gemm of at most
 # 4 * 65536 multiply-adds on one thread.  With its default threads on a
 # 2-vCPU machine, a 2000 x 501 update in one call took about 8 ms in over a
-# quarter of 200 calls; in bands, 0.42-0.49 ms (quartiles).
+# quarter of 200 calls; in bands, 0.42-0.49 ms (quartiles).  Shared with
+# `solvers._row_bands`, which walks EXISTING's B in bands of at most this
+# many entries, cut at multiples of 8 rows so that each band's gemv rounds
+# as the full-width call does.
 _BAND = 1 << 17
 
 

@@ -42,8 +42,9 @@ Any other state copies into a new store first: one already stepped, a
 `dataclasses.replace`d one, or one from `warm_start`, which owns no store
 (its h is never written).  So re-stepping an old state is correct but pays
 a copy, and chained growth appends in place.  B, Q and W are rewritten by
-every step and are allocated once per step at their new size.  Two threads
-must not step the same state at the same time.
+every step, each into a fresh array at its new size; `_fresh` carves the
+large ones from whole blocks, so a block its parent's array freed can
+serve them.  Two threads must not step the same state at the same time.
 """
 
 from __future__ import annotations
@@ -57,9 +58,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, NumericalBreakdownError, ShapeError
-from .linalg import FlopCounter, add_outer, cholesky, gemm, solve_spd
+from .linalg import _BAND, FlopCounter, add_outer, cholesky, gemm, solve_spd
 
 BREAKDOWN_RTOL = 1e-12
+
+# `_fresh` rounds an array of at least this many entries up to whole blocks of it
+_BLOCK = 1 << 16
 
 
 class AlgorithmKind(Enum):
@@ -270,18 +274,44 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
     return delta
 
 
+def _fresh(shape: tuple[int, ...]) -> np.ndarray:
+    """np.empty(shape), carved from whole `_BLOCK`-entry blocks when that large.
+
+    Fresh B, Q and W arrays grow by a column every step, so a freed parent's
+    array of the exact size is always one column too short for the next
+    one.  Rounded up to whole blocks, the sizes coincide and a block freed
+    a step or two before serves the next array.  The result is C-contiguous;
+    below `_BLOCK` entries it is a plain allocation.
+    """
+    size = math.prod(shape)
+    if size < _BLOCK:
+        return np.empty(shape)
+    return np.empty(-(-size // _BLOCK) * _BLOCK)[:size].reshape(shape)
+
+
+def _row_bands(rows: int, cols: int) -> list[slice]:
+    """Row slices tiling 0..rows in order, each of at most `_BAND` entries of `cols` columns.
+
+    Every band starts at a multiple of 8 rows, and holds 8 rows if 8 rows
+    alone exceed `_BAND`.  OpenBLAS's gemv over such a band rounds each row
+    as its call over all rows does; over bands of 257 or 262 rows it did not.
+    """
+    step = max(8, _BAND // cols // 8 * 8)
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
 def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
               corner: float | None = None) -> np.ndarray:
     """[a + outer(col, row), col] in one new array; pass -row to subtract.
 
     With a `corner`, the square a also gets the last row [col^T, corner].
-    a is copied into the new array and updated there by one in-place
-    `add_outer` over its rows, with row padded by a 0 for the last column,
-    which is then overwritten by col.  Rounds exactly as forming the outer
-    product, the sum and the block apart.
+    a is copied into the new array (from `_fresh`) and updated there by one
+    in-place `add_outer` over its rows, with row padded by a 0 for the last
+    column, which is then overwritten by col.  Rounds exactly as forming
+    the outer product, the sum and the block apart.
     """
     rows, cols = a.shape
-    out = np.empty((rows + (corner is not None), cols + 1))
+    out = _fresh((rows + (corner is not None), cols + 1))
     out[:rows, :-1] = a
     padded = np.zeros(cols + 1)
     padded[:-1] = row
@@ -305,30 +335,41 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
 
     Both terms evaluate their own ((c I - h h^T) B) product and the output
     weights are recomputed in full as Y B, which is exactly the 16lK + 2MlK
-    cost this rule is charged in comparisons.
+    cost this rule is charged in comparisons.  The reductions over K (the
+    rows h^T B and the Schur denominator) run over all of B; the rest walks
+    B in `_row_bands`, forming each band of both terms and of the new B
+    while it is in cache, in two band-sized scratch arrays.  Every product
+    keeps its operands and its rounding.
     """
     h_col = h_bar.reshape(-1, 1)
     b = state.B
-
-    # first term: ((c I - h h^T) B) (H h) (h^T B) / (c (c - h^T B H h))
-    u1 = gemm(h_col.T, b, cnt)                       # 1 x l
-    g1 = np.multiply(c, b, order="C")                # K x l, then minus h u1 in place
-    add_outer(g1, h_bar, -u1.reshape(-1), cnt)
+    k, l = b.shape
     p = p.reshape(-1, 1)                             # l x 1
-    v = gemm(g1, p, cnt)                             # K x 1
-    t1 = gemm(v, u1, cnt)                            # K x l
+    u1 = gemm(h_col.T, b, cnt)                       # 1 x l
     d = gemm(u1, p, cnt)[0, 0]                       # h^T B H h
-    delta = _schur_denominator(c, d, state.l + 1)
-    # second term: ((c I - h h^T) B) / c, evaluated afresh as printed
+    delta = _schur_denominator(c, d, l + 1)
+    # the second term's row, evaluated afresh as printed
     u2 = gemm(h_col.T, b, cnt)
-    g2 = np.multiply(c, b, out=g1)                   # g1 is dead once v is formed
-    add_outer(g2, h_bar, -u2.reshape(-1), cnt)
-    t1 /= c * delta
-    g2 /= c
-    t1 += g2
-    b_new = np.empty((state.sample_count, state.l + 1))
-    b_new[:, :-1] = t1
-    b_new[:, -1] = (-gemm(b_new[:, :-1], p, cnt).reshape(-1) + h_bar) / c
+    u1, minus_u1, minus_u2 = u1.reshape(-1), -u1.reshape(-1), -u2.reshape(-1)
+    bands = _row_bands(k, l)
+    g_buf, t_buf = np.empty((bands[0].stop, l)), np.empty((bands[0].stop, l))
+    b_new = _fresh((k, l + 1))
+    for band in bands:
+        n, h = band.stop - band.start, h_bar[band]
+        g, t1, b_band = g_buf[:n], t_buf[:n], b_new[band]
+        # first term: ((c I - h h^T) B) (H h) (h^T B) / (c (c - h^T B H h))
+        np.multiply(c, b[band], out=g)
+        add_outer(g, h, minus_u1, cnt)
+        v = gemm(g, p, cnt).reshape(-1)
+        t1.fill(0.0)                                 # 0 + v u1^T rounds as the product v u1^T
+        add_outer(t1, v, u1, cnt)
+        # second term: ((c I - h h^T) B) / c, in g once v is formed
+        np.multiply(c, b[band], out=g)
+        add_outer(g, h, minus_u2, cnt)
+        t1 /= c * delta
+        g /= c
+        np.add(t1, g, out=b_band[:, :-1])
+        b_band[:, -1] = (-gemm(b_band[:, :-1], p, cnt).reshape(-1) + h) / c
     return gemm(state.Y, b_new, cnt), {"B": b_new}
 
 

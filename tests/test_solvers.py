@@ -7,6 +7,7 @@ cross-checked against the direct solve with R = [[6, 1], [1, 2]].
 
 import copy
 import gc
+import math
 import pickle
 import weakref
 from dataclasses import replace
@@ -25,7 +26,7 @@ from ifelm.errors import (
     SingularMatrixError,
 )
 from ifelm.experiments import grow_run
-from ifelm.linalg import FlopCounter
+from ifelm.linalg import _BAND, FlopCounter, add_outer
 from ifelm.model import ActivationKind, hidden_matrix, init_random_params
 from ifelm.solvers import (
     ALL_INCREMENTAL,
@@ -617,10 +618,12 @@ class TestFlopAccounting:
         return child.multiply_adds - st.multiply_adds
 
     def test_existing_is_16lk_plus_2mlk(self):
-        st, h_bar = self.setup_state(AlgorithmKind.EXISTING)
-        l, k, m = st.l, st.sample_count, st.Y.shape[0]
-        got = self.step_cost(st, add_node(st, h_bar))
-        assert got == 16 * l * k + 2 * l + 2 * m * (l + 1) * k
+        # K=3001 walks B in three row bands; the count must not depend on them
+        for k in (300, 3001):
+            st, h_bar = self.setup_state(AlgorithmKind.EXISTING, k=k)
+            l, m = st.l, st.Y.shape[0]
+            got = self.step_cost(st, add_node(st, h_bar))
+            assert got == 16 * l * k + 2 * l + 2 * m * (l + 1) * k
 
     def test_alg1_is_6lk_plus_2mk(self):
         st, h_bar = self.setup_state(AlgorithmKind.ALG1)
@@ -908,6 +911,81 @@ class TestCopyOnWrite:
         assert np.array_equal(getattr(r, name), changed)
         # the original still owns its buffers and steps as before
         assert_same_state(add_node(s, h[10]), reference_step(s, h[10]))
+
+
+class TestExistingRowBands:
+    """EXISTING walks B in row bands; each step must be the reference's, byte for byte.
+
+    `tobytes` tells -0.0 from +0.0, which `np.array_equal` cannot.
+    """
+
+    M = 3
+
+    def problem(self, k, rows, m=M, seed=41):
+        rng = np.random.default_rng(seed)
+        h = np.exp(-np.square(rng.uniform(-1, 1, (rows, k))))
+        return h, rng.standard_normal((m, k))
+
+    @staticmethod
+    def step(st, ref, h_bar):
+        child, want = add_node(st, h_bar), reference_step(ref, h_bar)
+        for name in ("H", "W", "B"):
+            assert getattr(child, name).tobytes() == getattr(want, name).tobytes(), \
+                f"{name} at l={child.l}"
+        l, k, m = st.l, st.sample_count, st.Y.shape[0]
+        assert child.multiply_adds - st.multiply_adds == 16 * l * k + 2 * l + 2 * m * (l + 1) * k
+        return child, want
+
+    def test_chain_across_three_bands(self):
+        assert [b.stop - b.start for b in solvers._row_bands(3001, 100)] == [1304, 1304, 393]
+        h, y = self.problem(3001, 104)
+        st = ref = warm_start(AlgorithmKind.EXISTING, h[:100], y, 0.1)
+        for row in h[100:]:
+            st, ref = self.step(st, ref, row)
+
+    def test_one_step_at_chain_benchmark_size(self):
+        h, y = self.problem(2000, 501, m=10)
+        st = warm_start(AlgorithmKind.EXISTING, h[:500], y, 0.1)
+        self.step(st, st, h[500])
+
+    def test_zero_row_makes_every_first_term_entry_a_signed_zero(self):
+        # with h_bar = 0, u1 = 0; samples no node sees give zero rows of B, where
+        # the new B is the sum of two signed zeros
+        h, y = self.problem(3001, 100)
+        h[:, ::500] = 0.0
+        st = warm_start(AlgorithmKind.EXISTING, h, y, 0.1)
+        child, _ = self.step(st, st, np.zeros(3001))
+        assert not child.B[::500].any()
+
+    def test_outer_product_into_zeros_rounds_as_the_product(self):
+        # the kernel forms v u^T as 0 + v u^T by add_outer, signed zeros included
+        v = np.array([-0.0, 0.0, -1.5, 2.0, 1e-300])
+        u = np.array([0.0, -0.0, 3.0, -1e-300, -0.25])
+        got = add_outer(np.zeros((5, 5)), v, u)
+        assert got.tobytes() == (v.reshape(-1, 1) @ u.reshape(1, -1)).tobytes()
+
+
+class TestStorageHelpers:
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (300, 40), (2000, 500),
+                                           (3001, 100), (4096, 1 << 14), (20, 20000)])
+    def test_row_bands_tile_rows_at_multiples_of_8(self, rows, cols):
+        bands = solvers._row_bands(rows, cols)
+        assert [b.start for b in bands] == [0] + [b.stop for b in bands[:-1]]
+        assert bands[-1].stop == rows
+        for b in bands:
+            assert b.start % 8 == 0 and b.stop > b.start
+            assert (b.stop - b.start) * cols <= _BAND or b.stop - b.start <= 8
+
+    @pytest.mark.parametrize("shape", [(2, 3), (255, 256), (256, 256), (2000, 501),
+                                       (501, 501), (65537,)])
+    def test_fresh_arrays_come_in_whole_blocks(self, shape):
+        a = solvers._fresh(shape)
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+        size, block = math.prod(shape), solvers._BLOCK
+        if size < block:
+            assert a.base is None
+        else:
+            assert a.base.size % block == 0 and 0 <= a.base.size - size < block
 
 
 class TestBorderedStepProperty:
