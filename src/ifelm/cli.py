@@ -170,8 +170,6 @@ def run(argv=None) -> int:
                   f"(<= {e['threshold']:.0e} up to l={e['checked_up_to']}): {status}")
         return 0 if report["passed"] else 1
 
-    raise DomainError(f"unknown command {args.command!r}")
-
 
 def main(argv=None) -> int:
     try:

@@ -35,26 +35,37 @@ def gemm(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np
     return a @ b
 
 
-# Entries per dgemm call in `add_outer`.  OpenBLAS runs a gemm of at most
-# 4 * 65536 multiply-adds on one thread.  With its default threads on a
-# 2-vCPU machine, a 2000 x 501 update in one call took about 8 ms in over a
-# quarter of 200 calls; in bands, 0.42-0.49 ms (quartiles).  Shared with
-# `solvers._row_bands`, which walks EXISTING's B in bands of at most this
-# many entries, cut at multiples of 8 rows so that each band's gemv rounds
-# as the full-width call does.
+# Entries per row band, for two reasons.  OpenBLAS runs a gemm of at most
+# 4 * 65536 multiply-adds on one thread: with its default threads on a 2-vCPU
+# machine, a 2000 x 501 update in one dgemm took about 8 ms in over a quarter
+# of 200 calls, in bands 0.42-0.49 ms (quartiles).  And `row_bands` cuts at
+# multiples of 8 rows, where OpenBLAS's gemv over a band rounds each row as
+# its call over all rows does; over bands of 257 or 262 rows it did not.
 _BAND = 1 << 17
+
+
+def row_bands(rows: int, cols: int) -> list[slice]:
+    """Row slices tiling 0..rows in order, each of at most `_BAND` entries of `cols` columns.
+
+    Every band starts at a multiple of 8 rows, and holds 8 rows if 8 rows
+    alone exceed `_BAND`.
+    """
+    step = max(8, _BAND // cols // 8 * 8)
+    if 0 < rows <= step:                             # one band, without the comprehension's cost
+        return [slice(0, rows)]
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
 def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray,
               counter: FlopCounter | None = None) -> np.ndarray:
-    """dst += outer(x, y) in place; returns dst.
+    """dst += outer(x, y) in place by one BLAS dgemm of inner dimension 1; returns dst.
 
-    Runs BLAS dgemm with inner dimension 1 on row bands of dst of at most
-    `_BAND` entries (one row if a row is longer).  Each product x[i] y[j]
-    is rounded once and added to dst with one more rounding, so the result
-    is bitwise numpy's `dst + outer(x, y)`; negation is exact, so with -y it
-    is bitwise `dst - outer(x, y)`.  dst must be C-contiguous, x and y 1-D
-    of lengths rows(dst) and cols(dst); metered at 2*rows*cols.
+    Callers band large updates themselves, one `row_bands` band per call.
+    Each product x[i] y[j] is rounded once and added to dst with one more
+    rounding, so the result is bitwise numpy's `dst + outer(x, y)`; negation
+    is exact, so with -y it is bitwise `dst - outer(x, y)`.  dst must be
+    C-contiguous, x and y 1-D of lengths rows(dst) and cols(dst); metered at
+    2*rows*cols.
     """
     rows, cols = dst.shape
     if not dst.flags.c_contiguous or x.shape != (rows,) or y.shape != (cols,):
@@ -62,14 +73,11 @@ def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray,
                          f"{y.shape}), got {dst.shape}")
     if counter is not None:
         counter.multiply_adds += 2 * rows * cols
-    y_col = y.reshape(-1, 1)
-    step = max(1, _BAND // cols)
-    for i in range(0, rows, step):
-        band = dst[i:i + step].T                 # F-contiguous, updated in place
-        # f2py copies a c it cannot write in place; the update would be lost
-        if blas.dgemm(1.0, y_col, x[i:i + step].reshape(1, -1), 1.0, band,
-                      overwrite_c=1) is not band:
-            raise ShapeError("add_outer: BLAS did not update dst in place")
+    dst_t = dst.T                                    # F-contiguous, updated in place
+    # f2py copies a c it cannot write in place; the update would be lost
+    if blas.dgemm(1.0, y.reshape(-1, 1), x.reshape(1, -1), 1.0, dst_t,
+                  overwrite_c=1) is not dst_t:
+        raise ShapeError("add_outer: BLAS did not update dst in place")
     return dst
 
 

@@ -58,7 +58,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, NumericalBreakdownError, ShapeError
-from .linalg import _BAND, FlopCounter, add_outer, cholesky, gemm, solve_spd
+from .linalg import FlopCounter, add_outer, cholesky, gemm, row_bands, solve_spd
 
 BREAKDOWN_RTOL = 1e-12
 
@@ -289,34 +289,26 @@ def _fresh(shape: tuple[int, ...]) -> np.ndarray:
     return np.empty(-(-size // _BLOCK) * _BLOCK)[:size].reshape(shape)
 
 
-def _row_bands(rows: int, cols: int) -> list[slice]:
-    """Row slices tiling 0..rows in order, each of at most `_BAND` entries of `cols` columns.
-
-    Every band starts at a multiple of 8 rows, and holds 8 rows if 8 rows
-    alone exceed `_BAND`.  OpenBLAS's gemv over such a band rounds each row
-    as its call over all rows does; over bands of 257 or 262 rows it did not.
-    """
-    step = max(8, _BAND // cols // 8 * 8)
-    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
-
-
 def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
               corner: float | None = None) -> np.ndarray:
     """[a + outer(col, row), col] in one new array; pass -row to subtract.
 
     With a `corner`, the square a also gets the last row [col^T, corner].
-    a is copied into the new array (from `_fresh`) and updated there by one
-    in-place `add_outer` over its rows, with row padded by a 0 for the last
-    column, which is then overwritten by col.  Rounds exactly as forming
-    the outer product, the sum and the block apart.
+    The new array comes from `_fresh`.  Each band of `row_bands` is copied
+    from a, updated in place by one `add_outer` with row padded by a 0 for
+    the last column, and given its stretch of col in that column while it
+    is in cache.  Rounds exactly as forming the outer product, the sum and
+    the block apart.
     """
     rows, cols = a.shape
     out = _fresh((rows + (corner is not None), cols + 1))
-    out[:rows, :-1] = a
     padded = np.zeros(cols + 1)
     padded[:-1] = row
-    add_outer(out[:rows], col, padded)
-    out[:rows, -1] = col
+    for band in row_bands(rows, cols + 1):
+        o, c = out[band], col[band]
+        o[:, :-1] = a[band]
+        add_outer(o, c, padded)
+        o[:, -1] = c
     if corner is not None:
         out[-1, :-1], out[-1, -1] = col, corner
     return out
@@ -337,7 +329,7 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
     weights are recomputed in full as Y B, which is exactly the 16lK + 2MlK
     cost this rule is charged in comparisons.  The reductions over K (the
     rows h^T B and the Schur denominator) run over all of B; the rest walks
-    B in `_row_bands`, forming each band of both terms and of the new B
+    B in `row_bands`, forming each band of both terms and of the new B
     while it is in cache, in two band-sized scratch arrays.  Every product
     keeps its operands and its rounding.
     """
@@ -351,7 +343,7 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
     # the second term's row, evaluated afresh as printed
     u2 = gemm(h_col.T, b, cnt)
     u1, minus_u1, minus_u2 = u1.reshape(-1), -u1.reshape(-1), -u2.reshape(-1)
-    bands = _row_bands(k, l)
+    bands = row_bands(k, l)
     g_buf, t_buf = np.empty((bands[0].stop, l)), np.empty((bands[0].stop, l))
     b_new = _fresh((k, l + 1))
     for band in bands:

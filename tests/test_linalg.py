@@ -47,7 +47,7 @@ class TestGemm:
 
 
 class TestAddOuter:
-    # (3001, 61) spans more than one row band and ends in a partial one
+    # (3001, 61) is one dgemm call on a dst of more than `_BAND` entries
     @pytest.mark.parametrize("shape", [(1, 1), (2, 21), (3, 41), (270, 40),
                                        (1999, 37), (3001, 61)])
     @pytest.mark.parametrize("factor", [1.0, -1.0])

@@ -26,7 +26,7 @@ from ifelm.errors import (
     SingularMatrixError,
 )
 from ifelm.experiments import grow_run
-from ifelm.linalg import _BAND, FlopCounter, add_outer
+from ifelm.linalg import _BAND, FlopCounter, add_outer, row_bands
 from ifelm.model import ActivationKind, hidden_matrix, init_random_params
 from ifelm.solvers import (
     ALL_INCREMENTAL,
@@ -750,8 +750,9 @@ def snapshot(st):
 class TestCopyOnWrite:
     """Steps append into solver-owned buffers; every state must stay intact.
 
-    At K=1000 the rank-one updates of EXISTING and ALG1 fit in one
-    `add_outer` row band; the K=3000 chains span two.
+    At K=1000 the rank-one updates of EXISTING and ALG1 fit in one of
+    `row_bands`; the K=3000 chains span two, and ALG2's Q border goes from
+    one band to two at l = 361.
     """
 
     K, M, STEPS = 1000, 3, 40
@@ -775,13 +776,18 @@ class TestCopyOnWrite:
             st, ref = add_node(st, h[l]), reference_step(ref, h[l])
             assert_same_state(st, ref)
 
-    @pytest.mark.parametrize("kind", [AlgorithmKind.EXISTING, AlgorithmKind.ALG1])
+    # (K, l0, steps); row_bands(361, 362) is [0:360] and [360:361]
+    BAND_CHAINS = {AlgorithmKind.EXISTING: (3000, 50, 5), AlgorithmKind.ALG1: (3000, 50, 5),
+                   AlgorithmKind.ALG2: (400, 356, 8)}
+
+    @pytest.mark.parametrize("kind", list(BAND_CHAINS))
     def test_chain_across_row_bands_matches_copy_reference_bitwise(self, kind):
+        k, l0, steps = self.BAND_CHAINS[kind]
         rng = np.random.default_rng(23)
-        h = np.exp(-np.square(rng.uniform(-1, 1, (55, 3000))))
-        y = rng.standard_normal((self.M, 3000))
-        st = ref = warm_start(kind, h[:50], y, 0.1)
-        for l in range(50, 55):
+        h = np.exp(-np.square(rng.uniform(-1, 1, (l0 + steps, k))))
+        y = rng.standard_normal((self.M, k))
+        st = ref = warm_start(kind, h[:l0], y, 0.1)
+        for l in range(l0, l0 + steps):
             st, ref = add_node(st, h[l]), reference_step(ref, h[l])
             assert_same_state(st, ref)
 
@@ -937,7 +943,7 @@ class TestExistingRowBands:
         return child, want
 
     def test_chain_across_three_bands(self):
-        assert [b.stop - b.start for b in solvers._row_bands(3001, 100)] == [1304, 1304, 393]
+        assert [b.stop - b.start for b in row_bands(3001, 100)] == [1304, 1304, 393]
         h, y = self.problem(3001, 104)
         st = ref = warm_start(AlgorithmKind.EXISTING, h[:100], y, 0.1)
         for row in h[100:]:
@@ -965,11 +971,40 @@ class TestExistingRowBands:
         assert got.tobytes() == (v.reshape(-1, 1) @ u.reshape(1, -1)).tobytes()
 
 
+class TestBorderedRowBands:
+    """`_bordered` walks `row_bands`; its output must be numpy's block form, byte for byte.
+
+    `tobytes` tells the -0.0 entries of col from +0.0, which `np.array_equal` cannot.
+    """
+
+    @pytest.mark.parametrize("rows,cols,corner,bands", [
+        (2000, 500, False, [256] * 7 + [208]),
+        (400, 400, True, [320, 80]),
+        (1, 1, True, [1]),
+        (2, 3, False, [2]),
+        (0, 3, False, []),                  # W of a model with no outputs
+    ])
+    def test_matches_numpy_block_form(self, rows, cols, corner, bands):
+        assert [b.stop - b.start for b in row_bands(rows, cols + 1)] == bands
+        rng = np.random.default_rng(rows + cols)
+        a = rng.standard_normal((rows, cols))
+        col, row = rng.standard_normal(rows), rng.standard_normal(cols)
+        col[::3] = -0.0
+        top = a + np.outer(col, row)
+        if corner:
+            tau = float(rng.uniform(1, 2))
+            got, want = solvers._bordered(a, col, row, tau), np.block([[top, col[:, None]],
+                                                                       [col, tau]])
+        else:
+            got, want = solvers._bordered(a, col, row), np.hstack([top, col[:, None]])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestStorageHelpers:
     @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (300, 40), (2000, 500),
                                            (3001, 100), (4096, 1 << 14), (20, 20000)])
     def test_row_bands_tile_rows_at_multiples_of_8(self, rows, cols):
-        bands = solvers._row_bands(rows, cols)
+        bands = row_bands(rows, cols)
         assert [b.start for b in bands] == [0] + [b.stop for b in bands[:-1]]
         assert bands[-1].stop == rows
         for b in bands:
