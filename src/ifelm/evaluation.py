@@ -61,12 +61,13 @@ def mse(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((np.asarray(z) - np.asarray(y)) ** 2))
 
 
-def weight_output_errors(w_alg, w_base, z_alg, z_base) -> tuple[float, float]:
-    """Frobenius distances of a rule's weights and outputs from the direct solve's."""
-    if w_alg.shape != w_base.shape or z_alg.shape != z_base.shape:
+def weight_output_errors(w_alg, w_ref, h) -> tuple[float, float]:
+    """Weight and output errors (|D|_F, |D H|_F) of W_alg from W_ref, D = W_alg - W_ref."""
+    if w_alg.shape != w_ref.shape or w_alg.shape[-1] != h.shape[0]:
         raise ShapeError(f"weight_output_errors shape mismatch: W {w_alg.shape} vs "
-                         f"{w_base.shape}, Z {z_alg.shape} vs {z_base.shape}")
-    return float(np.linalg.norm(w_alg - w_base)), float(np.linalg.norm(z_alg - z_base))
+                         f"W_ref {w_ref.shape}, H {h.shape}")
+    d = w_alg - w_ref
+    return float(np.linalg.norm(d)), float(np.linalg.norm(d @ h))
 
 
 def _safe_div(num: float, den: float) -> float:

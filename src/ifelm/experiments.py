@@ -86,9 +86,9 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     The reference weights at every node count l come from one Cholesky
     factorization of the Gram matrix of all `end` nodes
     (`solvers.solve_direct_prefixes`); at l = end they are bitwise those
-    of `solvers.solve_direct`.  The reference outputs at every l are
-    computed once and shared by all rules.  Needs 1 <= start <= end <= the
-    node count of `params` and a k0sq > 0 with a finite square, else raises DomainError.
+    of `solvers.solve_direct`.  A step's output error |(W - W_l) H_l|_F comes
+    from the difference its weight error takes.  Needs 1 <= start <= end <=
+    the node count of `params` and a k0sq > 0 with a finite square, else raises DomainError.
 
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
@@ -105,7 +105,6 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     y = ds.Y
 
     base_w = solvers.solve_direct_prefixes(h_full, y, k0sq, range(start, end + 1))
-    base_z = {l: w @ h_full[:l] for l, w in base_w.items()}
 
     checkpoints = sorted({c for c in (3, 100, 500) if start <= c <= end} | {end})
     traces: dict[str, GrowthTrace] = {}
@@ -123,8 +122,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
         try:
             for state, elapsed in _chain(kind, h_full, y, k0sq, start, end):
                 l = state.l
-                w_err, z_err = weight_output_errors(state.W, base_w[l], state.W @ h_full[:l],
-                                                    base_z[l])
+                w_err, z_err = weight_output_errors(state.W, base_w[l], h_full[:l])
                 trace.append(StepRecord(l=l, weight_error=w_err, output_error=z_err,
                                         flops=state.multiply_adds - metered,
                                         elapsed_ns=elapsed))

@@ -85,6 +85,26 @@ class TestCompareCommand:
         assert report["passed"] is False
         assert all(not e["passed"] for e in report["entries"])
 
+    def test_compare_run_fails_a_rule_on_its_output_error_alone(self, monkeypatch):
+        # with K = 100 samples |(W - W*) H| is several times |W - W*|, so a
+        # bound between the two passes alg3's weights and fails its outputs
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 100, 8, 1, seed=3)
+        args = (ds, ActivationKind.SINE, 0.1, 1, 6)
+        entry = compare_run(*args, seed=3)["entries"][-1]
+        assert entry["algorithm"] == "alg3" and entry["passed"]
+        w_max, z_max = entry["max_weight_error"], entry["max_output_error"]
+        bound = (w_max * z_max) ** 0.5
+        assert 0.0 < w_max < bound < z_max
+        thresholds = dict(experiments.DEFAULT_THRESHOLDS)
+        thresholds[AlgorithmKind.ALG3] = (100, bound)
+        monkeypatch.setattr(experiments, "DEFAULT_THRESHOLDS", thresholds)
+        report = compare_run(*args, seed=3)
+        assert report["passed"] is False
+        assert [e["passed"] for e in report["entries"]] == [True, True, True, False]
+        failed = report["entries"][-1]
+        assert (failed["max_weight_error"], failed["max_output_error"]) == (w_max, z_max)
+        assert failed["breakdown"] is None
+
     def test_breakdown_fails_only_within_checked_range(self, monkeypatch, tmp_path, capsys):
         def add_node(state, h_bar):
             if state.l + 1 == 7:
@@ -240,6 +260,48 @@ class TestEvalCommand:
         with pytest.raises(DomainError, match="start <= end"):
             experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, start, end,
                                  [AlgorithmKind.ALG3], seed=0, folds=2)
+
+
+def _write_labelled_csv(path, samples=30):
+    """Header row, three feature columns, then one label column of classes 0, 1 and 2."""
+    rng = np.random.default_rng(7)
+    labels = np.arange(samples) % 3
+    x = rng.standard_normal((samples, 3)) + labels[:, None]
+    lines = ["f1,f2,f3,label"] + [",".join([*map(repr, row), str(c)])
+                                  for row, c in zip(x.tolist(), labels)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCsvInput:
+    def test_eval_classification(self, tmp_path, capsys):
+        data = tmp_path / "labelled.csv"
+        _write_labelled_csv(data)
+        out = tmp_path / "run"
+        rc = main(["eval", "--data", str(data), "--header", "--task", "classification",
+                   "--end", "8", "--folds", "3", "--alg", "alg3", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "eval.json").read_text())
+        assert doc["config"]["data"] == str(data) and doc["config"]["header"] is True
+        assert doc["eval"]["task"] == "classification"
+        entry = doc["eval"]["algorithms"]["alg3"]
+        assert set(entry["mean"]) == {"acc", "sn", "pe", "mcc"}
+        assert len(entry["per_fold"]) == 3
+        assert "alg3" in capsys.readouterr().out
+
+    def test_grow_regression(self, tmp_path):
+        data = tmp_path / "labelled.csv"
+        _write_labelled_csv(data)
+        out = tmp_path / "run"
+        rc = main(["grow", "--data", str(data), "--header", "--end", "8",
+                   "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["config"]["data"] == str(data)
+        assert set(doc["summary"]["algorithms"]) == {"existing", "alg1", "alg2", "alg3"}
+        for name in ("existing", "alg1", "alg2", "alg3"):
+            lines = (out / f"trace_{name}.csv").read_text().splitlines()
+            assert lines[0] == "l,weight_error,output_error,flops,elapsed_ns"
+            assert len(lines) == 9  # header plus l = 1..8
 
 
 class TestEnvironment:

@@ -106,23 +106,36 @@ class TestClassificationMetrics:
 class TestWeightOutputErrors:
     def test_identical(self):
         w = np.ones((2, 3))
-        z = np.ones((2, 5))
-        assert weight_output_errors(w, w, z, z) == (0.0, 0.0)
+        h = np.ones((3, 5))
+        assert weight_output_errors(w, w, h) == (0.0, 0.0)
 
     def test_known_distances(self):
+        # D = [3, 4]: |D| = 5; D H = [3, 4, 0] for H = [I | 0], so |D H| = 5 too
         w1 = np.array([[3.0, 4.0]])
         w2 = np.zeros((1, 2))
-        we, ze = weight_output_errors(w1, w2, w2, w1)
+        h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        we, ze = weight_output_errors(w1, w2, h)
         assert we == 5.0 and ze == 5.0
 
     def test_shape_mismatch(self):
         # a (1, 2) operand would broadcast against (2, 2) without the check
         with pytest.raises(ShapeError):
-            weight_output_errors(np.zeros((2, 2)), np.zeros((1, 2)),
-                                 np.zeros((2, 3)), np.zeros((2, 3)))
+            weight_output_errors(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((2, 3)))
+        # H needs one row per column of W
         with pytest.raises(ShapeError):
-            weight_output_errors(np.zeros((2, 2)), np.zeros((2, 2)),
-                                 np.zeros((2, 3)), np.zeros((3, 3)))
+            weight_output_errors(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_output_error_is_taken_from_the_weight_difference(self):
+        # W H and W_ref H round to the same values, so subtracting them loses
+        # the one-ulp difference that (W - W_ref) H keeps
+        w_ref = np.full((1, 2), 1e8)
+        w = w_ref.copy()
+        w[0, 0] = np.nextafter(1e8, np.inf)
+        h = np.ones((2, 3))
+        assert np.all(w @ h - w_ref @ h == 0.0)
+        we, ze = weight_output_errors(w, w_ref, h)
+        assert we == np.linalg.norm(w - w_ref) > 0.0
+        assert ze == np.linalg.norm((w - w_ref) @ h) > 0.0
 
 
 class TestKfoldSplit:

@@ -207,8 +207,9 @@ class TestGrowRunOracle:
             state = warm_start(kind, h[:1], y, 0.1)
             for l in range(1, 60):
                 state = add_node(state, h[l])
-            got = summary["algorithms"][kind.value]["checkpoint_errors"]["60"]["weight_error"]
-            assert got == np.linalg.norm(state.W - w_end)
+            got = summary["algorithms"][kind.value]["checkpoint_errors"]["60"]
+            assert got["weight_error"] == np.linalg.norm(state.W - w_end)
+            assert got["output_error"] == np.linalg.norm((state.W - w_end) @ h)
 
     def test_oracle_residual_at_each_checkpoint(self):
         _, _, ds, params = oracle_problem()
