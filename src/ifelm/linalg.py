@@ -4,7 +4,9 @@ Matrices are plain 2-D float64 numpy arrays (row-major).  Products of the
 kind "l1 x l2 times l2 x l3" are metered at 2*l1*l2*l3 multiply-adds, and an
 in-place rank-one update of an l1 x l3 matrix at 2*l1*l3, when a counter is
 passed; element-wise work is deliberately left uncounted so the recorded
-numbers match the dominant-cost model used in reports.
+numbers match the dominant-cost model used in reports.  A symmetric
+positive definite system is solved in two calls: `cholesky` factors it
+once, and `solve_spd` solves with that factor or a leading block of it.
 """
 
 from __future__ import annotations
@@ -94,17 +96,13 @@ def cholesky(r: np.ndarray) -> np.ndarray:
     return c
 
 
-def solve_spd(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Solve R @ X = M for symmetric positive definite R via Cholesky.
+def solve_spd(c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Solve C C^T X = M for X, C the lower factor from `cholesky` or a leading block of it.
 
-    Never forms the explicit inverse; raises SingularMatrixError naming the
-    failing pivot when R is not SPD.
+    Never forms the explicit inverse; only C's lower triangle is read.
     """
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ShapeError(f"solve_spd needs a square matrix, got {r.shape}")
-    if m.shape[0] != r.shape[0]:
-        raise ShapeError(f"solve_spd shape mismatch: {r.shape} x {m.shape}")
-    scale = np.abs(r).max()
-    if scale > 0 and np.abs(r - r.T).max() > 1e-12 * scale:
-        raise ShapeError("solve_spd requires a symmetric matrix")
-    return lapack.dpotrs(cholesky(r), m, lower=1)[0]
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ShapeError(f"solve_spd needs a square factor, got {c.shape}")
+    if m.shape[0] != c.shape[0]:
+        raise ShapeError(f"solve_spd shape mismatch: {c.shape} x {m.shape}")
+    return lapack.dpotrs(c, m, lower=1)[0]

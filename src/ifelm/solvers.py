@@ -21,9 +21,9 @@ from one Cholesky factor C of H H^T + k0sq I, and builds only what it
 carries.  The start W of every rule is the oracle's own Cholesky solve.
 ALG2 takes Q from C by `dpotri`, EXISTING and ALG1 form B = H^T Q from that
 Q and drop it, BASELINE keeps W only, and ALG3 never forms Q: its factors
-come straight from C as L = C^-T diag(C) and D = 1/diag(C)^2.  `_gram` is
-the one checked entry to that Gram matrix, for the start and for the
-direct-solve oracle, whose one solve path is `solve_direct_prefixes`.
+come straight from C as L = C^-T diag(C) and D = 1/diag(C)^2.  `_factor` is
+the one checked entry to C, and `solve_spd` the one solve with it, for the
+start, the direct-solve oracle `solve_direct_prefixes` and BASELINE's step.
 
 All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  Products along the K (sample) dimension run through the metered
@@ -145,25 +145,30 @@ class SolverState:
         return {**self.__dict__, "_store": None}
 
 
-def _check_k0sq(k0sq: float) -> None:
-    # a step divides by c * delta >= k0sq^2, so k0sq's square must be finite too
+def _check_k0sq(k0sq: float) -> float:
+    # text passes float() but fails untyped inside numpy; and a step divides by
+    # c * delta >= k0sq^2, so k0sq's square must be finite too
+    if np.asarray(k0sq).dtype.kind in "SU":
+        raise DomainError(f"regularization k0sq must be a number, got {k0sq!r}")
     try:
         f = float(k0sq)
     except OverflowError:
         raise DomainError("regularization k0sq is beyond float range") from None
     if not (f > 0.0 and math.isfinite(f * f)):
         raise DomainError(f"regularization k0sq must be > 0 with a finite square, got {k0sq}")
+    return f
 
 
-def _gram(h: np.ndarray, y: np.ndarray, k0sq: float,
-          counter: FlopCounter | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float64 H and Y, and the Gram matrix H H^T + k0sq I, after one input check.
+def _factor(h: np.ndarray, y: np.ndarray, k0sq: float,
+            counter: FlopCounter | None = None) -> tuple[np.ndarray, ...]:
+    """Float64 H and Y, the lower Cholesky factor C of H H^T + k0sq I, and H Y^T.
 
-    k0sq must be > 0 with a finite square, and the Gram matrix and Y finite
-    (DomainError); H must be non-empty and 2-D, and Y 2-D with H's K
-    columns (ShapeError).
+    k0sq must be a number > 0 with a finite square, and the Gram matrix and
+    Y finite (DomainError); H must be non-empty and 2-D, and Y 2-D with H's
+    K columns (ShapeError); `cholesky` raises SingularMatrixError.  Both
+    products are metered on `counter`, if one is given.
     """
-    _check_k0sq(k0sq)
+    k0sq = _check_k0sq(k0sq)
     h = np.asarray(h, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if h.ndim != 2 or h.size < 1 or y.ndim != 2 or h.shape[1] != y.shape[1]:
@@ -172,7 +177,7 @@ def _gram(h: np.ndarray, y: np.ndarray, k0sq: float,
     r = gemm(h, h.T, counter) + k0sq * np.eye(h.shape[0])
     if not (np.isfinite(r).all() and np.isfinite(y).all()):
         raise DomainError("H H^T and Y must be finite")
-    return h, y, r
+    return h, y, cholesky(r), gemm(h, y.T, counter)
 
 
 def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float) -> np.ndarray:
@@ -193,7 +198,7 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     R = H H^T + k0sq I (n = max(ls) rows of h) is the Cholesky factor of
     the prefix Gram H_l H_l^T + k0sq I, and the first l rows of Y H^T are
     the prefix right-hand side.  So one Gram product and one factorization
-    serve every l, each solved with two triangular solves on C[:l, :l].
+    serve every l, each solved by `solve_spd` on C[:l, :l].
     At l = n the result is `solve_direct(h[:n], y, k0sq)`; at smaller l it
     differs from it by rounding only.  A Gram matrix that is not positive
     definite raises SingularMatrixError at its first non-positive pivot, as
@@ -204,13 +209,11 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
         raise DomainError(f"prefix lengths must be integers, got {ls}")
     n = max(ls, default=0)
     # H's shape is checked first, on the rows the prefixes read (at least one)
-    h, y, r = _gram(h[:max(n, 1)], y, k0sq)
+    h, y, c, rhs = _factor(h[:max(n, 1)], y, k0sq)
     if not ls or min(ls) < 1 or n > h.shape[0]:
         span = f"{min(ls)}..{n}" if ls else "none"
         raise DomainError(f"prefix lengths must lie in 1..rows(H), got {span}")
-    c = cholesky(r)
-    rhs = gemm(h, y.T)
-    return {l: lapack.dpotrs(c[:l, :l], rhs[:l], lower=1)[0].T for l in ls}
+    return {l: solve_spd(c[:l, :l], rhs[:l]).T for l in ls}
 
 
 def init_solver(kind: AlgorithmKind | str, h1: np.ndarray, y: np.ndarray,
@@ -225,21 +228,19 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
     """Start any rule from an l0 >= 1 node block with one Cholesky factorization.
 
     `kind` is an `AlgorithmKind` or its name (DomainError for any other).
-    With C the lower Cholesky factor of R = H H^T + k0sq I, every kind gets
-    W = Y H^T R^-1 from two triangular solves with C, the oracle's own solve:
-    it is bitwise `solve_direct(h, y, k0sq)`.  Each kind then builds only
-    the state its rule carries.  ALG2 takes Q = R^-1 from C by `dpotri`,
-    mirrored to be exactly symmetric; EXISTING and ALG1 take the same Q
-    only to form B = H^T Q, and keep B.  ALG3 never forms Q: C^-T is upper
-    triangular with diagonal 1/diag(C), so Q = C^-T C^-1 = L diag(D) L^T
-    for L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.  BASELINE
-    keeps W only.  The start is unmetered: the returned state's
-    `multiply_adds` is 0.
+    With C the lower Cholesky factor of R = H H^T + k0sq I from `_factor`,
+    every kind gets W = Y H^T R^-1 by `solve_spd` with C, the oracle's own
+    solve, so bitwise `solve_direct(h, y, k0sq)`, and builds only the state
+    its rule carries.  ALG2 takes Q = R^-1 from C by `dpotri`, mirrored to
+    be exactly symmetric; EXISTING and ALG1 take the same Q only to form
+    B = H^T Q, and keep B.  ALG3 never forms Q: C^-T is upper triangular
+    with diagonal 1/diag(C), so Q = C^-T C^-1 = L diag(D) L^T for
+    L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.  BASELINE keeps
+    W only.  The start is unmetered: the returned state's `multiply_adds` is 0.
     """
     kind = AlgorithmKind(kind)
-    h, y, r = _gram(h, y, k0sq)
-    c = cholesky(r)
-    w = lapack.dpotrs(c, gemm(h, y.T), lower=1)[0].T
+    h, y, c, rhs = _factor(h, y, k0sq)
+    w = solve_spd(c, rhs).T
     aux = {}
     if kind is AlgorithmKind.ALG3:
         diag = np.diag(c)
@@ -317,8 +318,8 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
 def _baseline(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray | None,
               store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
     """Re-solve the whole system on the stored H, which already holds h_bar."""
-    h, y, r = _gram(store.H[: state.l + 1], state.Y, state.k0sq, cnt)
-    return solve_spd(r, gemm(h, y.T, cnt)).T, {}
+    _, _, factor, rhs = _factor(store.H[: state.l + 1], state.Y, state.k0sq, cnt)
+    return solve_spd(factor, rhs).T, {}
 
 
 def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,

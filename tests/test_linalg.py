@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ifelm.errors import ShapeError, SingularMatrixError
-from ifelm.linalg import FlopCounter, add_outer, gemm, solve_spd
+from ifelm.linalg import FlopCounter, add_outer, cholesky, gemm, solve_spd
 
 
 class TestGemm:
@@ -85,19 +85,21 @@ class TestAddOuter:
 
 
 class TestSolveSpd:
+    """solve_spd solves R X = M with the lower factor cholesky(R)."""
+
     def test_2x2_adjugate(self):
         r = np.array([[6.0, 1.0], [1.0, 2.0]])
         # oracle: adjugate / determinant for the 2x2 case
         det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
         expected = np.array([[r[1, 1], -r[0, 1]], [-r[1, 0], r[0, 0]]]) / det
-        assert np.allclose(solve_spd(r, np.eye(2)), expected, rtol=1e-14)
+        assert np.allclose(solve_spd(cholesky(r), np.eye(2)), expected, rtol=1e-14)
         assert np.allclose(expected, [[2 / 11, -1 / 11], [-1 / 11, 6 / 11]])
 
     def test_scaled_identity(self):
-        assert np.allclose(solve_spd(4.0 * np.eye(3), np.eye(3)), 0.25 * np.eye(3))
+        assert np.allclose(solve_spd(cholesky(4.0 * np.eye(3)), np.eye(3)), 0.25 * np.eye(3))
 
     def test_scalar(self):
-        assert solve_spd(np.array([[1.0]]), np.array([[7.0]]))[0, 0] == 7.0
+        assert solve_spd(cholesky(np.array([[1.0]])), np.array([[7.0]]))[0, 0] == 7.0
 
     def test_random_spd_inverse_property(self):
         rng = np.random.default_rng(7)
@@ -105,13 +107,13 @@ class TestSolveSpd:
             n = int(rng.integers(1, 51))
             g = rng.standard_normal((n, n))
             r = g.T @ g + np.eye(n)
-            x = solve_spd(r, np.eye(n))
+            x = solve_spd(cholesky(r), np.eye(n))
             assert np.allclose(x @ r, np.eye(n), rtol=1e-10, atol=1e-10)
 
     def test_not_spd_reports_pivot(self):
         r = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(SingularMatrixError) as exc:
-            solve_spd(r, np.eye(3))
+            cholesky(r)
         assert exc.value.pivot_index == 1
 
     def test_non_square_rejected(self):
@@ -121,7 +123,3 @@ class TestSolveSpd:
     def test_right_hand_side_length_checked(self):
         with pytest.raises(ShapeError, match="mismatch"):
             solve_spd(np.eye(2), np.zeros((3, 1)))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ShapeError):
-            solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))

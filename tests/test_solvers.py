@@ -82,6 +82,27 @@ class TestSolveDirect:
         with pytest.raises(DomainError):
             warm_start(AlgorithmKind.ALG2, np.eye(2), Y1, k0sq)
 
+    # float() parses text, which numpy then cannot multiply
+    @pytest.mark.parametrize("k0sq", ["0.1", b"0.1", np.str_("0.1"), np.array("0.1")],
+                             ids=["str", "bytes", "numpy-str", "0-d-text-array"])
+    def test_k0sq_text_rejected(self, k0sq):
+        with pytest.raises(DomainError, match="must be a number"):
+            solve_direct(np.ones((1, 2)), Y1, k0sq)
+        for kind in AlgorithmKind:
+            with pytest.raises(DomainError, match="must be a number"):
+                warm_start(kind, np.eye(2), Y1, k0sq)
+
+    @pytest.mark.parametrize("k0sq", [1, np.float32(0.5), np.int64(1), np.array(0.5)],
+                             ids=["int", "float32", "int64", "0-d-array"])
+    def test_k0sq_numbers_solve_as_floats(self, k0sq):
+        h = np.array([[1.0, 2.0], [1.0, 0.0]])
+        want = solve_direct(h, Y1, float(k0sq))
+        assert solve_direct(h, Y1, k0sq).tobytes() == want.tobytes()
+        for kind in AlgorithmKind:
+            st = warm_start(kind, h, Y1, k0sq)
+            assert st.W.tobytes() == want.tobytes()
+            assert type(st.k0sq) is float
+
 
 class TestNonFiniteInput:
     """NaN, inf and overflowing entries raise DomainError at every entry point."""
@@ -197,6 +218,69 @@ class TestGramInputs:
             GRAM_ENTRIES[entry](h, y)
 
 
+class TestOneSolvePath:
+    """Every direct solve calls `solvers.solve_spd`, the module global a tracer rebinds."""
+
+    @staticmethod
+    def run_counted(monkeypatch, fn):
+        """fn() unwrapped, fn() with solvers.solve_spd wrapped, and the wrapper's call count."""
+        plain = fn()
+        calls = []
+        solve = solvers.solve_spd
+
+        def counting(c, m):
+            calls.append(c.shape)
+            return solve(c, m)
+
+        monkeypatch.setattr(solvers, "solve_spd", counting)
+        counted = fn()
+        monkeypatch.undo()
+        return plain, counted, len(calls)
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        a, b = arrays(got), arrays(want)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), name
+
+    @pytest.mark.parametrize("l0", [1, 7])
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_one_per_warm_start(self, monkeypatch, kind, l0):
+        h, y, _, _ = oracle_problem(nodes=12, k=40)
+        plain, counted, calls = self.run_counted(
+            monkeypatch, lambda: warm_start(kind, h[:l0], y, 0.1))
+        assert calls == 1
+        self.assert_bitwise(counted, plain)
+        plain, counted, calls = self.run_counted(
+            monkeypatch, lambda: init_solver(kind, h[0], y, 0.1))
+        assert calls == 1
+        self.assert_bitwise(counted, plain)
+
+    def test_one_per_prefix(self, monkeypatch):
+        h, y, _, _ = oracle_problem(nodes=12, k=40)
+        ls = [1, 5, 6, 12]
+        plain, counted, calls = self.run_counted(
+            monkeypatch, lambda: solve_direct_prefixes(h, y, 0.1, ls))
+        assert calls == len(ls)
+        assert sorted(counted) == ls
+        assert all(counted[l].tobytes() == plain[l].tobytes() for l in ls)
+
+    def test_one_per_solve_direct(self, monkeypatch):
+        h, y, _, _ = oracle_problem(nodes=12, k=40)
+        plain, counted, calls = self.run_counted(monkeypatch, lambda: solve_direct(h, y, 0.1))
+        assert calls == 1
+        assert counted.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_one_per_baseline_step_none_per_incremental(self, monkeypatch, kind):
+        h, y, _, _ = oracle_problem(nodes=12, k=40)
+        start = warm_start(kind, h[:5], y, 0.1)
+        plain, counted, calls = self.run_counted(monkeypatch, lambda: add_node(start, h[5]))
+        assert calls == (kind is AlgorithmKind.BASELINE)
+        self.assert_bitwise(counted, plain)
+
+
 class TestGrowRunOracle:
     def test_checkpoint_error_at_end_is_distance_to_solve_direct(self):
         h, y, ds, params = oracle_problem()
@@ -252,6 +336,14 @@ class TestGrowRunOracle:
             assert entry["max_weight_error"] == max(r.weight_error for r in upto_6)
             assert entry["max_output_error"] == max(r.output_error for r in upto_6)
             assert entry["breakdown"]["node"] == 7
+
+    @pytest.mark.parametrize("k0sq", ["0.1", b"0.1", np.array("0.1")],
+                             ids=["str", "bytes", "0-d-text-array"])
+    def test_k0sq_text_rejected(self, k0sq):
+        _, _, ds, params = oracle_problem()
+        with pytest.raises(DomainError, match="must be a number"):
+            grow_run(ds, ActivationKind.GAUSSIAN, k0sq, 1, 5, [AlgorithmKind.ALG3],
+                     seed=5, params=params)
 
     @pytest.mark.parametrize("start,end", [(0, 5), (6, 5), (1, 61)])
     def test_node_range_checked(self, start, end):
@@ -636,6 +728,13 @@ class TestFlopAccounting:
         st, h_bar = self.setup_state(kind)
         l, k, m = st.l, st.sample_count, st.Y.shape[0]
         assert self.step_cost(st, add_node(st, h_bar)) == 2 * l * k + 2 * m * k
+
+    def test_baseline_is_2l1sqk_plus_2ml1k(self):
+        # the Gram product and H Y^T of the l + 1 rows, metered in solvers._factor
+        st, h_bar = self.setup_state(AlgorithmKind.BASELINE)
+        l, k, m = st.l, st.sample_count, st.Y.shape[0]
+        got = self.step_cost(st, add_node(st, h_bar))
+        assert got == 2 * (l + 1) ** 2 * k + 2 * m * (l + 1) * k
 
     def test_counter_monotone(self):
         st, h_bar = self.setup_state(AlgorithmKind.ALG1)
