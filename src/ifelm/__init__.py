@@ -1,12 +1,6 @@
 """Inverse-free incremental training of single-hidden-layer random networks."""
 
-from .errors import (
-    CsvParseError,
-    DomainError,
-    NumericalBreakdownError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import CsvParseError, DomainError, NumericalBreakdownError, ShapeError
 from .model import (
     ActivationKind,
     ElmParams,

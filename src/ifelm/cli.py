@@ -23,7 +23,6 @@ import numpy as np
 import scipy
 
 from .data import SynthKind, TaskKind, load_csv, synth_dataset
-from .errors import DomainError
 from .experiments import bench_run, compare_run, eval_run, grow_run
 from .model import ActivationKind
 from .solvers import ALL_INCREMENTAL, AlgorithmKind
@@ -92,18 +91,6 @@ def _dataset(args):
                          args.outputs, args.seed)
 
 
-def _algorithms(spec: str) -> list[AlgorithmKind]:
-    if spec == "all":
-        return list(ALL_INCREMENTAL)
-    kinds = []
-    for name in spec.split(","):
-        kind = AlgorithmKind(name.strip())
-        if kind in kinds:
-            raise DomainError(f"algorithm {kind.value!r} named twice")
-        kinds.append(kind)
-    return kinds
-
-
 def _environment() -> dict:
     """Versions, BLAS build and thread variables; null where unknown or unset."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
@@ -129,7 +116,9 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     ds = _dataset(args)
-    algs = _algorithms(args.alg) if "alg" in args else ALL_INCREMENTAL
+    spec = getattr(args, "alg", "all")
+    algs = (ALL_INCREMENTAL if spec == "all" else
+            [AlgorithmKind(name.strip()) for name in spec.split(",")])
     kernel = ActivationKind(args.kernel)
     config = {k: v for k, v in vars(args).items() if k != "out"}
     out = Path(args.out)

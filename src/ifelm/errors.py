@@ -9,19 +9,12 @@ class DomainError(ValueError):
     """An argument is outside the supported domain (e.g. k0sq <= 0)."""
 
 
-class SingularMatrixError(ArithmeticError):
-    """A symmetric factorization failed; `pivot_index` names the first non-positive pivot."""
-
-    def __init__(self, message, pivot_index):
-        super().__init__(message)
-        self.pivot_index = pivot_index
-
-    def __reduce__(self):  # the index is required, so unpickling must pass it back
-        return type(self), (*self.args, self.pivot_index)
-
-
 class NumericalBreakdownError(ArithmeticError):
-    """A step's Schur denominator was not safely positive; `node_index` names the node."""
+    """A node's Schur denominator was not safely positive; `node_index` names it, from 1.
+
+    A Cholesky pivot of H H^T + k0sq I at node n is node n's denominator, so
+    this one error covers the start, the oracle, BASELINE and every step.
+    """
 
     def __init__(self, message, node_index):
         super().__init__(message)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import solvers
 from .data import Dataset, TaskKind, apply_normalization, normalize_features
-from .errors import DomainError
+from .errors import DomainError, NumericalBreakdownError
 from .evaluation import (
     GrowthTrace,
     StepRecord,
@@ -46,6 +46,15 @@ def _check_inputs(start: int, end: int, k0sq: float) -> None:
     if not 1 <= start <= end:
         raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
     _check_k0sq(k0sq)
+
+
+def _distinct(algorithms) -> list[AlgorithmKind]:
+    """`algorithms` as a list; DomainError naming a rule it lists twice."""
+    kinds = list(algorithms)
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise DomainError(f"algorithm {kind.value!r} named twice")
+    return kinds
 
 
 def _normal_residual(w: np.ndarray, h: np.ndarray, y: np.ndarray, k0sq: float) -> float:
@@ -88,7 +97,9 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     (`solvers.solve_direct_prefixes`); at l = end they are bitwise those
     of `solvers.solve_direct`.  A step's output error |(W - W_l) H_l|_F comes
     from the difference its weight error takes.  Needs 1 <= start <= end <=
-    the node count of `params` and a k0sq > 0 with a finite square, else raises DomainError.
+    the node count of `params`, a k0sq > 0 with a finite square and no rule
+    named twice, else raises DomainError.  A rule's failed step, reported by
+    NumericalBreakdownError, ends its trace; a failed oracle or start raises.
 
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
@@ -97,6 +108,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     relative normal-equation residual at each checkpoint.
     """
     _check_inputs(start, end, k0sq)
+    algorithms = _distinct(algorithms)
     if params is None:
         params = init_random_params(end, ds.X.shape[0], kernel, seed)
     if params.hidden_count < end:
@@ -127,7 +139,9 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
                                         flops=state.multiply_adds - metered,
                                         elapsed_ns=elapsed))
                 metered = state.multiply_adds
-        except solvers.NumericalBreakdownError as exc:
+        except NumericalBreakdownError as exc:
+            if not trace.records:                    # the start failed, not a step
+                raise
             breakdown = {"node": exc.node_index, "reason": str(exc)}
 
         records = trace.records
@@ -158,14 +172,15 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     multiply-adds, the count at l that `flop_model` predicts.  The hidden
     rows come from `init_random_params(l + repeats, ...)`, so they change
     with `repeats`, and a large `repeats` grows l with it.  Needs l >= 1
-    (the CLI's --end), repeats >= 1 and a k0sq > 0 with a finite square,
-    else raises DomainError.
+    (the CLI's --end), repeats >= 1, a k0sq > 0 with a finite square and
+    no rule named twice, else raises DomainError.
     """
     if l < 1:
         raise DomainError(f"end must be >= 1, got {l}")
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
     _check_k0sq(k0sq)
+    algorithms = _distinct(algorithms)
     params = init_random_params(l + repeats, ds.X.shape[0], kernel, seed)
     h_full = hidden_matrix(params, ds.X)
     m = ds.Y.shape[0]
@@ -207,10 +222,11 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     """K-fold cross-validation; per-fold training uses the chosen rule.
 
     Each fold grows from `start` to `end` nodes; needs 1 <= start <= end,
-    a k0sq > 0 with a finite square and 2 <= folds <= the sample count, else raises
-    DomainError.
+    a k0sq > 0 with a finite square, no rule named twice and 2 <= folds <=
+    the sample count, else raises DomainError.
     """
     _check_inputs(start, end, k0sq)
+    algorithms = _distinct(algorithms)
     splits = kfold_split(ds.sample_count, folds, seed)
     params = init_random_params(end, ds.X.shape[0], kernel, seed)
     report = {"folds": folds, "task": ds.task.value, "nodes": end, "algorithms": {}}

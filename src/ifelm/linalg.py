@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import ShapeError, SingularMatrixError
+from .errors import NumericalBreakdownError, ShapeError
 
 
 @dataclass
@@ -86,13 +86,13 @@ def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray,
 def cholesky(r: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor C of the SPD matrix R = C C^T, upper triangle zeroed.
 
-    Raises SingularMatrixError naming the first non-positive pivot.
+    C[n-1, n-1]^2 is the Schur denominator of node n, so a pivot that is not
+    positive raises NumericalBreakdownError with `node_index` n, from 1.
     """
     c, info = lapack.dpotrf(r, lower=1, clean=1)
     if info > 0:
-        raise SingularMatrixError(
-            f"matrix is not positive definite (pivot {info - 1})", pivot_index=info - 1
-        )
+        raise NumericalBreakdownError(f"matrix is not positive definite at node {info}",
+                                      node_index=info)
     return c
 
 

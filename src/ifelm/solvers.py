@@ -146,10 +146,10 @@ class SolverState:
 
 
 def _check_k0sq(k0sq: float) -> float:
-    # text passes float() but fails untyped inside numpy; and a step divides by
-    # c * delta >= k0sq^2, so k0sq's square must be finite too
-    if np.asarray(k0sq).dtype.kind in "SU":
-        raise DomainError(f"regularization k0sq must be a number, got {k0sq!r}")
+    # text passes float() but fails untyped in numpy, complex fails float(); and a
+    # step divides by c * delta >= k0sq^2, so k0sq's square must be finite too
+    if np.asarray(k0sq).dtype.kind in "SUc":
+        raise DomainError(f"regularization k0sq must be a number, not text or complex: {k0sq!r}")
     try:
         f = float(k0sq)
     except OverflowError:
@@ -159,18 +159,25 @@ def _check_k0sq(k0sq: float) -> float:
     return f
 
 
+def _real(a, name: str) -> np.ndarray:
+    """`a` as a float64 array; DomainError if complex, whose imaginary part the cast drops."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise DomainError(f"{name} must be real, got {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def _factor(h: np.ndarray, y: np.ndarray, k0sq: float,
             counter: FlopCounter | None = None) -> tuple[np.ndarray, ...]:
     """Float64 H and Y, the lower Cholesky factor C of H H^T + k0sq I, and H Y^T.
 
-    k0sq must be a number > 0 with a finite square, and the Gram matrix and
-    Y finite (DomainError); H must be non-empty and 2-D, and Y 2-D with H's
-    K columns (ShapeError); `cholesky` raises SingularMatrixError.  Both
-    products are metered on `counter`, if one is given.
+    k0sq must be a number > 0 with a finite square, H and Y real, and the
+    Gram matrix and Y finite (DomainError); H must be non-empty and 2-D, and
+    Y 2-D with H's K columns (ShapeError); a pivot that is not positive raises
+    NumericalBreakdownError at its node, from 1.  Both products meter on `counter`.
     """
     k0sq = _check_k0sq(k0sq)
-    h = np.asarray(h, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    h, y = _real(h, "H"), _real(y, "Y")
     if h.ndim != 2 or h.size < 1 or y.ndim != 2 or h.shape[1] != y.shape[1]:
         raise ShapeError(f"need a non-empty 2-D H and a 2-D Y with as many columns, "
                          f"got H {h.shape}, Y {y.shape}")
@@ -201,8 +208,9 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     serve every l, each solved by `solve_spd` on C[:l, :l].
     At l = n the result is `solve_direct(h[:n], y, k0sq)`; at smaller l it
     differs from it by rounding only.  A Gram matrix that is not positive
-    definite raises SingularMatrixError at its first non-positive pivot, as
-    the per-l solve of the next larger prefix does.
+    definite raises NumericalBreakdownError at the first node, from 1, whose
+    pivot in C is not positive.  LAPACK blocks each size apart, so a prefix's
+    own `solve_direct` may round that pivot the other way.
     """
     ls = list(ls)
     if not all(isinstance(l, (int, np.integer)) for l in ls):
@@ -219,8 +227,7 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
 def init_solver(kind: AlgorithmKind | str, h1: np.ndarray, y: np.ndarray,
                 k0sq: float) -> SolverState:
     """Start from the single hidden row h1: `warm_start` with l0 = 1."""
-    h1 = np.asarray(h1, dtype=np.float64).reshape(1, -1)
-    return warm_start(kind, h1, y, k0sq)
+    return warm_start(kind, np.asarray(h1).reshape(1, -1), y, k0sq)
 
 
 def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
@@ -327,12 +334,12 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
     """Literal two-term bordered update of the pseudo-inverse B.
 
     Both terms evaluate their own ((c I - h h^T) B) product and the output
-    weights are recomputed in full as Y B, which is exactly the 16lK + 2MlK
-    cost this rule is charged in comparisons.  The reductions over K (the
-    rows h^T B and the Schur denominator) run over all of B; the rest walks
-    B in `row_bands`, forming each band of both terms and of the new B
-    while it is in cache, in two band-sized scratch arrays.  Every product
-    keeps its operands and its rounding.
+    weights are recomputed in full as Y B: 16lK + 2l + 2M(l+1)K metered
+    multiply-adds, the cost this rule is charged in comparisons.  Reductions
+    over K (the rows h^T B and the Schur denominator) run over all of B; the
+    rest walks B in `row_bands`, forming each band of both terms and of the
+    new B while it is in cache, in two band-sized scratch arrays.  Every
+    product keeps its operands and its rounding.
     """
     h_col = h_bar.reshape(-1, 1)
     b = state.B
@@ -442,7 +449,7 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     """Add one hidden node with row h_bar to `state`; returns the child state.
 
     The frame common to every rule, in order: h_bar becomes a flat float64
-    row, checked to have K entries (ShapeError); the step scalar
+    row, real (DomainError) with K entries (ShapeError); the step scalar
     c = h_bar^T h_bar + k0sq is computed once, and must be finite
     (DomainError, so a row with a NaN, an inf or an overflowing square is
     rejected before it is stored); h_bar is appended to the chain's store,
@@ -456,7 +463,7 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     that raises leaves `state` and its chain as they were: the row it
     appended lies past every state's view and the owner is unchanged.
     """
-    h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
+    h_bar = _real(h_bar, "h_bar").reshape(-1)
     if h_bar.size != state.sample_count:
         raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
     c = float(np.vdot(h_bar, h_bar)) + state.k0sq

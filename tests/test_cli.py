@@ -395,6 +395,18 @@ class TestErrorPaths:
         assert "'alg3' named twice" in capsys.readouterr().err
         assert not out.exists()
 
+    # the runners reject it themselves, so a library call is checked as the CLI is
+    @pytest.mark.parametrize("runner", [
+        lambda ds, kinds: experiments.grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 3, kinds, 0),
+        lambda ds, kinds: experiments.bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 3, kinds, 0, 2),
+        lambda ds, kinds: experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 3, kinds,
+                                               0, 3),
+    ], ids=["grow_run", "bench_run", "eval_run"])
+    def test_runner_rejects_a_rule_named_twice(self, runner):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 20, 2, 1, seed=0)
+        with pytest.raises(DomainError, match="'alg2' named twice"):
+            runner(ds, [AlgorithmKind.ALG2, AlgorithmKind.ALG3, AlgorithmKind.ALG2])
+
     def test_nonpositive_regularization(self, tmp_path, capsys):
         rc = main(["grow", "--synth", "sine-mixture", "--k0sq", "0",
                    "--out", str(tmp_path)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ifelm.errors import ShapeError, SingularMatrixError
+from ifelm.errors import NumericalBreakdownError, ShapeError
 from ifelm.linalg import FlopCounter, add_outer, cholesky, gemm, solve_spd
 
 
@@ -112,9 +112,9 @@ class TestSolveSpd:
 
     def test_not_spd_reports_pivot(self):
         r = np.diag([1.0, -1.0, 2.0])
-        with pytest.raises(SingularMatrixError) as exc:
+        with pytest.raises(NumericalBreakdownError, match="at node 2") as exc:
             cholesky(r)
-        assert exc.value.pivot_index == 1
+        assert exc.value.node_index == 2
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError, match="square"):

@@ -23,10 +23,9 @@ from ifelm.errors import (
     DomainError,
     NumericalBreakdownError,
     ShapeError,
-    SingularMatrixError,
 )
 from ifelm.experiments import grow_run
-from ifelm.linalg import _BAND, FlopCounter, add_outer, row_bands
+from ifelm.linalg import _BAND, FlopCounter, add_outer, cholesky, row_bands
 from ifelm.model import ActivationKind, hidden_matrix, init_random_params
 from ifelm.solvers import (
     ALL_INCREMENTAL,
@@ -132,6 +131,54 @@ class TestNonFiniteInput:
             entry(h, y)
 
 
+class TestComplexInput:
+    """A complex k0sq, H, Y or row raises DomainError; none loses its imaginary part."""
+
+    @pytest.mark.parametrize("k0sq", [1 + 0j, np.complex128(0.5), np.array(1j)],
+                             ids=["complex", "numpy-complex", "0-d-complex-array"])
+    def test_k0sq(self, k0sq):
+        with pytest.raises(DomainError, match="complex"):
+            solve_direct(np.ones((1, 2)), Y1, k0sq)
+        for kind in AlgorithmKind:
+            with pytest.raises(DomainError, match="complex"):
+                warm_start(kind, np.eye(2), Y1, k0sq)
+
+    @pytest.mark.parametrize("where", ["H", "Y"])
+    @pytest.mark.parametrize("entry", [
+        lambda h, y: warm_start(AlgorithmKind.ALG3, h, y, 1.0),
+        lambda h, y: init_solver(AlgorithmKind.ALG2, h[1], y, 1.0),
+        lambda h, y: solve_direct(h, y, 1.0),
+        lambda h, y: solve_direct_prefixes(h, y, 1.0, [1, 2]),
+    ], ids=["warm_start", "init_solver", "solve_direct", "solve_direct_prefixes"])
+    def test_start_and_oracle(self, entry, where):
+        h = np.array([[1.0, 2.0], [1.0, 0.0]])
+        y = Y1
+        if where == "H":
+            h = h + 0.5j
+        else:
+            y = y + 0j
+        with pytest.raises(DomainError, match=f"{where} must be real"):
+            entry(h, y)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_add_node_row(self, kind):
+        st = worked_state(kind)
+        with pytest.raises(DomainError, match="h_bar must be real"):
+            add_node(st, HBAR + 1j)
+        child = add_node(st, HBAR)                   # the chain is as it was
+        assert child.W.tobytes() == add_node(worked_state(kind), HBAR).W.tobytes()
+
+
+def cholesky_failing_at(size):
+    """`linalg.cholesky`, handed a Gram matrix whose last pivot is negative at `size` rows."""
+    def wrapper(r):
+        if len(r) == size:
+            r = r.copy()
+            r[-1, -1] = -1.0
+        return cholesky(r)
+    return wrapper
+
+
 def oracle_problem(nodes=60, k=200, m=3, seed=5):
     ds = synth_dataset(SynthKind.SINE_MIXTURE, k, 4, m, seed=seed)
     params = init_random_params(nodes, 4, ActivationKind.GAUSSIAN, seed)
@@ -183,13 +230,16 @@ class TestSolveDirectPrefixes:
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 50, 8, 2, seed=0)
         params = init_random_params(120, 8, ActivationKind.HARDLIM, 0)
         h = hidden_matrix(params, ds.X)
-        with pytest.raises(SingularMatrixError) as per_l:
+        with pytest.raises(NumericalBreakdownError) as per_l:
             for l in range(1, 121):
                 solve_direct(h[:l], ds.Y, 1e-14)
-        with pytest.raises(SingularMatrixError) as one_factor:
+        with pytest.raises(NumericalBreakdownError) as one_factor:
             solve_direct_prefixes(h, ds.Y, 1e-14, range(1, 121))
-        assert per_l.value.pivot_index is not None
-        assert one_factor.value.pivot_index == per_l.value.pivot_index
+        # a node past H's rank, whose exact Schur denominator is ~k0sq; which
+        # one rounds below zero follows dpotrf's blocking, so the first prefix
+        # to fail (l = 60 with OpenBLAS) may name a node before its last
+        assert per_l.value.node_index > np.linalg.matrix_rank(h)
+        assert one_factor.value.node_index == per_l.value.node_index
 
 
 # the three entry points behind the one Gram check, each returning weights
@@ -336,6 +386,33 @@ class TestGrowRunOracle:
             assert entry["max_weight_error"] == max(r.weight_error for r in upto_6)
             assert entry["max_output_error"] == max(r.output_error for r in upto_6)
             assert entry["breakdown"]["node"] == 7
+
+    def test_baseline_breakdown_is_recorded_like_any_rule(self, monkeypatch):
+        _, _, ds, params = oracle_problem()
+        kinds = [AlgorithmKind.BASELINE, AlgorithmKind.ALG3]
+        full, _ = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, kinds,
+                           seed=5, params=params)
+        monkeypatch.setattr(solvers, "cholesky", cholesky_failing_at(7))
+        traces, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, kinds,
+                                   seed=5, params=params)
+        assert [r.l for r in traces["baseline"].records] == list(range(1, 7))
+        breakdown = summary["algorithms"]["baseline"]["breakdown"]
+        assert breakdown["node"] == 7 and "node 7" in breakdown["reason"]
+
+        def scores(trace):
+            return [(r.l, r.weight_error, r.output_error, r.flops) for r in trace.records]
+        assert scores(traces["alg3"]) == scores(full["alg3"])
+        assert summary["algorithms"]["alg3"]["breakdown"] is None
+
+    # the oracle factors all 10 nodes, every rule's start the first 3
+    @pytest.mark.parametrize("size", [3, 10], ids=["start", "oracle"])
+    def test_start_or_oracle_breakdown_raises(self, monkeypatch, size):
+        _, _, ds, params = oracle_problem()
+        monkeypatch.setattr(solvers, "cholesky", cholesky_failing_at(size))
+        with pytest.raises(NumericalBreakdownError) as exc:
+            grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 3, 10,
+                     [AlgorithmKind.BASELINE, AlgorithmKind.ALG3], seed=5, params=params)
+        assert exc.value.node_index == size
 
     @pytest.mark.parametrize("k0sq", ["0.1", b"0.1", np.array("0.1")],
                              ids=["str", "bytes", "0-d-text-array"])
@@ -807,11 +884,10 @@ class TestBreakdownErrors:
             add_node(bad, HBAR)
         assert exc.value.node_index == 2
 
-    @pytest.mark.parametrize("error,name", [(NumericalBreakdownError, "node_index"),
-                                            (SingularMatrixError, "pivot_index")])
+    @pytest.mark.parametrize("error,name", [(NumericalBreakdownError, "node_index")])
     def test_error_requires_and_pickles_its_index(self, error, name):
         with pytest.raises(TypeError):
-            error("no node or pivot named")
+            error("no node named")
         back = pickle.loads(pickle.dumps(error("at index 3", **{name: 3})))
         assert (type(back), str(back), getattr(back, name)) == (error, "at index 3", 3)
 
