@@ -168,12 +168,12 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     every timed step is the step those runs take.  The first step also
     builds the chain's store, copying H (and L, D); every later one
     appends in place, so `min_ns` is the in-place cost and `mean_ns`
-    includes the one copy.  `flops_per_step` is the first step's
-    multiply-adds, the count at l that `flop_model` predicts.  The hidden
-    rows come from `init_random_params(l + repeats, ...)`, so they change
-    with `repeats`, and a large `repeats` grows l with it.  Needs l >= 1
-    (the CLI's --end), repeats >= 1, a k0sq > 0 with a finite square and
-    no rule named twice, else raises DomainError.
+    includes the one copy.  `flops_per_step` is the first step's multiply-adds
+    and equals `flop_model`, each benched rule's `step_multiply_adds` at l.
+    The hidden rows come from `init_random_params(l + repeats, ...)`, so they
+    change with `repeats`, and a large `repeats` grows l with it.  Needs
+    l >= 1 (the CLI's --end), repeats >= 1, a k0sq > 0 with a finite square
+    and no rule named twice, else raises DomainError.
     """
     if l < 1:
         raise DomainError(f"end must be >= 1, got {l}")
@@ -183,17 +183,12 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     algorithms = _distinct(algorithms)
     params = init_random_params(l + repeats, ds.X.shape[0], kernel, seed)
     h_full = hidden_matrix(params, ds.X)
-    m = ds.Y.shape[0]
-    k = ds.X.shape[1]
+    m, k = ds.Y.shape
 
     report = {
         "K": k, "l": l, "M": m, "repeats": repeats,
-        "flop_model": {
-            "existing": 16 * l * k + 2 * m * l * k,
-            "alg1": 6 * l * k + 2 * m * k,
-            "alg2": 2 * l * k + 2 * m * k,
-            "alg3": 2 * l * k + 2 * m * k,
-        },
+        "flop_model": {kind.value: solvers.step_multiply_adds(kind, l, k, m)
+                       for kind in algorithms},
         "algorithms": {},
     }
     for kind in algorithms:

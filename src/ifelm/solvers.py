@@ -28,8 +28,8 @@ start, the direct-solve oracle `solve_direct_prefixes` and BASELINE's step.
 All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  Products along the K (sample) dimension run through the metered
 gemm; l- and M-sized bookkeeping is deliberately unmetered so recorded
-flops follow the dominant-cost model.  A step's metered count is the new
-state's `multiply_adds` minus its parent's.
+flops follow the dominant-cost model.  A step's metered count, the new
+state's `multiply_adds` minus its parent's, is `step_multiply_adds`.
 
 Storage model.  States are immutable to the caller, but a step does not
 copy the append-only arrays H (a row per node), L (a column per node) and
@@ -115,8 +115,8 @@ class SolverState:
     BASELINE carries nothing beyond H, Y, W.  In a grown state H, L and D
     are views of its chain's store, which only the chain's newest state
     appends to (see the module docstring); treat every array as read-only.
-    `multiply_adds` is the metered cost of the steps from the start state
-    (0 after `warm_start`) to this one.  States compare and hash by identity.
+    `multiply_adds` sums each step's `step_multiply_adds` from the start (0
+    after `warm_start`) to this one.  States compare and hash by identity.
     """
 
     kind: AlgorithmKind
@@ -268,7 +268,7 @@ def compute_p(state: SolverState, h_bar: np.ndarray, counter: FlopCounter) -> np
 
     `add_node` computes it and c once per step; kernels hold only their own algebra.
     """
-    return gemm(state.H, np.asarray(h_bar, dtype=np.float64).reshape(-1, 1), counter).reshape(-1)
+    return gemm(state.H, _real(h_bar, "h_bar").reshape(-1, 1), counter).reshape(-1)
 
 
 def _schur_denominator(c: float, correction: float, node_index: int) -> float:
@@ -334,12 +334,12 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
     """Literal two-term bordered update of the pseudo-inverse B.
 
     Both terms evaluate their own ((c I - h h^T) B) product and the output
-    weights are recomputed in full as Y B: 16lK + 2l + 2M(l+1)K metered
-    multiply-adds, the cost this rule is charged in comparisons.  Reductions
-    over K (the rows h^T B and the Schur denominator) run over all of B; the
-    rest walks B in `row_bands`, forming each band of both terms and of the
-    new B while it is in cache, in two band-sized scratch arrays.  Every
-    product keeps its operands and its rounding.
+    weights are recomputed in full as Y B; `step_multiply_adds` is the cost
+    this rule is charged in comparisons.  Reductions over K (the rows h^T B
+    and the Schur denominator) run over all of B; the rest walks B in
+    `row_bands`, forming each band of both terms and of the new B while it
+    is in cache, in two band-sized scratch arrays.  Every product keeps its
+    operands and its rounding.
     """
     h_col = h_bar.reshape(-1, 1)
     b = state.B
@@ -443,6 +443,21 @@ _RULES = {
     AlgorithmKind.ALG2: _alg2,
     AlgorithmKind.ALG3: _alg3,
 }
+
+
+def step_multiply_adds(kind: AlgorithmKind | str, l: int, k: int, m: int) -> int:
+    """Metered multiply-adds of one `kind` step from l to l + 1 nodes, K samples, M outputs.
+
+    The rules' one cost model, exactly what `add_node` meters; `kind` is an
+    `AlgorithmKind` or its name, as in `warm_start`.
+    """
+    return {
+        AlgorithmKind.BASELINE: 2 * (l + 1) ** 2 * k + 2 * m * (l + 1) * k,
+        AlgorithmKind.EXISTING: 16 * l * k + 2 * l + 2 * m * (l + 1) * k,
+        AlgorithmKind.ALG1: 6 * l * k + 2 * m * k,
+        AlgorithmKind.ALG2: 2 * l * k + 2 * m * k,
+        AlgorithmKind.ALG3: 2 * l * k + 2 * m * k,
+    }[AlgorithmKind(kind)]
 
 
 def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:

@@ -148,19 +148,27 @@ class TestCompareCommand:
 
 
 class TestBenchCommand:
-    def test_smoke(self, tmp_path):
+    @staticmethod
+    def bench(tmp_path, *alg):
         rc = main(["bench", "--synth", "sine-mixture", "--samples", "80",
                    "--features", "3", "--outputs", "2", "--end", "12",
-                   "--repeats", "3", "--out", str(tmp_path)])
+                   "--repeats", "3", *alg, "--out", str(tmp_path)])
         assert rc == 0
-        doc = json.loads((tmp_path / "bench.json").read_text())
-        bench = doc["bench"]
+        return json.loads((tmp_path / "bench.json").read_text())["bench"]
+
+    def test_smoke(self, tmp_path):
+        bench = self.bench(tmp_path)
         assert bench["l"] == 12 and bench["K"] == 80
-        # metered counts sit within a few percent of the dominant-term models
-        for name in ("existing", "alg1", "alg2", "alg3"):
-            got = bench["algorithms"][name]["flops_per_step"]
-            model = bench["flop_model"][name]
-            assert abs(got - model) <= 0.05 * model
+        # the metered counts are the cost model's, exactly
+        assert set(bench["flop_model"]) == {"existing", "alg1", "alg2", "alg3"}
+        for name, entry in bench["algorithms"].items():
+            assert entry["flops_per_step"] == bench["flop_model"][name]
+
+    def test_flop_model_follows_alg(self, tmp_path):
+        bench = self.bench(tmp_path, "--alg", "baseline,alg3")
+        assert set(bench["flop_model"]) == set(bench["algorithms"]) == {"baseline", "alg3"}
+        for name, entry in bench["algorithms"].items():
+            assert entry["flops_per_step"] == bench["flop_model"][name]
 
     def test_bench_run_needs_a_repeat(self):
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 30, 2, 1, seed=0)

@@ -35,6 +35,7 @@ from ifelm.solvers import (
     init_solver,
     solve_direct,
     solve_direct_prefixes,
+    step_multiply_adds,
     warm_start,
 )
 
@@ -483,6 +484,11 @@ class TestComputeP:
         with pytest.raises(ShapeError):
             compute_p(worked_state(AlgorithmKind.ALG2), np.zeros(5), FlopCounter())
 
+    def test_complex_row_rejected(self):
+        # the float64 cast would drop the imaginary part
+        with pytest.raises(DomainError, match="h_bar"):
+            compute_p(worked_state(AlgorithmKind.ALG2), [1 + 5j, 0], FlopCounter())
+
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_add_node_computes_it_once_per_incremental_step(self, kind, monkeypatch):
         # the frame owns the cross term: tracing times it by rebinding solvers.compute_p
@@ -772,7 +778,7 @@ class TestWarmStart:
 
 
 class TestFlopAccounting:
-    """Per-step metered counts must equal the dominant-cost model exactly.
+    """Per-step metered counts must equal `step_multiply_adds` exactly.
 
     A step's count is the child's `multiply_adds` minus its parent's.
     """
@@ -787,31 +793,21 @@ class TestFlopAccounting:
     def step_cost(st, child):
         return child.multiply_adds - st.multiply_adds
 
-    def test_existing_is_16lk_plus_2mlk(self):
-        # K=3001 walks B in three row bands; the count must not depend on them
-        for k in (300, 3001):
-            st, h_bar = self.setup_state(AlgorithmKind.EXISTING, k=k)
-            l, m = st.l, st.Y.shape[0]
-            got = self.step_cost(st, add_node(st, h_bar))
-            assert got == 16 * l * k + 2 * l + 2 * m * (l + 1) * k
-
-    def test_alg1_is_6lk_plus_2mk(self):
-        st, h_bar = self.setup_state(AlgorithmKind.ALG1)
-        l, k, m = st.l, st.sample_count, st.Y.shape[0]
-        assert self.step_cost(st, add_node(st, h_bar)) == 6 * l * k + 2 * m * k
-
-    @pytest.mark.parametrize("kind", [AlgorithmKind.ALG2, AlgorithmKind.ALG3])
-    def test_alg2_alg3_are_2lk_plus_2mk(self, kind):
-        st, h_bar = self.setup_state(kind)
-        l, k, m = st.l, st.sample_count, st.Y.shape[0]
-        assert self.step_cost(st, add_node(st, h_bar)) == 2 * l * k + 2 * m * k
-
-    def test_baseline_is_2l1sqk_plus_2ml1k(self):
-        # the Gram product and H Y^T of the l + 1 rows, metered in solvers._factor
-        st, h_bar = self.setup_state(AlgorithmKind.BASELINE)
-        l, k, m = st.l, st.sample_count, st.Y.shape[0]
+    # K=3001 walks B in three row bands; the count must not depend on them
+    @pytest.mark.parametrize("k", [300, 3001])
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_step_is_the_cost_model(self, kind, k):
+        st, h_bar = self.setup_state(kind, k=k)
         got = self.step_cost(st, add_node(st, h_bar))
-        assert got == 2 * (l + 1) ** 2 * k + 2 * m * (l + 1) * k
+        assert got == step_multiply_adds(kind, st.l, k, st.Y.shape[0])
+
+    def test_cost_model_at_the_readme_example(self):
+        # K=2000, l=500, M=10, with rules named as in warm_start
+        got = {kind.value: step_multiply_adds(kind.value, 500, 2000, 10) for kind in AlgorithmKind}
+        assert got == {"baseline": 1_024_044_000, "existing": 36_041_000,
+                       "alg1": 6_040_000, "alg2": 2_040_000, "alg3": 2_040_000}
+        with pytest.raises(DomainError, match="nope"):
+            step_multiply_adds("nope", 500, 2000, 10)
 
     def test_counter_monotone(self):
         st, h_bar = self.setup_state(AlgorithmKind.ALG1)
@@ -833,20 +829,15 @@ class TestFlopAccounting:
     def test_grow_run_trace_matches_models(self):
         k, m, end = 60, 2, 12
         ds = synth_dataset(SynthKind.SINE_MIXTURE, k, 3, m, seed=4)
-        model = {
-            "existing": lambda l: 16 * l * k + 2 * l + 2 * m * (l + 1) * k,
-            "alg1": lambda l: 6 * l * k + 2 * m * k,
-            "alg2": lambda l: 2 * l * k + 2 * m * k,
-            "alg3": lambda l: 2 * l * k + 2 * m * k,
-        }
         traces, _ = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, end,
                              ALL_INCREMENTAL, seed=4)
-        for name, cost in model.items():
-            recs = traces[name].records
+        for kind in ALL_INCREMENTAL:
+            recs = traces[kind.value].records
             assert [r.l for r in recs] == list(range(1, end + 1))
             assert recs[0].flops == 0
             # the record at l is the step from l - 1 nodes
-            assert [r.flops for r in recs[1:]] == [cost(l) for l in range(1, end)]
+            assert [r.flops for r in recs[1:]] == [step_multiply_adds(kind, l, k, m)
+                                                   for l in range(1, end)]
 
 
 class TestStabilityDrift:
@@ -1114,8 +1105,8 @@ class TestExistingRowBands:
         for name in ("H", "W", "B"):
             assert getattr(child, name).tobytes() == getattr(want, name).tobytes(), \
                 f"{name} at l={child.l}"
-        l, k, m = st.l, st.sample_count, st.Y.shape[0]
-        assert child.multiply_adds - st.multiply_adds == 16 * l * k + 2 * l + 2 * m * (l + 1) * k
+        assert child.multiply_adds - st.multiply_adds == step_multiply_adds(
+            AlgorithmKind.EXISTING, st.l, st.sample_count, st.Y.shape[0])
         return child, want
 
     def test_chain_across_three_bands(self):
