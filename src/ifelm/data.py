@@ -130,12 +130,19 @@ def apply_normalization(ds: Dataset, transform) -> Dataset:
     return Dataset(X=x, Y=ds.Y, task=ds.task)
 
 
+def _check_seed(seed: int) -> int:
+    """`seed`, or DomainError naming it unless it is a Python or numpy integer >= 0."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def synth_dataset(kind: SynthKind, k: int, n: int, m: int, seed: int,
                   noise: float = 0.05) -> Dataset:
     """Deterministic seeded synthetic data with a known generating process."""
     if k < 1 or n < 1 or m < 1:
         raise DomainError(f"need K, N, M >= 1, got K={k}, N={n}, M={m}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
 
     if kind is SynthKind.SINE_MIXTURE:
         x = rng.uniform(-1.0, 1.0, size=(n, k))

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _check_seed
 from .errors import DomainError, ShapeError
 
 
@@ -126,7 +127,7 @@ def kfold_split(k: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndar
         raise DomainError(f"need at least 2 folds, got {folds}")
     if folds > k:
         raise DomainError(f"cannot make {folds} folds from {k} samples")
-    perm = np.random.default_rng(seed).permutation(k)
+    perm = np.random.default_rng(_check_seed(seed)).permutation(k)
     blocks = np.array_split(perm, folds)
     out = []
     for i, test in enumerate(blocks):

@@ -42,7 +42,7 @@ DEFAULT_THRESHOLDS = {kind: (500, 1e-4) if kind is AlgorithmKind.ALG2 else (100,
 
 
 def _check_inputs(start: int, end: int, k0sq: float) -> None:
-    """Raise DomainError unless 1 <= start <= end and k0sq > 0 has a finite square."""
+    """Raise DomainError unless 1 <= start <= end and k0sq^2 is a normal float."""
     if not 1 <= start <= end:
         raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
     _check_k0sq(k0sq)
@@ -97,9 +97,10 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     (`solvers.solve_direct_prefixes`); at l = end they are bitwise those
     of `solvers.solve_direct`.  A step's output error |(W - W_l) H_l|_F comes
     from the difference its weight error takes.  Needs 1 <= start <= end <=
-    the node count of `params`, a k0sq > 0 with a finite square and no rule
-    named twice, else raises DomainError.  A rule's failed step, reported by
-    NumericalBreakdownError, ends its trace; a failed oracle or start raises.
+    the node count of `params`, a k0sq > 0 whose square is a normal float
+    and no rule named twice, else raises DomainError.  A rule's failed step,
+    reported by NumericalBreakdownError, ends its trace; a failed oracle or
+    start raises.
 
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
@@ -172,8 +173,8 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     and equals `flop_model`, each benched rule's `step_multiply_adds` at l.
     The hidden rows come from `init_random_params(l + repeats, ...)`, so they
     change with `repeats`, and a large `repeats` grows l with it.  Needs
-    l >= 1 (the CLI's --end), repeats >= 1, a k0sq > 0 with a finite square
-    and no rule named twice, else raises DomainError.
+    l >= 1 (the CLI's --end), repeats >= 1, a k0sq > 0 whose square is a
+    normal float and no rule named twice, else raises DomainError.
     """
     if l < 1:
         raise DomainError(f"end must be >= 1, got {l}")
@@ -217,8 +218,8 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     """K-fold cross-validation; per-fold training uses the chosen rule.
 
     Each fold grows from `start` to `end` nodes; needs 1 <= start <= end,
-    a k0sq > 0 with a finite square, no rule named twice and 2 <= folds <=
-    the sample count, else raises DomainError.
+    a k0sq > 0 whose square is a normal float, no rule named twice and
+    2 <= folds <= the sample count, else raises DomainError.
     """
     _check_inputs(start, end, k0sq)
     algorithms = _distinct(algorithms)

@@ -12,6 +12,7 @@ from enum import Enum
 
 import numpy as np
 
+from .data import _check_seed
 from .errors import DomainError, ShapeError
 
 
@@ -53,7 +54,7 @@ def init_random_params(l: int, n: int, kind: ActivationKind, seed: int) -> ElmPa
     """Draw A (l x n) and d (l,) i.i.d. uniform on [-1, 1], deterministically."""
     if l < 1 or n < 1:
         raise DomainError(f"need l >= 1 and N >= 1, got l={l}, N={n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     a = rng.uniform(-1.0, 1.0, size=(l, n))
     d = rng.uniform(-1.0, 1.0, size=l)
     return ElmParams(A=a, d=d, kind=kind)

@@ -35,22 +35,21 @@ Storage model.  States are immutable to the caller, but a step does not
 copy the append-only arrays H (a row per node), L (a column per node) and
 D (an entry per node).  Each chain of states keeps them in one store of
 buffers whose capacity doubles when full; the state's fields are exact
-l-sized views of them.  The store's owner is the newest state grown from
-it, held weakly so that a dropped chain is freed at once.  A step appends
-in place only when the state it steps is the owner and the store has room.
-Any other state copies into a new store first: one already stepped, a
-`dataclasses.replace`d one, or one from `warm_start`, which owns no store
-(its h is never written).  So re-stepping an old state is correct but pays
-a copy, and chained growth appends in place.  B, Q and W are rewritten by
-every step, each into a fresh array at its new size; `_fresh` carves the
-large ones from whole blocks, so a block its parent's array freed can
-serve them.  Two threads must not step the same state at the same time.
+l-sized views of them.  The store's fill level n is the node count of the
+newest state grown from it.  A step appends in place only when the state
+it steps has l == n and the store has room.  Any other state copies into
+a new store first: one already stepped, and one with no store, such as a
+`dataclasses.replace`d, pickled or deep-copied state or one from
+`warm_start` (whose h is never written).  So re-stepping an old state is
+correct but pays a copy, and chained growth appends in place.  B, Q and W
+are rewritten by every step, each into a fresh array at its new size;
+`_fresh` carves the large ones from whole blocks, which a freed parent's
+array can leave behind.  Two threads must not step the same state at once.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -87,11 +86,11 @@ ALL_INCREMENTAL = (AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
 class _Store:
     """One chain's H, plus L and D for ALG3, in buffers with spare capacity.
 
-    `owner` weakly references the newest state grown from the store, the
-    only state that may append to it.
+    `n`, the fill level, is the node count of the newest state grown from it,
+    the only state that may append.  L is zeroed, so a step writes only its column.
     """
 
-    __slots__ = ("H", "L", "D", "owner")
+    __slots__ = ("H", "L", "D", "n")
 
     def __init__(self, state: SolverState):
         n, size = state.l, 2 * (state.l + 1)
@@ -99,11 +98,11 @@ class _Store:
         self.H[:n] = state.H
         self.L = self.D = None
         if state.kind is AlgorithmKind.ALG3:
-            self.L = np.empty((size, size))
+            self.L = np.zeros((size, size))
             self.L[:n, :n] = state.L
             self.D = np.empty(size)
             self.D[:n] = state.D
-        self.owner = None
+        self.n = n
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +112,8 @@ class SolverState:
     Aux content by kind: EXISTING/ALG1 carry B (K x l); ALG2 carries
     Q (l x l); ALG3 carries L (l x l, unit upper-triangular) and D (l,);
     BASELINE carries nothing beyond H, Y, W.  In a grown state H, L and D
-    are views of its chain's store, which only the chain's newest state
-    appends to (see the module docstring); treat every array as read-only.
+    are views of its chain's store (see the module docstring), which only
+    `add_node` sets; treat every array as read-only.
     `multiply_adds` sums each step's `step_multiply_adds` from the start (0
     after `warm_start`) to this one.  States compare and hash by identity.
     """
@@ -129,7 +128,7 @@ class SolverState:
     L: np.ndarray | None = None
     D: np.ndarray | None = None
     multiply_adds: int = 0
-    _store: _Store | None = field(default=None, repr=False)
+    _store: _Store | None = field(default=None, init=False, repr=False)
 
     @property
     def l(self) -> int:
@@ -140,22 +139,23 @@ class SolverState:
         return self.H.shape[1]
 
     def __getstate__(self) -> dict:
-        # The store's owner is a weak reference, which cannot be pickled; a
-        # pickled or deep-copied state owns no store and copies on its first step.
+        # keeps the store's spare capacity out of pickles and deep copies; such a
+        # state holds no store and copies on its first step
         return {**self.__dict__, "_store": None}
 
 
 def _check_k0sq(k0sq: float) -> float:
     # text passes float() but fails untyped in numpy, complex fails float(); and a
-    # step divides by c * delta >= k0sq^2, so k0sq's square must be finite too
+    # step divides by c * delta >= k0sq^2, so k0sq^2 must be a normal float
     if np.asarray(k0sq).dtype.kind in "SUc":
         raise DomainError(f"regularization k0sq must be a number, not text or complex: {k0sq!r}")
     try:
         f = float(k0sq)
     except OverflowError:
         raise DomainError("regularization k0sq is beyond float range") from None
-    if not (f > 0.0 and math.isfinite(f * f)):
-        raise DomainError(f"regularization k0sq must be > 0 with a finite square, got {k0sq}")
+    if not (f > 0.0 and np.finfo(float).tiny <= f * f < math.inf):
+        raise DomainError(f"regularization k0sq must lie in about 1.49e-154..1.34e154, "
+                          f"where its square is a normal float, got {k0sq}")
     return f
 
 
@@ -171,9 +171,9 @@ def _factor(h: np.ndarray, y: np.ndarray, k0sq: float,
             counter: FlopCounter | None = None) -> tuple[np.ndarray, ...]:
     """Float64 H and Y, the lower Cholesky factor C of H H^T + k0sq I, and H Y^T.
 
-    k0sq must be a number > 0 with a finite square, H and Y real, and the
-    Gram matrix and Y finite (DomainError); H must be non-empty and 2-D, and
-    Y 2-D with H's K columns (ShapeError); a pivot that is not positive raises
+    k0sq must pass `_check_k0sq`, H and Y be real, and the Gram matrix and
+    Y be finite (DomainError); H must be non-empty and 2-D, and Y 2-D with
+    H's K columns (ShapeError); a pivot that is not positive raises
     NumericalBreakdownError at its node, from 1.  Both products meter on `counter`.
     """
     k0sq = _check_k0sq(k0sq)
@@ -430,7 +430,6 @@ def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
     w = _weight_border(state, h_bar, p, tau, t_tilde, cnt)
     n = state.l
     store.L[:n, n] = t_tilde
-    store.L[n, :n] = 0.0
     store.L[n, n] = 1.0
     store.D[n] = tau
     return w, {"L": store.L[:n + 1, :n + 1], "D": store.D[:n + 1]}
@@ -465,34 +464,35 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
 
     The frame common to every rule, in order: h_bar becomes a flat float64
     row, real (DomainError) with K entries (ShapeError); the step scalar
-    c = h_bar^T h_bar + k0sq is computed once, and must be finite
-    (DomainError, so a row with a NaN, an inf or an overflowing square is
-    rejected before it is stored); h_bar is appended to the chain's store,
-    in place only if `state` is the store's owner and the store has room,
-    else into a new store that copies `state`'s arrays; a counter starts
-    from `state.multiply_adds`; the cross term p = H h_bar is computed once
-    by `compute_p`, except for BASELINE, which re-solves from scratch; the
+    c = h_bar^T h_bar + k0sq is computed once, and c^2 (>= c delta) must be
+    finite (DomainError, so a row with a NaN, an inf or c >= sqrt(max float)
+    is rejected before it is stored); h_bar is appended to the chain's store,
+    in place only if `state` is at the store's fill level and the store has
+    room, else into a new store that copies `state`'s arrays; a counter
+    starts from `state.multiply_adds`; p = H h_bar is computed once by
+    `compute_p`, except for BASELINE, which re-solves from scratch; the
     rule's kernel in `_RULES` gets c and p, holds only its own algebra, and
     returns the new W and the rule's aux arrays; the child is built over
-    the store's first l + 1 rows and becomes the store's owner.  A kernel
-    that raises leaves `state` and its chain as they were: the row it
-    appended lies past every state's view and the owner is unchanged.
+    the store's first l + 1 rows, and only then is the fill level l + 1.  A
+    kernel that raises leaves `state` and its chain as they were: the row it
+    appended lies past every state's view and the fill level is unchanged.
     """
     h_bar = _real(h_bar, "h_bar").reshape(-1)
     if h_bar.size != state.sample_count:
         raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
     c = float(np.vdot(h_bar, h_bar)) + state.k0sq
-    if not math.isfinite(c):
-        raise DomainError(f"h_bar^T h_bar + k0sq is {c}; h_bar must be finite")
+    if not math.isfinite(c * c):
+        raise DomainError(f"h_bar^T h_bar + k0sq is {c}; it must be finite and < 1.34e154")
     n = state.l
     store = state._store
-    if store is None or store.owner() is not state or store.H.shape[0] == n:
+    if store is None or store.n != n or store.H.shape[0] == n:
         store = _Store(state)
     store.H[n] = h_bar
     cnt = FlopCounter(state.multiply_adds)
     p = None if state.kind is AlgorithmKind.BASELINE else compute_p(state, h_bar, cnt)
     w, aux = _RULES[state.kind](state, h_bar, c, p, store, cnt)
     child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1], Y=state.Y, W=w,
-                        multiply_adds=cnt.multiply_adds, _store=store, **aux)
-    store.owner = weakref.ref(child)
+                        multiply_adds=cnt.multiply_adds, **aux)
+    object.__setattr__(child, "_store", store)
+    store.n = n + 1
     return child

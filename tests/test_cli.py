@@ -430,6 +430,26 @@ class TestErrorPaths:
         assert "k0sq" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    # a row whose c = h^T h + k0sq has no finite square, a k0sq whose square is
+    # not a normal float, and a negative seed, on the --synth and --data paths
+    @pytest.mark.parametrize("source,flags,word", [
+        ("big-csv", ["--kernel", "linear", "--end", "2"], "h_bar"),
+        ("synth", ["--k0sq", "1e-200", "--end", "3"], "k0sq"),
+        ("synth", ["--end", "3", "--seed", "-1"], "seed"),
+        ("big-csv", ["--end", "3", "--seed", "-1"], "seed"),
+    ], ids=["row-square-overflows", "k0sq-square-underflows", "negative-seed-synth",
+            "negative-seed-csv"])
+    def test_domain_edge_is_an_error(self, tmp_path, capsys, source, flags, word):
+        data = tmp_path / "big.csv"
+        x = np.random.default_rng(0).standard_normal((40, 3))
+        np.savetxt(data, np.column_stack([1e80 * x[:, :2], x[:, 2]]), delimiter=",")
+        src = ["--data", str(data)] if source == "big-csv" else ["--synth", "sine-mixture"]
+        out = tmp_path / "run"
+        assert main(["grow", *src, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and word in err
+        assert not out.exists()
+
     def test_regularization_with_overflowing_square(self, tmp_path, capsys):
         # every step divides by c * delta >= k0sq^2; 1e200^2 overflows
         argv = ["grow", "--synth", "sine-mixture", "--end", "5"]

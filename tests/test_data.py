@@ -206,6 +206,17 @@ class TestSynthDataset:
         with pytest.raises(DomainError):
             synth_dataset(SynthKind.SINE_MIXTURE, 0, 3, 1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, "1", None],
+                             ids=["negative", "negative-numpy", "float", "text", "none"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        a = synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=np.uint8(4))
+        b = synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=4)
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+
 
 class TestDatasetShapes:
     @pytest.mark.parametrize("x,y", [

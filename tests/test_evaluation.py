@@ -166,6 +166,16 @@ class TestKfoldSplit:
         with pytest.raises(DomainError):
             kfold_split(10, 1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, "1", None],
+                             ids=["negative", "negative-numpy", "float", "text", "none"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            kfold_split(10, 2, seed)
+
+    def test_numpy_integer_seed(self):
+        for (tr1, te1), (tr2, te2) in zip(kfold_split(10, 2, np.int32(3)), kfold_split(10, 2, 3)):
+            assert np.array_equal(tr1, tr2) and np.array_equal(te1, te2)
+
     @given(st.integers(2, 60), st.integers(2, 8), st.integers(0, 1000))
     @settings(max_examples=60, deadline=None)
     def test_partition_property(self, k, folds, seed):

@@ -32,6 +32,17 @@ class TestInitRandomParams:
         with pytest.raises(DomainError):
             init_random_params(2, 0, ActivationKind.LINEAR, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, "1", None],
+                             ids=["negative", "negative-numpy", "float", "text", "none"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            init_random_params(3, 2, ActivationKind.GAUSSIAN, seed)
+
+    def test_numpy_integer_seed(self):
+        a = init_random_params(3, 2, ActivationKind.GAUSSIAN, np.int64(7))
+        b = init_random_params(3, 2, ActivationKind.GAUSSIAN, 7)
+        assert np.array_equal(a.A, b.A) and np.array_equal(a.d, b.d)
+
 
 class TestActivate:
     def test_sigmoid_symmetry_point(self):

@@ -72,8 +72,8 @@ class TestSolveDirect:
             solve_direct(np.ones((1, 2)), Y1, -1.0)
 
     # 1e200 is finite but its square is not, and a step divides by c * delta >= k0sq^2;
-    # 10**400 has no float at all
-    @pytest.mark.parametrize("k0sq", [np.inf, np.nan, -np.inf, 1e200, 10**400])
+    # the squares of 1e-155 and 1e-200 are subnormal or 0; 10**400 has no float at all
+    @pytest.mark.parametrize("k0sq", [np.inf, np.nan, -np.inf, 1e200, 1e-155, 1e-200, 10**400])
     def test_k0sq_must_be_finite(self, k0sq):
         with pytest.raises(DomainError):
             solve_direct(np.ones((1, 2)), Y1, k0sq)
@@ -107,11 +107,36 @@ class TestSolveDirect:
 class TestNonFiniteInput:
     """NaN, inf and overflowing entries raise DomainError at every entry point."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    # 1e100 leaves c = h^T h + k0sq finite but not c^2, which bounds EXISTING's divisor
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, 1e100])
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_add_node_rejects_row(self, kind, bad):
         with pytest.raises(DomainError):
             add_node(worked_state(kind), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_row_whose_c_squared_is_just_finite(self, kind):
+        # c just below and just above sqrt(max float), on a chain with room to append
+        rng = np.random.default_rng(5)
+        h, y = rng.uniform(-1, 1, (5, 30)), rng.standard_normal((2, 30))
+        st = warm_start(kind, h[:2], y, 0.1)
+        for row in h[2:]:
+            st = add_node(st, row)
+        kept = snapshot(st)
+        v = rng.uniform(-1, 1, 30)
+        root = math.sqrt(np.finfo(float).max)
+        below, above = (v * math.sqrt(root * f / np.vdot(v, v)) for f in (1 - 1e-12, 1 + 1e-12))
+        c = [float(np.vdot(r, r)) + 0.1 for r in (below, above)]
+        assert math.isfinite(c[0] * c[0]) and not math.isfinite(c[1] * c[1])
+        with pytest.raises(DomainError):
+            add_node(st, above)
+        child = add_node(st, below)
+        assert np.shares_memory(child.H, st.H)  # the rejection left the fill level as it was
+        for name, want in kept.items():
+            assert np.array_equal(getattr(st, name), want), name
+        want = solve_direct(np.vstack([h, below]), y, 0.1)
+        assert np.isfinite(child.W).all()
+        assert np.linalg.norm(child.W - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["H", "Y"])
@@ -573,6 +598,16 @@ class TestZeroRowStep:
         st = add_node(worked_state(AlgorithmKind.ALG3), np.zeros(2))
         assert np.allclose(st.L, np.eye(2))
         assert st.D[1] == pytest.approx(1.0)  # tau = 1/k0sq
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_smallest_k0sq(self, kind):
+        # the least k0sq whose square is a normal float; c * delta = k0sq^2 here
+        k0sq = math.sqrt(np.finfo(float).tiny) * (1 + 1e-12)
+        assert k0sq * k0sq >= np.finfo(float).tiny
+        st = add_node(init_solver(kind, H1, Y1, k0sq), np.zeros(2))
+        want = solve_direct(np.vstack([H1, np.zeros(2)]), Y1, k0sq)
+        assert np.isfinite(st.W).all()
+        assert np.allclose(st.W, want, rtol=1e-14, atol=0.0)
 
 
 def grow_states(kinds, k=50, n=5, m=2, steps=30, k0sq=0.1, seed=0):
@@ -1047,7 +1082,9 @@ class TestCopyOnWrite:
         for r in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
             assert_same_state(r, s)
             assert_same_state(add_node(r, h[6]), reference_step(s, h[6]))
-        assert_same_state(add_node(s, h[6]), reference_step(s, h[6]))
+        child = add_node(s, h[6])
+        assert np.shares_memory(child.H, s.H)   # neither copy took the original's store
+        assert_same_state(child, reference_step(s, h[6]))
 
     @pytest.mark.parametrize("l0", [1, 6])
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
@@ -1067,23 +1104,27 @@ class TestCopyOnWrite:
     @pytest.mark.parametrize("kind,name", [
         (AlgorithmKind.ALG1, "H"), (AlgorithmKind.ALG2, "H"),
         (AlgorithmKind.ALG3, "H"), (AlgorithmKind.ALG3, "L"), (AlgorithmKind.ALG3, "D"),
+        (AlgorithmKind.ALG1, "W"), (AlgorithmKind.ALG2, "W"), (AlgorithmKind.ALG3, "W"),
     ])
     def test_replaced_field_steps_correctly(self, kind, name):
+        # the chain stops at l = 9, one row short of its store's capacity of 10
         h, y = self.rows()
         s = self.start(kind, h, y, 1)
-        for l in range(1, 10):
+        for l in range(1, 9):
             s = add_node(s, h[l])
         changed = getattr(s, name).copy()
         if name == "L":
             changed[0, -1] *= 1.0 + 1e-3        # a different but still valid state
-        elif name == "D":
+        elif name in ("D", "W"):
             changed *= 1.0 + 1e-3
         r = replace(s, **{name: changed})
         stepped = add_node(r, h[10])
         assert_same_state(stepped, reference_step(r, h[10]))
         assert np.array_equal(getattr(r, name), changed)
-        # the original still owns its buffers and steps as before
-        assert_same_state(add_node(s, h[10]), reference_step(s, h[10]))
+        # the original is still at its store's fill level and steps in place as before
+        child = add_node(s, h[10])
+        assert np.shares_memory(child.H, s.H)
+        assert_same_state(child, reference_step(s, h[10]))
 
 
 class TestExistingRowBands:
