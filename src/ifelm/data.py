@@ -93,7 +93,7 @@ def load_csv(path, target_columns: int, task: TaskKind,
         rows.append(parsed)
     if not rows:
         raise DomainError(f"no data rows in {path}")
-    if width is not None and target_columns >= width:
+    if target_columns >= width:
         raise DomainError(
             f"target_columns={target_columns} leaves no features (row width {width})"
         )

@@ -123,6 +123,8 @@ def classification_metrics(z: np.ndarray, y: np.ndarray) -> ClassificationReport
 
 def kfold_split(k: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded permutation split into `folds` near-equal disjoint test blocks."""
+    if not isinstance(folds, (int, np.integer)):
+        raise DomainError(f"folds must be an integer, got {folds!r}")
     if folds < 2:
         raise DomainError(f"need at least 2 folds, got {folds}")
     if folds > k:

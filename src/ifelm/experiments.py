@@ -34,23 +34,32 @@ from .evaluation import (
     weight_output_errors,
 )
 from .model import ActivationKind, ElmParams, hidden_matrix, init_random_params
-from .solvers import ALL_INCREMENTAL, AlgorithmKind, _check_k0sq, add_node
+from .solvers import ALL_INCREMENTAL, AlgorithmKind, add_node
 
 # comparison thresholds: algorithm -> (max node count checked, error bound)
 DEFAULT_THRESHOLDS = {kind: (500, 1e-4) if kind is AlgorithmKind.ALG2 else (100, 1e-8)
                       for kind in ALL_INCREMENTAL}
 
 
-def _check_inputs(start: int, end: int, k0sq: float) -> None:
-    """Raise DomainError unless 1 <= start <= end and k0sq^2 is a normal float."""
+def _check_count(name: str, n: int) -> None:
+    """Raise DomainError naming `name` unless `n` is a Python or numpy integer."""
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+
+
+def _check_inputs(start: int, end: int) -> None:
+    """Raise DomainError unless start and end are integers with 1 <= start <= end."""
+    _check_count("start", start)
+    _check_count("end", end)
     if not 1 <= start <= end:
         raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
-    _check_k0sq(k0sq)
 
 
 def _distinct(algorithms) -> list[AlgorithmKind]:
-    """`algorithms` as a list; DomainError naming a rule it lists twice."""
+    """`algorithms` as a list; DomainError if it is empty or lists a rule twice."""
     kinds = list(algorithms)
+    if not kinds:
+        raise DomainError("no algorithm to run")
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
             raise DomainError(f"algorithm {kind.value!r} named twice")
@@ -96,11 +105,11 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     factorization of the Gram matrix of all `end` nodes
     (`solvers.solve_direct_prefixes`); at l = end they are bitwise those
     of `solvers.solve_direct`.  A step's output error |(W - W_l) H_l|_F comes
-    from the difference its weight error takes.  Needs 1 <= start <= end <=
-    the node count of `params`, a k0sq > 0 whose square is a normal float
-    and no rule named twice, else raises DomainError.  A rule's failed step,
-    reported by NumericalBreakdownError, ends its trace; a failed oracle or
-    start raises.
+    from the difference its weight error takes.  Needs integers 1 <= start
+    <= end <= the node count of `params`, a k0sq that `solvers.warm_start`
+    accepts and a non-empty rule list naming no rule twice, else raises
+    DomainError.  A rule's failed step, reported by NumericalBreakdownError,
+    ends its trace; a failed oracle or start raises.
 
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
@@ -108,7 +117,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     diagnostics per algorithm, plus `oracle_residual`: the reference's
     relative normal-equation residual at each checkpoint.
     """
-    _check_inputs(start, end, k0sq)
+    _check_inputs(start, end)
     algorithms = _distinct(algorithms)
     if params is None:
         params = init_random_params(end, ds.X.shape[0], kernel, seed)
@@ -173,14 +182,16 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     and equals `flop_model`, each benched rule's `step_multiply_adds` at l.
     The hidden rows come from `init_random_params(l + repeats, ...)`, so they
     change with `repeats`, and a large `repeats` grows l with it.  Needs
-    l >= 1 (the CLI's --end), repeats >= 1, a k0sq > 0 whose square is a
-    normal float and no rule named twice, else raises DomainError.
+    integers l >= 1 (the CLI's --end) and repeats >= 1, a k0sq that
+    `solvers.warm_start` accepts and a non-empty rule list naming no rule
+    twice, else raises DomainError.
     """
+    _check_count("end", l)
     if l < 1:
         raise DomainError(f"end must be >= 1, got {l}")
+    _check_count("repeats", repeats)
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
-    _check_k0sq(k0sq)
     algorithms = _distinct(algorithms)
     params = init_random_params(l + repeats, ds.X.shape[0], kernel, seed)
     h_full = hidden_matrix(params, ds.X)
@@ -217,11 +228,12 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
              algorithms: list[AlgorithmKind], seed: int, folds: int):
     """K-fold cross-validation; per-fold training uses the chosen rule.
 
-    Each fold grows from `start` to `end` nodes; needs 1 <= start <= end,
-    a k0sq > 0 whose square is a normal float, no rule named twice and
-    2 <= folds <= the sample count, else raises DomainError.
+    Each fold grows from `start` to `end` nodes; needs integers 1 <= start
+    <= end, a k0sq that `solvers.warm_start` accepts, a non-empty rule list
+    naming no rule twice and an integer 2 <= folds <= the sample count, else
+    raises DomainError.
     """
-    _check_inputs(start, end, k0sq)
+    _check_inputs(start, end)
     algorithms = _distinct(algorithms)
     splits = kfold_split(ds.sample_count, folds, seed)
     params = init_random_params(end, ds.X.shape[0], kernel, seed)

@@ -234,9 +234,11 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
                k0sq: float) -> SolverState:
     """Start any rule from an l0 >= 1 node block with one Cholesky factorization.
 
-    `kind` is an `AlgorithmKind` or its name (DomainError for any other).
-    With C the lower Cholesky factor of R = H H^T + k0sq I from `_factor`,
-    every kind gets W = Y H^T R^-1 by `solve_spd` with C, the oracle's own
+    `kind` is an `AlgorithmKind` or its name (DomainError for any other),
+    and k0sq a real number > 0 whose square is a normal float, about
+    1.49e-154..1.34e154 (DomainError, checked before any product).  With C
+    the lower Cholesky factor of R = H H^T + k0sq I from `_factor`, every
+    kind gets W = Y H^T R^-1 by `solve_spd` with C, the oracle's own
     solve, so bitwise `solve_direct(h, y, k0sq)`, and builds only the state
     its rule carries.  ALG2 takes Q = R^-1 from C by `dpotri`, mirrored to
     be exactly symmetric; EXISTING and ALG1 take the same Q only to form
@@ -465,10 +467,11 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     The frame common to every rule, in order: h_bar becomes a flat float64
     row, real (DomainError) with K entries (ShapeError); the step scalar
     c = h_bar^T h_bar + k0sq is computed once, and c^2 (>= c delta) must be
-    finite (DomainError, so a row with a NaN, an inf or c >= sqrt(max float)
-    is rejected before it is stored); h_bar is appended to the chain's store,
-    in place only if `state` is at the store's fill level and the store has
-    room, else into a new store that copies `state`'s arrays; a counter
+    finite (DomainError naming the node, so a row with a NaN, an inf or
+    c >= sqrt(max float) is rejected before it is stored); h_bar is appended
+    to the chain's store, in place only if `state` is at the store's fill
+    level and the store has room, else into a new store that copies
+    `state`'s arrays; a counter
     starts from `state.multiply_adds`; p = H h_bar is computed once by
     `compute_p`, except for BASELINE, which re-solves from scratch; the
     rule's kernel in `_RULES` gets c and p, holds only its own algebra, and
@@ -481,9 +484,10 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     if h_bar.size != state.sample_count:
         raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
     c = float(np.vdot(h_bar, h_bar)) + state.k0sq
-    if not math.isfinite(c * c):
-        raise DomainError(f"h_bar^T h_bar + k0sq is {c}; it must be finite and < 1.34e154")
     n = state.l
+    if not math.isfinite(c * c):
+        raise DomainError(f"h_bar^T h_bar + k0sq is {c} at node {n + 1}; "
+                          f"it must be finite and < 1.34e154")
     store = state._store
     if store is None or store.n != n or store.H.shape[0] == n:
         store = _Store(state)

@@ -414,6 +414,45 @@ class TestErrorPaths:
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 20, 2, 1, seed=0)
         with pytest.raises(DomainError, match="'alg2' named twice"):
             runner(ds, [AlgorithmKind.ALG2, AlgorithmKind.ALG3, AlgorithmKind.ALG2])
+        with pytest.raises(DomainError, match="no algorithm"):
+            runner(ds, [])
+
+    # solvers checks k0sq at a run's first start or oracle call; no runner checks it again
+    @pytest.mark.parametrize("k0sq", [0.0, -1.0, np.inf, np.nan, 1e-200, 1e200, "0.1", 1 + 0j],
+                             ids=["zero", "negative", "inf", "nan", "square-underflows",
+                                  "square-overflows", "text", "complex"])
+    @pytest.mark.parametrize("runner", [
+        lambda ds, k0sq: experiments.grow_run(ds, ActivationKind.GAUSSIAN, k0sq, 1, 3,
+                                              [AlgorithmKind.ALG3], 0),
+        lambda ds, k0sq: experiments.eval_run(ds, ActivationKind.GAUSSIAN, k0sq, 1, 3,
+                                              [AlgorithmKind.ALG3], 0, 3),
+        lambda ds, k0sq: experiments.bench_run(ds, ActivationKind.GAUSSIAN, k0sq, 3,
+                                               [AlgorithmKind.ALG3], 0, 2),
+        lambda ds, k0sq: experiments.compare_run(ds, ActivationKind.GAUSSIAN, k0sq, 1, 3, 0),
+    ], ids=["grow_run", "eval_run", "bench_run", "compare_run"])
+    def test_runner_rejects_k0sq_outside_its_domain(self, runner, k0sq):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 20, 2, 1, seed=0)
+        with pytest.raises(DomainError, match="k0sq"):
+            runner(ds, k0sq)
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda ds: experiments.grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1.5, 5,
+                                         [AlgorithmKind.ALG3], 0), "start"),
+        (lambda ds: experiments.grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 5.0,
+                                         [AlgorithmKind.ALG3], 0), "end"),
+        (lambda ds: experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 5.0,
+                                         [AlgorithmKind.ALG3], 0, 3), "end"),
+        (lambda ds: experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 5,
+                                         [AlgorithmKind.ALG3], 0, 3.0), "folds"),
+        (lambda ds: experiments.bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 3.0,
+                                          [AlgorithmKind.ALG3], 0, 2), "end"),
+        (lambda ds: experiments.bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 3,
+                                          [AlgorithmKind.ALG3], 0, 2.0), "repeats"),
+    ], ids=["grow-start", "grow-end", "eval-end", "eval-folds", "bench-end", "bench-repeats"])
+    def test_runner_rejects_a_count_that_is_not_an_integer(self, call, name):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 20, 2, 1, seed=0)
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            call(ds)
 
     def test_nonpositive_regularization(self, tmp_path, capsys):
         rc = main(["grow", "--synth", "sine-mixture", "--k0sq", "0",
@@ -448,6 +487,8 @@ class TestErrorPaths:
         assert main(["grow", *src, *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and word in err
+        if word == "h_bar":
+            assert "node 2" in err                   # the first step's row
         assert not out.exists()
 
     def test_regularization_with_overflowing_square(self, tmp_path, capsys):

@@ -111,7 +111,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, 1e100])
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_add_node_rejects_row(self, kind, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="node 2"):
             add_node(worked_state(kind), np.array([1.0, bad]))
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
