@@ -130,6 +130,13 @@ def apply_normalization(ds: Dataset, transform) -> Dataset:
     return Dataset(X=x, Y=ds.Y, task=ds.task)
 
 
+def _check_counts(**counts: int) -> None:
+    """Raise DomainError naming the first of `counts` that is a bool or not an integer."""
+    for name, n in counts.items():
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {n!r}")
+
+
 def _check_seed(seed: int) -> int:
     """`seed`, or DomainError naming it unless it is a Python or numpy integer >= 0."""
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
@@ -140,6 +147,7 @@ def _check_seed(seed: int) -> int:
 def synth_dataset(kind: SynthKind, k: int, n: int, m: int, seed: int,
                   noise: float = 0.05) -> Dataset:
     """Deterministic seeded synthetic data with a known generating process."""
+    _check_counts(K=k, N=n, M=m)
     if k < 1 or n < 1 or m < 1:
         raise DomainError(f"need K, N, M >= 1, got K={k}, N={n}, M={m}")
     rng = np.random.default_rng(_check_seed(seed))

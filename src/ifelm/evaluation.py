@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_seed
+from .data import _check_counts, _check_seed
 from .errors import DomainError, ShapeError
 
 
@@ -123,8 +123,7 @@ def classification_metrics(z: np.ndarray, y: np.ndarray) -> ClassificationReport
 
 def kfold_split(k: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded permutation split into `folds` near-equal disjoint test blocks."""
-    if not isinstance(folds, (int, np.integer)):
-        raise DomainError(f"folds must be an integer, got {folds!r}")
+    _check_counts(K=k, folds=folds)
     if folds < 2:
         raise DomainError(f"need at least 2 folds, got {folds}")
     if folds > k:

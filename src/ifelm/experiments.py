@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import solvers
-from .data import Dataset, TaskKind, apply_normalization, normalize_features
+from .data import Dataset, TaskKind, _check_counts, apply_normalization, normalize_features
 from .errors import DomainError, NumericalBreakdownError
 from .evaluation import (
     GrowthTrace,
@@ -41,16 +41,9 @@ DEFAULT_THRESHOLDS = {kind: (500, 1e-4) if kind is AlgorithmKind.ALG2 else (100,
                       for kind in ALL_INCREMENTAL}
 
 
-def _check_count(name: str, n: int) -> None:
-    """Raise DomainError naming `name` unless `n` is a Python or numpy integer."""
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
-
-
 def _check_inputs(start: int, end: int) -> None:
     """Raise DomainError unless start and end are integers with 1 <= start <= end."""
-    _check_count("start", start)
-    _check_count("end", end)
+    _check_counts(start=start, end=end)
     if not 1 <= start <= end:
         raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
 
@@ -186,10 +179,9 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     `solvers.warm_start` accepts and a non-empty rule list naming no rule
     twice, else raises DomainError.
     """
-    _check_count("end", l)
+    _check_counts(end=l, repeats=repeats)
     if l < 1:
         raise DomainError(f"end must be >= 1, got {l}")
-    _check_count("repeats", repeats)
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
     algorithms = _distinct(algorithms)

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _check_seed
+from .data import _check_counts, _check_seed
 from .errors import DomainError, ShapeError
 
 
@@ -52,6 +52,7 @@ class ElmParams:
 
 def init_random_params(l: int, n: int, kind: ActivationKind, seed: int) -> ElmParams:
     """Draw A (l x n) and d (l,) i.i.d. uniform on [-1, 1], deterministically."""
+    _check_counts(l=l, N=n)
     if l < 1 or n < 1:
         raise DomainError(f"need l >= 1 and N >= 1, got l={l}, N={n}")
     rng = np.random.default_rng(_check_seed(seed))

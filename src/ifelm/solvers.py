@@ -13,9 +13,10 @@ problem W = Y H^T (H H^T + k0sq I)^-1:
 * ALG3        maintains the factors L (unit upper-triangular) and D with
               L diag(D) L^T = Q, avoiding the drift of updating Q itself.
 
-Each rule is a kernel in `_RULES` holding only its own algebra.  `add_node` is
-the one frame around every step: it computes c = h_bar^T h_bar + k0sq and the
-cross term p = H h_bar once per step and hands both to the kernel.
+Each incremental rule in `_RULES` is a correction and an update.  `add_node`,
+the one frame around every step, computes c = h_bar^T h_bar + k0sq and
+p = H h_bar, subtracts the rule's correction from c, runs the one breakdown
+test on that Schur denominator delta before any update, and borders W.
 Every rule starts through `warm_start` (`init_solver` is its l0 = 1 case)
 from one Cholesky factor C of H H^T + k0sq I, and builds only what it
 carries.  The start W of every rule is the oracle's own Cholesky solve.
@@ -266,10 +267,7 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
 
 
 def compute_p(state: SolverState, h_bar: np.ndarray, counter: FlopCounter) -> np.ndarray:
-    """Cross term p = H h_bar shared by every incremental rule (cost 2lK).
-
-    `add_node` computes it and c once per step; kernels hold only their own algebra.
-    """
+    """Cross term p = H h_bar of every incremental rule, once per step (cost 2lK)."""
     return gemm(state.H, _real(h_bar, "h_bar").reshape(-1, 1), counter).reshape(-1)
 
 
@@ -324,34 +322,29 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
     return out
 
 
-def _baseline(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray | None,
-              store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
-    """Re-solve the whole system on the stored H, which already holds h_bar."""
-    _, _, factor, rhs = _factor(store.H[: state.l + 1], state.Y, state.k0sq, cnt)
-    return solve_spd(factor, rhs).T, {}
+def _existing_correction(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
+                         cnt: FlopCounter) -> tuple[float, np.ndarray]:
+    u1 = gemm(h_bar.reshape(-1, 1).T, state.B, cnt)  # 1 x l
+    return gemm(u1, p.reshape(-1, 1), cnt)[0, 0], u1  # h^T B H h
 
 
-def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
-              store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
+def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
+              u1: np.ndarray, store: _Store, cnt: FlopCounter) -> tuple:
     """Literal two-term bordered update of the pseudo-inverse B.
 
     Both terms evaluate their own ((c I - h h^T) B) product and the output
-    weights are recomputed in full as Y B; `step_multiply_adds` is the cost
-    this rule is charged in comparisons.  Reductions over K (the rows h^T B
-    and the Schur denominator) run over all of B; the rest walks B in
-    `row_bands`, forming each band of both terms and of the new B while it
-    is in cache, in two band-sized scratch arrays.  Every product keeps its
-    operands and its rounding.
+    weights are recomputed in full as Y B, so W takes no border (row None);
+    `step_multiply_adds` is the cost this rule is charged in comparisons.
+    The rows h^T B, here and in the correction, run over all of B; the
+    rest walks B in `row_bands`, forming each band of both terms and of the
+    new B while it is in cache, in two band-sized scratch arrays.
+    Every product keeps its operands and its rounding.
     """
-    h_col = h_bar.reshape(-1, 1)
     b = state.B
     k, l = b.shape
     p = p.reshape(-1, 1)                             # l x 1
-    u1 = gemm(h_col.T, b, cnt)                       # 1 x l
-    d = gemm(u1, p, cnt)[0, 0]                       # h^T B H h
-    delta = _schur_denominator(c, d, l + 1)
     # the second term's row, evaluated afresh as printed
-    u2 = gemm(h_col.T, b, cnt)
+    u2 = gemm(h_bar.reshape(-1, 1).T, b, cnt)
     u1, minus_u1, minus_u2 = u1.reshape(-1), -u1.reshape(-1), -u2.reshape(-1)
     bands = row_bands(k, l)
     g_buf, t_buf = np.empty((bands[0].stop, l)), np.empty((bands[0].stop, l))
@@ -372,77 +365,73 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
         g /= c
         np.add(t1, g, out=b_band[:, :-1])
         b_band[:, -1] = (-gemm(b_band[:, :-1], p, cnt).reshape(-1) + h) / c
-    return gemm(state.Y, b_new, cnt), {"B": b_new}
+    return gemm(state.Y, b_new, cnt), None, {"B": b_new}
 
 
-def _alg1(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
-          store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
+def _alg1_correction(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
+                     cnt: FlopCounter) -> tuple[float, np.ndarray]:
+    u = gemm(h_bar.reshape(1, -1), state.B, cnt).reshape(-1)  # h^T B, reused twice
+    return float(u @ p), u
+
+
+def _alg1(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
+          u: np.ndarray, store: _Store, cnt: FlopCounter) -> tuple:
     """Simplified B update; the row u = h^T B is computed once and reused."""
-    b = state.B
-    u = gemm(h_bar.reshape(1, -1), b, cnt).reshape(-1)  # h^T B, reused twice
-    delta = _schur_denominator(c, float(u @ p), state.l + 1)
     tau = 1.0 / delta
-    b_bar = tau * (h_bar - gemm(b, p.reshape(-1, 1), cnt).reshape(-1))
+    b_bar = tau * (h_bar - gemm(state.B, p.reshape(-1, 1), cnt).reshape(-1))
     minus_u = -u                                     # B - b_bar u^T and W - w_bar u^T
-    b_new = _bordered(b, b_bar, minus_u)
-    w_bar = gemm(state.Y, b_bar.reshape(-1, 1), cnt).reshape(-1)
-    return _bordered(state.W, w_bar, minus_u), {"B": b_new}
+    b_new = _bordered(state.B, b_bar, minus_u)
+    return gemm(state.Y, b_bar.reshape(-1, 1), cnt).reshape(-1), minus_u, {"B": b_new}
 
 
-def _weight_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
-                   tau: float, t_tilde: np.ndarray, counter: FlopCounter) -> np.ndarray:
-    """Shared W growth for the Q- and factor-based rules.
-
-    w_bar = tau (Y h - W p); the retained block moves by the rank-one
-    correction W + w_bar t_tilde^T, where t_tilde = t / tau.
-    """
-    w_bar = tau * (
-        gemm(state.Y, h_bar.reshape(-1, 1), counter).reshape(-1) - state.W @ p
-    )
-    return _bordered(state.W, w_bar, t_tilde)
-
-
-def _alg2(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
-          store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
-    """Bordered update of the inverse Q by t_tilde = t / tau, the vector W's border takes."""
+def _alg2_correction(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
+                     cnt: FlopCounter) -> tuple[float, np.ndarray]:
     qp = state.Q @ p
-    delta = _schur_denominator(c, float(p @ qp), state.l + 1)
+    return float(p @ qp), qp
+
+
+def _alg2(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
+          qp: np.ndarray, store: _Store, cnt: FlopCounter) -> tuple:
+    """Bordered update of the inverse Q by t_tilde = t / tau, the row W's border takes."""
     tau = 1.0 / delta
     t = -tau * qp
     t_tilde = t / tau
     q_new = _bordered(state.Q, t, t_tilde, corner=tau)
-    return _weight_border(state, h_bar, p, tau, t_tilde, cnt), {"Q": q_new}
+    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1), cnt).reshape(-1) - state.W @ p)
+    return w_bar, t_tilde, {"Q": q_new}
 
 
-def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray,
-          store: _Store, cnt: FlopCounter) -> tuple[np.ndarray, dict]:
+def _alg3_correction(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
+                     cnt: FlopCounter) -> tuple[float, np.ndarray]:
+    v = state.L.T @ p                                # Q p = L D v, with Q never formed
+    dv = state.D * v
+    return float(v @ dv), state.L @ dv
+
+
+def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
+          ldv: np.ndarray, store: _Store, cnt: FlopCounter) -> tuple:
     """Bordered update of the factors L, D with L diag(D) L^T = Q.
 
-    The product L D L^T is never materialized: v = L^T p, then the scaled
-    back product gives both the new column and the Schur denominator.  The
-    new column of L above a unit diagonal, and D's new entry tau, are
-    written into the store past the state's l nodes.
+    The new column -L D v of L above a unit diagonal, also W's border row,
+    and D's new entry tau are written into the store past the state's l nodes.
     """
-    v = state.L.T @ p
-    dv = state.D * v
-    t_tilde = -(state.L @ dv)
-    delta = _schur_denominator(c, float(v @ dv), state.l + 1)
     tau = 1.0 / delta
-
-    w = _weight_border(state, h_bar, p, tau, t_tilde, cnt)
+    t_tilde = -ldv
+    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1), cnt).reshape(-1) - state.W @ p)
     n = state.l
     store.L[:n, n] = t_tilde
     store.L[n, n] = 1.0
     store.D[n] = tau
-    return w, {"L": store.L[:n + 1, :n + 1], "D": store.D[:n + 1]}
+    return w_bar, t_tilde, {"L": store.L[:n + 1, :n + 1], "D": store.D[:n + 1]}
 
 
+# rule -> (correction(state, h_bar, p, cnt) -> (c - delta, q), update(state, h_bar, c, p,
+# delta, q, store, cnt) -> (W's border column w_bar and row, aux arrays)); see `add_node`
 _RULES = {
-    AlgorithmKind.BASELINE: _baseline,
-    AlgorithmKind.EXISTING: _existing,
-    AlgorithmKind.ALG1: _alg1,
-    AlgorithmKind.ALG2: _alg2,
-    AlgorithmKind.ALG3: _alg3,
+    AlgorithmKind.EXISTING: (_existing_correction, _existing),
+    AlgorithmKind.ALG1: (_alg1_correction, _alg1),
+    AlgorithmKind.ALG2: (_alg2_correction, _alg2),
+    AlgorithmKind.ALG3: (_alg3_correction, _alg3),
 }
 
 
@@ -465,20 +454,22 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     """Add one hidden node with row h_bar to `state`; returns the child state.
 
     The frame common to every rule, in order: h_bar becomes a flat float64
-    row, real (DomainError) with K entries (ShapeError); the step scalar
-    c = h_bar^T h_bar + k0sq is computed once, and c^2 (>= c delta) must be
-    finite (DomainError naming the node, so a row with a NaN, an inf or
-    c >= sqrt(max float) is rejected before it is stored); h_bar is appended
-    to the chain's store, in place only if `state` is at the store's fill
-    level and the store has room, else into a new store that copies
-    `state`'s arrays; a counter
-    starts from `state.multiply_adds`; p = H h_bar is computed once by
-    `compute_p`, except for BASELINE, which re-solves from scratch; the
-    rule's kernel in `_RULES` gets c and p, holds only its own algebra, and
-    returns the new W and the rule's aux arrays; the child is built over
-    the store's first l + 1 rows, and only then is the fill level l + 1.  A
-    kernel that raises leaves `state` and its chain as they were: the row it
-    appended lies past every state's view and the fill level is unchanged.
+    row, real (DomainError) with K entries (ShapeError); c = h_bar^T h_bar +
+    k0sq is computed once, and c^2 (>= c delta) must be finite (DomainError
+    naming the node, so a row with a NaN, an inf or c >= sqrt(max float) is
+    rejected before it is stored); h_bar is appended to the chain's store,
+    in place only if `state` is at the store's fill level and the store has
+    room, else into a new store that copies `state`'s arrays; a counter
+    starts from `state.multiply_adds`.  BASELINE then re-solves on the
+    stored rows.  Any other rule's correction in `_RULES` gets p = H h_bar
+    from `compute_p`; the one breakdown test `_schur_denominator` forms
+    delta = c - correction before anything is updated; the rule's update
+    returns W's border, and W becomes [W + w_bar row^T, w_bar] (EXISTING
+    returns its full Y B, row None).  The child is built over the store's
+    first l + 1 rows, and only then is the fill level l + 1.  A re-solve,
+    correction or breakdown test that raises leaves `state` and its chain as
+    they were: the row appended lies past every state's view and the fill
+    level is unchanged.
     """
     h_bar = _real(h_bar, "h_bar").reshape(-1)
     if h_bar.size != state.sample_count:
@@ -493,8 +484,16 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
         store = _Store(state)
     store.H[n] = h_bar
     cnt = FlopCounter(state.multiply_adds)
-    p = None if state.kind is AlgorithmKind.BASELINE else compute_p(state, h_bar, cnt)
-    w, aux = _RULES[state.kind](state, h_bar, c, p, store, cnt)
+    if state.kind is AlgorithmKind.BASELINE:
+        _, _, factor, rhs = _factor(store.H[:n + 1], state.Y, state.k0sq, cnt)
+        w, aux = solve_spd(factor, rhs).T, {}
+    else:
+        correction, update = _RULES[state.kind]
+        p = compute_p(state, h_bar, cnt)
+        corr, q = correction(state, h_bar, p, cnt)
+        delta = _schur_denominator(c, corr, n + 1)
+        w_bar, row, aux = update(state, h_bar, c, p, delta, q, store, cnt)
+        w = w_bar if row is None else _bordered(state.W, w_bar, row)
     child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1], Y=state.Y, W=w,
                         multiply_adds=cnt.multiply_adds, **aux)
     object.__setattr__(child, "_store", store)

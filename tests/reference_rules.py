@@ -9,14 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ifelm.linalg import FlopCounter
-from ifelm.solvers import (
-    AlgorithmKind,
-    _schur_denominator,
-    _weight_border,
-    compute_p,
-    solve_direct,
-)
+from ifelm.solvers import AlgorithmKind, solve_direct
 
 
 def add_node_q_unsimplified(state, h_bar):
@@ -24,24 +17,25 @@ def add_node_q_unsimplified(state, h_bar):
 
     Q_tilde is corrected first, then t from Q_tilde, then tau with the
     squared denominator.  Retained only to cross-check the simplified rule;
-    both must produce identical states up to rounding.
+    both must produce identical states up to rounding.  p, delta and W's
+    border are formed here with numpy, not with the solver's helpers, so a
+    fault in those shows as a difference instead of on both sides.
     """
-    cnt = FlopCounter(state.multiply_adds)
     h_bar = np.asarray(h_bar, dtype=np.float64).reshape(-1)
     c = float(h_bar @ h_bar) + state.k0sq
-    p = compute_p(state, h_bar, cnt)
+    p = state.H @ h_bar
 
     qp = state.Q @ p
-    delta = _schur_denominator(c, float(p @ qp), state.l + 1)
+    delta = c - float(p @ qp)
     q_tilde = state.Q + np.outer(qp, qp) / delta
     qtp = q_tilde @ p
     t = -qtp / c
     tau = float(p @ qtp) / (c * c) + 1.0 / c
     q_new = np.block([[q_tilde, t.reshape(-1, 1)], [t.reshape(1, -1), tau]])
 
-    w = _weight_border(state, h_bar, p, tau, t / tau, cnt)
-    return replace(state, H=np.vstack([state.H, h_bar.reshape(1, -1)]), W=w, Q=q_new,
-                   multiply_adds=cnt.multiply_adds)
+    w_bar = tau * (state.Y @ h_bar - state.W @ p)
+    w = np.hstack([state.W + np.outer(w_bar, t / tau), w_bar.reshape(-1, 1)])
+    return replace(state, H=np.vstack([state.H, h_bar.reshape(1, -1)]), W=w, Q=q_new)
 
 
 def reference_step(s, h_bar):

@@ -125,6 +125,11 @@ class TestCompareCommand:
             report = compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, seed=3)
         assert report["passed"] is True
         assert all(e["checked_up_to"] == 5 for e in report["entries"])
+        # a breakdown at a rule's limit itself is inside the checked range
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "DEFAULT_THRESHOLDS", dict.fromkeys(short, (7, 1e-8)))
+            report = compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, seed=3)
+        assert [e["passed"] for e in report["entries"]] == [False] * 4
 
         rc = main(["compare", "--synth", "sine-mixture", "--samples", "50",
                    "--features", "3", "--outputs", "1", "--end", "10",

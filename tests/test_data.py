@@ -13,7 +13,7 @@ from ifelm.data import (
     synth_dataset,
 )
 from ifelm.errors import CsvParseError, DomainError, ShapeError
-from ifelm.evaluation import classification_metrics, mse
+from ifelm.evaluation import classification_metrics, kfold_split, mse
 from ifelm.experiments import eval_run
 from ifelm.model import ActivationKind, hidden_matrix, init_random_params
 from ifelm.solvers import AlgorithmKind, solve_direct
@@ -216,6 +216,22 @@ class TestSynthDataset:
         a = synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=np.uint8(4))
         b = synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=4)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+
+
+# every size a library entry point takes is typed, like the runners' counts
+@pytest.mark.parametrize("call,name", [
+    (lambda: init_random_params(2.5, 3, ActivationKind.GAUSSIAN, 0), "l"),
+    (lambda: init_random_params(2, 3.0, ActivationKind.GAUSSIAN, 0), "N"),
+    (lambda: init_random_params(True, 3, ActivationKind.GAUSSIAN, 0), "l"),
+    (lambda: synth_dataset(SynthKind.SINE_MIXTURE, 20.0, 3, 2, seed=0), "K"),
+    (lambda: synth_dataset(SynthKind.SINE_MIXTURE, 20, 3.0, 2, seed=0), "N"),
+    (lambda: synth_dataset(SynthKind.SINE_MIXTURE, 20, 3, 2.0, seed=0), "M"),
+    (lambda: kfold_split(10.0, 3, 0), "K"),
+], ids=["params-l", "params-N", "params-l-bool", "synth-K", "synth-N", "synth-M",
+        "split-K"])
+def test_size_that_is_not_an_integer_rejected(call, name):
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        call()
 
 
 class TestDatasetShapes:

@@ -386,6 +386,14 @@ class TestGrowRunOracle:
                               seed=5, params=params)
         assert summary["oracle_residual"] == {"3": 0.0, "10": 0.0}
 
+    def test_checkpoint_at_500_before_end(self):
+        _, _, ds, params = oracle_problem(nodes=501, k=20)
+        _, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 501, [AlgorithmKind.ALG3],
+                              seed=5, params=params)
+        assert summary["checkpoints"] == [3, 100, 500, 501]
+        errors = summary["algorithms"]["alg3"]["checkpoint_errors"]
+        assert list(errors) == list(summary["oracle_residual"]) == ["3", "100", "500", "501"]
+
     def test_breakdown_ends_the_trace_and_the_summary(self, monkeypatch):
         _, _, ds, params = oracle_problem()
         full, _ = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 10, ALL_INCREMENTAL,
