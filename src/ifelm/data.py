@@ -60,8 +60,7 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
 
 def load_csv(path, target_columns: int, task: TaskKind,
              has_header: bool = False) -> Dataset:
-    if target_columns < 1:
-        raise DomainError(f"target_columns must be >= 1, got {target_columns}")
+    _check_counts(1, target_columns=target_columns)
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
@@ -130,27 +129,24 @@ def apply_normalization(ds: Dataset, transform) -> Dataset:
     return Dataset(X=x, Y=ds.Y, task=ds.task)
 
 
-def _check_counts(**counts: int) -> None:
-    """Raise DomainError naming the first of `counts` that is a bool or not an integer."""
+def _check_counts(floor: int, **counts: int) -> None:
+    """The package's one integer rule: each of `counts` is a Python or numpy integer >= floor.
+
+    Raises DomainError naming the first that is a bool, not an integer or below `floor`.
+    """
     for name, n in counts.items():
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise DomainError(f"{name} must be an integer, got {n!r}")
-
-
-def _check_seed(seed: int) -> int:
-    """`seed`, or DomainError naming it unless it is a Python or numpy integer >= 0."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+        if n < floor:
+            raise DomainError(f"{name} must be >= {floor}, got {n}")
 
 
 def synth_dataset(kind: SynthKind, k: int, n: int, m: int, seed: int,
                   noise: float = 0.05) -> Dataset:
     """Deterministic seeded synthetic data with a known generating process."""
-    _check_counts(K=k, N=n, M=m)
-    if k < 1 or n < 1 or m < 1:
-        raise DomainError(f"need K, N, M >= 1, got K={k}, N={n}, M={m}")
-    rng = np.random.default_rng(_check_seed(seed))
+    _check_counts(1, K=k, N=n, M=m)
+    _check_counts(0, seed=seed)
+    rng = np.random.default_rng(seed)
 
     if kind is SynthKind.SINE_MIXTURE:
         x = rng.uniform(-1.0, 1.0, size=(n, k))
@@ -166,16 +162,15 @@ def synth_dataset(kind: SynthKind, k: int, n: int, m: int, seed: int,
         return Dataset(X=x, Y=y, task=TaskKind.REGRESSION)
 
     if kind is SynthKind.TWO_GAUSSIANS:
-        # m >= 2: one well-separated spherical cluster per class, one-hot Y
+        # one well-separated spherical cluster per class (two if m = 1), one-hot Y
         classes = max(m, 2)
         means = 4.0 * rng.standard_normal((classes, n))
         assign = rng.integers(0, classes, size=k)
         x = means[assign].T + noise * rng.standard_normal((n, k))
-        if m == 1:
-            y = np.where(assign == 0, 1.0, -1.0).reshape(1, -1)
-            return Dataset(X=x, Y=y, task=TaskKind.CLASSIFICATION)
         y = np.zeros((classes, k))
         y[assign, np.arange(k)] = 1.0
+        if m == 1:                                   # +1 for class 0, -1 for class 1
+            y = 2.0 * y[:1] - 1.0
         return Dataset(X=x, Y=y, task=TaskKind.CLASSIFICATION)
 
     raise DomainError(f"unknown synthetic kind {kind!r}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_counts, _check_seed
+from .data import _check_counts
 from .errors import DomainError, ShapeError
 
 
@@ -123,12 +123,12 @@ def classification_metrics(z: np.ndarray, y: np.ndarray) -> ClassificationReport
 
 def kfold_split(k: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded permutation split into `folds` near-equal disjoint test blocks."""
-    _check_counts(K=k, folds=folds)
-    if folds < 2:
-        raise DomainError(f"need at least 2 folds, got {folds}")
+    _check_counts(1, K=k)
+    _check_counts(2, folds=folds)
+    _check_counts(0, seed=seed)
     if folds > k:
         raise DomainError(f"cannot make {folds} folds from {k} samples")
-    perm = np.random.default_rng(_check_seed(seed)).permutation(k)
+    perm = np.random.default_rng(seed).permutation(k)
     blocks = np.array_split(perm, folds)
     out = []
     for i, test in enumerate(blocks):

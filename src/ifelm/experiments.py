@@ -43,9 +43,9 @@ DEFAULT_THRESHOLDS = {kind: (500, 1e-4) if kind is AlgorithmKind.ALG2 else (100,
 
 def _check_inputs(start: int, end: int) -> None:
     """Raise DomainError unless start and end are integers with 1 <= start <= end."""
-    _check_counts(start=start, end=end)
-    if not 1 <= start <= end:
-        raise DomainError(f"need 1 <= start <= end, got {start}..{end}")
+    _check_counts(1, start=start, end=end)
+    if start > end:
+        raise DomainError(f"need start <= end, got {start}..{end}")
 
 
 def _distinct(algorithms) -> list[AlgorithmKind]:
@@ -114,8 +114,6 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     algorithms = _distinct(algorithms)
     if params is None:
         params = init_random_params(end, ds.X.shape[0], kernel, seed)
-    if params.hidden_count < end:
-        raise DomainError(f"params provide {params.hidden_count} nodes, need {end}")
     h_full = hidden_matrix(params, ds.X)
     y = ds.Y
 
@@ -179,11 +177,7 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     `solvers.warm_start` accepts and a non-empty rule list naming no rule
     twice, else raises DomainError.
     """
-    _check_counts(end=l, repeats=repeats)
-    if l < 1:
-        raise DomainError(f"end must be >= 1, got {l}")
-    if repeats < 1:
-        raise DomainError(f"repeats must be >= 1, got {repeats}")
+    _check_counts(1, end=l, repeats=repeats)
     algorithms = _distinct(algorithms)
     params = init_random_params(l + repeats, ds.X.shape[0], kernel, seed)
     h_full = hidden_matrix(params, ds.X)

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _check_counts, _check_seed
+from .data import _check_counts
 from .errors import DomainError, ShapeError
 
 
@@ -42,20 +42,15 @@ class ElmParams:
             )
 
     @property
-    def hidden_count(self) -> int:
-        return self.A.shape[0]
-
-    @property
     def input_count(self) -> int:
         return self.A.shape[1]
 
 
 def init_random_params(l: int, n: int, kind: ActivationKind, seed: int) -> ElmParams:
     """Draw A (l x n) and d (l,) i.i.d. uniform on [-1, 1], deterministically."""
-    _check_counts(l=l, N=n)
-    if l < 1 or n < 1:
-        raise DomainError(f"need l >= 1 and N >= 1, got l={l}, N={n}")
-    rng = np.random.default_rng(_check_seed(seed))
+    _check_counts(1, l=l, N=n)
+    _check_counts(0, seed=seed)
+    rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(l, n))
     d = rng.uniform(-1.0, 1.0, size=l)
     return ElmParams(A=a, d=d, kind=kind)

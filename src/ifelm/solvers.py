@@ -57,6 +57,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lapack
 
+from .data import _check_counts
 from .errors import DomainError, NumericalBreakdownError, ShapeError
 from .linalg import FlopCounter, add_outer, cholesky, gemm, row_bands, solve_spd
 
@@ -168,11 +169,20 @@ def _real(a, name: str) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+def _check_rows(cs, first: int) -> None:
+    """The one row rule: DomainError at the first of nodes first, first + 1, ... whose
+    c = h_bar^T h_bar + k0sq has no finite square, as a step divides by c delta <= c^2."""
+    for node, c in enumerate(cs, first):
+        if not math.isfinite(c * c):
+            raise DomainError(f"h_bar^T h_bar + k0sq is {c} at node {node}; "
+                              f"it must be finite and < 1.34e154")
+
+
 def _factor(h: np.ndarray, y: np.ndarray, k0sq: float,
             counter: FlopCounter | None = None) -> tuple[np.ndarray, ...]:
     """Float64 H and Y, the lower Cholesky factor C of H H^T + k0sq I, and H Y^T.
 
-    k0sq must pass `_check_k0sq`, H and Y be real, and the Gram matrix and
+    k0sq must pass `_check_k0sq`, H and Y be real, H's rows `_check_rows` and
     Y be finite (DomainError); H must be non-empty and 2-D, and Y 2-D with
     H's K columns (ShapeError); a pivot that is not positive raises
     NumericalBreakdownError at its node, from 1.  Both products meter on `counter`.
@@ -183,8 +193,10 @@ def _factor(h: np.ndarray, y: np.ndarray, k0sq: float,
         raise ShapeError(f"need a non-empty 2-D H and a 2-D Y with as many columns, "
                          f"got H {h.shape}, Y {y.shape}")
     r = gemm(h, h.T, counter) + k0sq * np.eye(h.shape[0])
-    if not (np.isfinite(r).all() and np.isfinite(y).all()):
-        raise DomainError("H H^T and Y must be finite")
+    # the diagonal holds each row's c; by Cauchy-Schwarz its squares bound all of r
+    _check_rows(np.diag(r).tolist(), 1)
+    if not np.isfinite(y).all():
+        raise DomainError("Y must be finite")
     return h, y, cholesky(r), gemm(h, y.T, counter)
 
 
@@ -221,7 +233,7 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     h, y, c, rhs = _factor(h[:max(n, 1)], y, k0sq)
     if not ls or min(ls) < 1 or n > h.shape[0]:
         span = f"{min(ls)}..{n}" if ls else "none"
-        raise DomainError(f"prefix lengths must lie in 1..rows(H), got {span}")
+        raise DomainError(f"prefix lengths must lie in 1..{h.shape[0]}, the rows of H, got {span}")
     return {l: solve_spd(c[:l, :l], rhs[:l]).T for l in ls}
 
 
@@ -439,8 +451,10 @@ def step_multiply_adds(kind: AlgorithmKind | str, l: int, k: int, m: int) -> int
     """Metered multiply-adds of one `kind` step from l to l + 1 nodes, K samples, M outputs.
 
     The rules' one cost model, exactly what `add_node` meters; `kind` is an
-    `AlgorithmKind` or its name, as in `warm_start`.
+    `AlgorithmKind` or its name, as in `warm_start`, and l, K >= 1 and M >= 0.
     """
+    _check_counts(1, l=l, K=k)
+    _check_counts(0, M=m)
     return {
         AlgorithmKind.BASELINE: 2 * (l + 1) ** 2 * k + 2 * m * (l + 1) * k,
         AlgorithmKind.EXISTING: 16 * l * k + 2 * l + 2 * m * (l + 1) * k,
@@ -455,13 +469,13 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
 
     The frame common to every rule, in order: h_bar becomes a flat float64
     row, real (DomainError) with K entries (ShapeError); c = h_bar^T h_bar +
-    k0sq is computed once, and c^2 (>= c delta) must be finite (DomainError
-    naming the node, so a row with a NaN, an inf or c >= sqrt(max float) is
-    rejected before it is stored); h_bar is appended to the chain's store,
-    in place only if `state` is at the store's fill level and the store has
-    room, else into a new store that copies `state`'s arrays; a counter
-    starts from `state.multiply_adds`.  BASELINE then re-solves on the
-    stored rows.  Any other rule's correction in `_RULES` gets p = H h_bar
+    k0sq is computed once and must pass `_check_rows`, the start's and the
+    oracle's row rule (DomainError naming the node, before the row is
+    stored); h_bar is appended to the chain's store, in place only if
+    `state` is at the store's fill level and the store has room, else into
+    a new store that copies `state`'s arrays; a counter starts from
+    `state.multiply_adds`.  BASELINE then re-solves on the stored rows.
+    Any other rule's correction in `_RULES` gets p = H h_bar
     from `compute_p`; the one breakdown test `_schur_denominator` forms
     delta = c - correction before anything is updated; the rule's update
     returns W's border, and W becomes [W + w_bar row^T, w_bar] (EXISTING
@@ -476,9 +490,7 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
         raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
     c = float(np.vdot(h_bar, h_bar)) + state.k0sq
     n = state.l
-    if not math.isfinite(c * c):
-        raise DomainError(f"h_bar^T h_bar + k0sq is {c} at node {n + 1}; "
-                          f"it must be finite and < 1.34e154")
+    _check_rows((c,), n + 1)
     store = state._store
     if store is None or store.n != n or store.H.shape[0] == n:
         store = _Store(state)

@@ -137,6 +137,31 @@ class TestCompareCommand:
         assert rc == 1
         assert capsys.readouterr().out.count("FAIL (breakdown at node 7)") == 4
 
+    def test_default_thresholds(self):
+        # alg2 drifts most, so it is checked further under a looser bound
+        assert experiments.DEFAULT_THRESHOLDS == {
+            AlgorithmKind.EXISTING: (100, 1e-8), AlgorithmKind.ALG1: (100, 1e-8),
+            AlgorithmKind.ALG2: (500, 1e-4), AlgorithmKind.ALG3: (100, 1e-8)}
+
+    def test_worst_step_has_the_largest_error(self):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 50, 3, 1, seed=3)
+        args = (ds, ActivationKind.GAUSSIAN, 0.1, 1, 12)
+        report = compare_run(*args, seed=3)
+        traces, _ = experiments.grow_run(*args, list(solvers.ALL_INCREMENTAL), 3)
+        for e in report["entries"]:
+            errors = {r.l: max(r.weight_error, r.output_error)
+                      for r in traces[e["algorithm"]].records}
+            assert len(set(errors.values())) > 1
+            assert errors[e["worst_step"]] == max(errors.values())
+            assert errors[e["worst_step"]] == max(e["max_weight_error"], e["max_output_error"])
+
+    def test_start_at_a_rule_limit_is_accepted(self):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 30, 3, 1, seed=3)
+        report = compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 100, 101, seed=3)
+        assert [e["checked_up_to"] for e in report["entries"]] == [100, 100, 101, 100]
+        with pytest.raises(DomainError, match="start 101 is above existing's checked limit"):
+            compare_run(ds, ActivationKind.GAUSSIAN, 0.1, 101, 102, seed=3)
+
     def test_start_above_a_rule_limit_is_rejected(self, monkeypatch, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["compare", "--synth", "sine-mixture", "--samples", "200",
@@ -270,7 +295,9 @@ class TestEvalCommand:
     @pytest.mark.parametrize("start,end", [(0, 5), (8, 5)])
     def test_eval_run_node_range_checked(self, start, end):
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 40, 3, 1, seed=0)
-        with pytest.raises(DomainError, match="start <= end"):
+        # a node count below 1 fails the integer rule, before the two are compared
+        message = "start must be >= 1" if start < 1 else "start <= end"
+        with pytest.raises(DomainError, match=message):
             experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, start, end,
                                  [AlgorithmKind.ALG3], seed=0, folds=2)
 
@@ -459,6 +486,30 @@ class TestErrorPaths:
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             call(ds)
 
+    # each runner's integers are accepted at their floor and rejected one below it
+    @pytest.mark.parametrize("call,name,floor", [
+        (lambda ds, v: experiments.grow_run(ds, ActivationKind.GAUSSIAN, 0.1, v, 3,
+                                            [AlgorithmKind.ALG3], 0), "start", 1),
+        (lambda ds, v: experiments.grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, v,
+                                            [AlgorithmKind.ALG3], 0), "end", 1),
+        (lambda ds, v: experiments.grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 3,
+                                            [AlgorithmKind.ALG3], v), "seed", 0),
+        (lambda ds, v: experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, v, 3,
+                                            [AlgorithmKind.ALG3], 0, 3), "start", 1),
+        (lambda ds, v: experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 3,
+                                            [AlgorithmKind.ALG3], 0, v), "folds", 2),
+        (lambda ds, v: experiments.bench_run(ds, ActivationKind.GAUSSIAN, 0.1, v,
+                                             [AlgorithmKind.ALG3], 0, 2), "end", 1),
+        (lambda ds, v: experiments.bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 3,
+                                             [AlgorithmKind.ALG3], 0, v), "repeats", 1),
+    ], ids=["grow-start", "grow-end", "grow-seed", "eval-start", "eval-folds", "bench-end",
+            "bench-repeats"])
+    def test_runner_integer_at_its_floor(self, call, name, floor):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 20, 2, 1, seed=0)
+        call(ds, floor)
+        with pytest.raises(DomainError, match=f"^{name} must be >= {floor}, got {floor - 1}$"):
+            call(ds, floor - 1)
+
     def test_nonpositive_regularization(self, tmp_path, capsys):
         rc = main(["grow", "--synth", "sine-mixture", "--k0sq", "0",
                    "--out", str(tmp_path)])
@@ -486,14 +537,15 @@ class TestErrorPaths:
     def test_domain_edge_is_an_error(self, tmp_path, capsys, source, flags, word):
         data = tmp_path / "big.csv"
         x = np.random.default_rng(0).standard_normal((40, 3))
-        np.savetxt(data, np.column_stack([1e80 * x[:, :2], x[:, 2]]), delimiter=",")
+        # node 1's c is 3.5e153, node 2's 2.9e154: only node 2's square overflows
+        np.savetxt(data, np.column_stack([2e76 * x[:, :2], x[:, 2]]), delimiter=",")
         src = ["--data", str(data)] if source == "big-csv" else ["--synth", "sine-mixture"]
         out = tmp_path / "run"
         assert main(["grow", *src, *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and word in err
         if word == "h_bar":
-            assert "node 2" in err                   # the first step's row
+            assert "node 2" in err                   # the first row that breaks the rule
         assert not out.exists()
 
     def test_regularization_with_overflowing_square(self, tmp_path, capsys):

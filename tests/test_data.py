@@ -16,7 +16,7 @@ from ifelm.errors import CsvParseError, DomainError, ShapeError
 from ifelm.evaluation import classification_metrics, kfold_split, mse
 from ifelm.experiments import eval_run
 from ifelm.model import ActivationKind, hidden_matrix, init_random_params
-from ifelm.solvers import AlgorithmKind, solve_direct
+from ifelm.solvers import AlgorithmKind, solve_direct, step_multiply_adds
 
 
 class TestLoadCsv:
@@ -84,6 +84,18 @@ class TestLoadCsv:
         path.write_text("1,2\n")
         with pytest.raises(DomainError):
             load_csv(path, 0, TaskKind.REGRESSION)
+
+    @pytest.mark.parametrize("targets,message", [
+        (0, "target_columns must be >= 1, got 0"),
+        (1.5, "target_columns must be an integer, got 1.5"),
+        (True, "target_columns must be an integer, got True"),
+    ])
+    def test_target_columns_follow_the_integer_rule(self, tmp_path, targets, message):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(DomainError, match=message):
+            load_csv(path, targets, TaskKind.REGRESSION)
+        assert load_csv(path, 1, TaskKind.REGRESSION).Y.shape == (1, 2)   # the floor
 
     @pytest.mark.parametrize("targets", [2, 3])
     def test_targets_must_leave_a_feature(self, tmp_path, targets):
@@ -194,6 +206,14 @@ class TestSynthDataset:
                           [AlgorithmKind.ALG3], seed=4, folds=3)
         assert report["algorithms"]["alg3"]["mean"]["acc"] >= 0.95
 
+    def test_single_output_codes_class_0_as_plus_one(self):
+        # m = 1 draws the clusters of m = 2, then codes class 0 as +1, class 1 as -1
+        one = synth_dataset(SynthKind.TWO_GAUSSIANS, 60, 3, 1, seed=6)
+        two = synth_dataset(SynthKind.TWO_GAUSSIANS, 60, 3, 2, seed=6)
+        assert np.array_equal(one.X, two.X)
+        assert 0 < np.sum(two.Y[0]) < 60
+        assert np.array_equal(one.Y[0], np.where(two.Y[0] == 1.0, 1.0, -1.0))
+
     def test_linear_noiseless_exact_recovery(self):
         ds = synth_dataset(SynthKind.LINEAR_NOISY, 200, 4, 2, seed=3, noise=0.0)
         params = init_random_params(6, 4, ActivationKind.LINEAR, seed=5)
@@ -232,6 +252,35 @@ class TestSynthDataset:
 def test_size_that_is_not_an_integer_rejected(call, name):
     with pytest.raises(DomainError, match=f"{name} must be an integer"):
         call()
+
+
+# one integer rule with its floor: each integer is accepted at its floor and
+# rejected one below it, by a DomainError that names it
+@pytest.mark.parametrize("call,name,floor", [
+    (lambda v: synth_dataset(SynthKind.SINE_MIXTURE, v, 3, 2, seed=0), "K", 1),
+    (lambda v: synth_dataset(SynthKind.SINE_MIXTURE, 20, v, 2, seed=0), "N", 1),
+    (lambda v: synth_dataset(SynthKind.SINE_MIXTURE, 20, 3, v, seed=0), "M", 1),
+    (lambda v: synth_dataset(SynthKind.SINE_MIXTURE, 20, 3, 2, seed=v), "seed", 0),
+    (lambda v: init_random_params(v, 3, ActivationKind.GAUSSIAN, 0), "l", 1),
+    (lambda v: init_random_params(2, v, ActivationKind.GAUSSIAN, 0), "N", 1),
+    (lambda v: init_random_params(2, 3, ActivationKind.GAUSSIAN, v), "seed", 0),
+    (lambda v: kfold_split(10, v, 0), "folds", 2),
+    (lambda v: kfold_split(10, 2, v), "seed", 0),
+    (lambda v: step_multiply_adds("alg3", v, 10, 1), "l", 1),
+    (lambda v: step_multiply_adds("alg3", 1, v, 1), "K", 1),
+    (lambda v: step_multiply_adds("alg3", 1, 10, v), "M", 0),
+], ids=["synth-K", "synth-N", "synth-M", "synth-seed", "params-l", "params-N",
+        "params-seed", "split-folds", "split-seed", "cost-l", "cost-K", "cost-M"])
+def test_integer_at_its_floor(call, name, floor):
+    call(floor)
+    with pytest.raises(DomainError, match=f"^{name} must be >= {floor}, got {floor - 1}$"):
+        call(floor - 1)
+
+
+def test_split_sample_count_below_its_floor():
+    # K = 1 passes the rule but not folds <= K, so only K = 0 is checked here
+    with pytest.raises(DomainError, match="^K must be >= 1, got 0$"):
+        kfold_split(0, 2, 0)
 
 
 class TestDatasetShapes:

@@ -74,6 +74,13 @@ class TestClassificationMetrics:
         assert rep.acc == pytest.approx(2 / 3)
         assert (rep.tp, rep.tn, rep.fp, rep.fn) == (1, 1, 0, 1)
 
+    def test_sign_coded_zero_is_positive(self):
+        # z >= 0 is positive: 0.5 and 0.0 on +1 targets are true positives
+        y = np.array([[1.0, 1.0, -1.0, -1.0]])
+        z = np.array([[0.5, 0.0, -0.5, 0.0]])
+        rep = classification_metrics(z, y)
+        assert (rep.tp, rep.tn, rep.fp, rep.fn) == (2, 1, 1, 0)
+
     def test_multiclass_macro(self):
         y = np.eye(3)
         rep = classification_metrics(y, y)

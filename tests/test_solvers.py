@@ -26,7 +26,7 @@ from ifelm.errors import (
 )
 from ifelm.experiments import grow_run
 from ifelm.linalg import _BAND, FlopCounter, add_outer, cholesky, row_bands
-from ifelm.model import ActivationKind, hidden_matrix, init_random_params
+from ifelm.model import ActivationKind, ElmParams, hidden_matrix, init_random_params
 from ifelm.solvers import (
     ALL_INCREMENTAL,
     AlgorithmKind,
@@ -155,6 +155,51 @@ class TestNonFiniteInput:
             y[0, 1] = bad
         with pytest.raises(DomainError):
             entry(h, y)
+
+
+class TestOneRowRule:
+    """The start, the oracle and every step reject the same rows, naming the first bad node."""
+
+    @staticmethod
+    def rows():
+        # row 2's c = h^T h + k0sq is about 7e156: finite, but its square is not
+        rng = np.random.default_rng(3)
+        h = rng.uniform(-1, 1, (3, 20))
+        h[1] *= 1e78
+        c = float(np.vdot(h[1], h[1])) + 0.1
+        assert math.isfinite(c) and not math.isfinite(c * c)
+        return h, rng.standard_normal((2, 20))
+
+    @pytest.mark.parametrize("entry", [
+        lambda h, y: warm_start(AlgorithmKind.ALG3, h, y, 0.1),
+        lambda h, y: solve_direct(h, y, 0.1),
+        lambda h, y: solve_direct_prefixes(h, y, 0.1, [1, 3]),
+        lambda h, y: add_node(warm_start(AlgorithmKind.ALG2, h[:1], y, 0.1), h[1]),
+        lambda h, y: add_node(warm_start(AlgorithmKind.BASELINE, h[:1], y, 0.1), h[1]),
+    ], ids=["warm_start", "solve_direct", "solve_direct_prefixes", "step", "baseline-step"])
+    def test_every_entry_rejects_node_2(self, entry):
+        h, y = self.rows()
+        with pytest.raises(DomainError, match="at node 2;"):
+            entry(h, y)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_one_row_start_names_node_1(self, kind):
+        h, y = self.rows()
+        with pytest.raises(DomainError, match="at node 1;"):
+            init_solver(kind, h[1], y, 0.1)
+
+    def test_grow_run_rejects_the_row_before_any_factorization(self, monkeypatch):
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 20, 2, 1, seed=0)
+        params = ElmParams(A=np.array([[1.0, -1.0], [1e78, 1e78], [0.5, 0.5]]),
+                           d=np.zeros(3), kind=ActivationKind.LINEAR)
+
+        def no_factor(r):
+            raise AssertionError("cholesky was called")
+
+        monkeypatch.setattr(solvers, "cholesky", no_factor)
+        with pytest.raises(DomainError, match="at node 2;"):
+            grow_run(ds, ActivationKind.LINEAR, 0.1, 1, 3, list(AlgorithmKind), seed=0,
+                     params=params)
 
 
 class TestComplexInput:
@@ -454,6 +499,43 @@ class TestGrowRunOracle:
         _, _, ds, params = oracle_problem()
         with pytest.raises(DomainError, match="must be a number"):
             grow_run(ds, ActivationKind.GAUSSIAN, k0sq, 1, 5, [AlgorithmKind.ALG3],
+                     seed=5, params=params)
+
+    def test_checkpoint_at_start(self):
+        # start itself is a checkpoint when it is 3 or 100
+        _, _, ds, params = oracle_problem(nodes=101, k=20)
+        for start, end in [(3, 5), (100, 101)]:
+            _, summary = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, start, end,
+                                  [AlgorithmKind.ALG3], seed=5, params=params)
+            assert summary["checkpoints"] == [start, end]
+            assert list(summary["algorithms"]["alg3"]["checkpoint_errors"]) == [str(start),
+                                                                                str(end)]
+
+    def test_start_record_takes_no_time(self):
+        _, _, ds, params = oracle_problem()
+        traces, _ = grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 4, 8, ALL_INCREMENTAL,
+                             seed=5, params=params)
+        for trace in traces.values():
+            assert trace.records[0].l == 4 and trace.records[0].elapsed_ns == 0
+            assert all(r.elapsed_ns > 0 for r in trace.records[1:])
+
+    def test_oracle_residual_is_relative_below_unit_scale(self):
+        # Y / 2^20 scales every rounding exactly, so the relative residual is
+        # unchanged bitwise while |Y H^T|_F falls from above 1 to below it
+        h, y, ds, params = oracle_problem(nodes=10, k=50)
+        small = Dataset(X=ds.X, Y=y / 2.0**20, task=ds.task)
+        assert np.linalg.norm(small.Y @ h.T) < 1.0 < np.linalg.norm(y @ h.T)
+        residual = [grow_run(d, ActivationKind.GAUSSIAN, 0.1, 1, 10, [AlgorithmKind.ALG3],
+                             seed=5, params=params)[1]["oracle_residual"] for d in (ds, small)]
+        assert residual[0] == residual[1]
+        assert all(0.0 < r < 1e-12 for r in residual[1].values())
+
+    def test_params_with_too_few_nodes(self):
+        # the oracle's range check names the nodes there are
+        _, _, ds, _ = oracle_problem()
+        params = init_random_params(3, 4, ActivationKind.GAUSSIAN, 5)
+        with pytest.raises(DomainError, match=r"1\.\.3, the rows of H, got 1\.\.5"):
+            grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 5, [AlgorithmKind.ALG3],
                      seed=5, params=params)
 
     @pytest.mark.parametrize("start,end", [(0, 5), (6, 5), (1, 61)])
@@ -851,6 +933,23 @@ class TestFlopAccounting:
                        "alg1": 6_040_000, "alg2": 2_040_000, "alg3": 2_040_000}
         with pytest.raises(DomainError, match="nope"):
             step_multiply_adds("nope", 500, 2000, 10)
+
+    @pytest.mark.parametrize("args,message", [
+        ((2.5, 10, 1), "l must be an integer"),
+        ((True, 10, 1), "l must be an integer"),
+        ((-3, 10, 1), "l must be >= 1, got -3"),
+        ((0, 10, 1), "l must be >= 1, got 0"),
+        ((1, 10.0, 1), "K must be an integer"),
+        ((1, 0, 1), "K must be >= 1, got 0"),
+        ((1, 10, -1), "M must be >= 0, got -1"),
+    ])
+    def test_cost_model_sizes_follow_the_integer_rule(self, args, message):
+        with pytest.raises(DomainError, match=message):
+            step_multiply_adds("alg3", *args)
+
+    def test_cost_model_at_its_floors(self):
+        assert step_multiply_adds("alg3", 1, 1, 0) == 2
+        assert step_multiply_adds("existing", 1, 1, 0) == 18
 
     def test_counter_monotone(self):
         st, h_bar = self.setup_state(AlgorithmKind.ALG1)
