@@ -66,6 +66,13 @@ BREAKDOWN_RTOL = 1e-12
 # `_fresh` rounds an array of at least this many entries up to whole blocks of it
 _BLOCK = 1 << 16
 
+# `_existing` walks B in row bands of at most this many entries.  It keeps four
+# band arrays live at once (the band of B, read twice, the scratch g and t1 and
+# the new B's band), 1 MiB together here, so they stay in a 2 MiB L2; at
+# `linalg._BAND` they would take 4 MiB.  Of 2^14, 2^15 and 2^16, 2^15 stepped fastest
+# at K=2000, l=500 (one BLAS thread, a 2-vCPU VM with 2 MiB of L2 per core).
+_EXISTING_BAND = 1 << 15
+
 
 class AlgorithmKind(Enum):
     BASELINE = "baseline"
@@ -178,20 +185,29 @@ def _check_rows(cs, first: int) -> None:
                               f"it must be finite and < 1.34e154")
 
 
-def _factor(h: np.ndarray, y: np.ndarray, k0sq: float,
-            counter: FlopCounter | None = None) -> tuple[np.ndarray, ...]:
-    """Float64 H and Y, the lower Cholesky factor C of H H^T + k0sq I, and H Y^T.
+def _operands(h, y, k0sq: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """k0sq, float64 H and Y, checked for `_factor` and before any use of H's shape.
 
-    k0sq must pass `_check_k0sq`, H and Y be real, H's rows `_check_rows` and
-    Y be finite (DomainError); H must be non-empty and 2-D, and Y 2-D with
-    H's K columns (ShapeError); a pivot that is not positive raises
-    NumericalBreakdownError at its node, from 1.  Both products meter on `counter`.
+    k0sq must pass `_check_k0sq` and H and Y be real (DomainError); H must be
+    non-empty and 2-D, and Y 2-D with H's K columns (ShapeError).
     """
     k0sq = _check_k0sq(k0sq)
     h, y = _real(h, "H"), _real(y, "Y")
     if h.ndim != 2 or h.size < 1 or y.ndim != 2 or h.shape[1] != y.shape[1]:
         raise ShapeError(f"need a non-empty 2-D H and a 2-D Y with as many columns, "
                          f"got H {h.shape}, Y {y.shape}")
+    return k0sq, h, y
+
+
+def _factor(h: np.ndarray, y: np.ndarray, k0sq: float,
+            counter: FlopCounter | None = None) -> tuple[np.ndarray, ...]:
+    """Float64 H and Y, the lower Cholesky factor C of H H^T + k0sq I, and H Y^T.
+
+    The operands must pass `_operands`, H's rows `_check_rows` and Y be
+    finite (DomainError); a pivot that is not positive raises
+    NumericalBreakdownError at its node, from 1.  Both products meter on `counter`.
+    """
+    k0sq, h, y = _operands(h, y, k0sq)
     r = gemm(h, h.T, counter) + k0sq * np.eye(h.shape[0])
     # the diagonal holds each row's c; by Cauchy-Schwarz its squares bound all of r
     _check_rows(np.diag(r).tolist(), 1)
@@ -225,15 +241,18 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     pivot in C is not positive.  LAPACK blocks each size apart, so a prefix's
     own `solve_direct` may round that pivot the other way.
     """
+    # H's shape first, so that solve_direct of an empty H, prefix 0, is a ShapeError
+    k0sq, h, y = _operands(h, y, k0sq)
     ls = list(ls)
-    if not all(isinstance(l, (int, np.integer)) for l in ls):
-        raise DomainError(f"prefix lengths must be integers, got {ls}")
-    n = max(ls, default=0)
-    # H's shape is checked first, on the rows the prefixes read (at least one)
-    h, y, c, rhs = _factor(h[:max(n, 1)], y, k0sq)
-    if not ls or min(ls) < 1 or n > h.shape[0]:
-        span = f"{min(ls)}..{n}" if ls else "none"
-        raise DomainError(f"prefix lengths must lie in 1..{h.shape[0]}, the rows of H, got {span}")
+    if not ls:
+        raise DomainError("need at least one prefix length")
+    for l in ls:
+        _check_counts(1, **{"prefix length": l})
+    n = max(ls)
+    if n > h.shape[0]:
+        raise DomainError(f"prefix lengths must lie in 1..{h.shape[0]}, the rows of H, "
+                          f"got {min(ls)}..{n}")
+    h, y, c, rhs = _factor(h[:n], y, k0sq)
     return {l: solve_spd(c[:l, :l], rhs[:l]).T for l in ls}
 
 
@@ -348,8 +367,9 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, de
     weights are recomputed in full as Y B, so W takes no border (row None);
     `step_multiply_adds` is the cost this rule is charged in comparisons.
     The rows h^T B, here and in the correction, run over all of B; the
-    rest walks B in `row_bands`, forming each band of both terms and of the
-    new B while it is in cache, in two band-sized scratch arrays.
+    rest walks B in `row_bands` of `_EXISTING_BAND` entries, forming each band
+    of both terms and of the new B while it is in cache, in two band-sized
+    scratch arrays.
     Every product keeps its operands and its rounding.
     """
     b = state.B
@@ -358,7 +378,7 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, de
     # the second term's row, evaluated afresh as printed
     u2 = gemm(h_bar.reshape(-1, 1).T, b, cnt)
     u1, minus_u1, minus_u2 = u1.reshape(-1), -u1.reshape(-1), -u2.reshape(-1)
-    bands = row_bands(k, l)
+    bands = row_bands(k, l, _EXISTING_BAND)
     g_buf, t_buf = np.empty((bands[0].stop, l)), np.empty((bands[0].stop, l))
     b_new = _fresh((k, l + 1))
     for band in bands:

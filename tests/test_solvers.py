@@ -290,7 +290,8 @@ class TestSolveDirectPrefixes:
         with pytest.raises(ShapeError):
             solve_direct_prefixes(h, y, 0.1, [1])
 
-    @pytest.mark.parametrize("ls", [[], [0, 2], [1, 3], [2.5]])
+    # a bool is no prefix length, as it is no integer anywhere in the package
+    @pytest.mark.parametrize("ls", [[], [0, 2], [1, 3], [2.5], [True, 2]])
     def test_prefix_lengths_in_range(self, ls):
         with pytest.raises(DomainError):
             solve_direct_prefixes(np.ones((2, 2)), Y1, 0.1, ls)
@@ -430,6 +431,14 @@ class TestGrowRunOracle:
         _, summary = grow_run(zero, ActivationKind.GAUSSIAN, 0.1, 1, 10, [AlgorithmKind.ALG3],
                               seed=5, params=params)
         assert summary["oracle_residual"] == {"3": 0.0, "10": 0.0}
+
+    def test_normal_residual_with_zero_targets_is_absolute(self):
+        # Y H^T = 0 gives no scale, so the residual is |W (H H^T + k0sq I)|_F itself
+        h, y, _, _ = oracle_problem(nodes=8, k=30)
+        w = np.random.default_rng(3).standard_normal((y.shape[0], 8))
+        want = np.linalg.norm(w @ (h @ h.T + 0.1 * np.eye(8)))
+        got = experiments._normal_residual(w, h, np.zeros_like(y), 0.1)
+        assert want > 0 and got == pytest.approx(want, rel=1e-12)
 
     def test_checkpoint_at_500_before_end(self):
         _, _, ds, params = oracle_problem(nodes=501, k=20)
@@ -1257,12 +1266,22 @@ class TestExistingRowBands:
             AlgorithmKind.EXISTING, st.l, st.sample_count, st.Y.shape[0])
         return child, want
 
-    def test_chain_across_three_bands(self):
-        assert [b.stop - b.start for b in row_bands(3001, 100)] == [1304, 1304, 393]
-        h, y = self.problem(3001, 104)
-        st = ref = warm_start(AlgorithmKind.EXISTING, h[:100], y, 0.1)
-        for row in h[100:]:
+    def chain(self, k, l0, steps):
+        h, y = self.problem(k, l0 + steps)
+        st = ref = warm_start(AlgorithmKind.EXISTING, h[:l0], y, 0.1)
+        for row in h[l0:]:
             st, ref = self.step(st, ref, row)
+
+    def test_chain_across_three_bands(self):
+        # the split `_existing` walks at l = 24; three bands up to l = 27
+        assert [b.stop - b.start for b in row_bands(3001, 24, solvers._EXISTING_BAND)] == \
+            [1360, 1360, 281]
+        self.chain(3001, 24, 4)
+
+    def test_chain_across_ten_bands_the_last_partial(self):
+        assert [b.stop - b.start for b in row_bands(3001, 100, solvers._EXISTING_BAND)] == \
+            [320] * 9 + [121]
+        self.chain(3001, 100, 4)
 
     def test_one_step_at_chain_benchmark_size(self):
         h, y = self.problem(2000, 501, m=10)
@@ -1316,15 +1335,24 @@ class TestBorderedRowBands:
 
 
 class TestStorageHelpers:
-    @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (300, 40), (2000, 500),
-                                           (3001, 100), (4096, 1 << 14), (20, 20000)])
-    def test_row_bands_tile_rows_at_multiples_of_8(self, rows, cols):
-        bands = row_bands(rows, cols)
+    @pytest.mark.parametrize("rows,cols,budget", [
+        *(pytest.param(rows, cols, _BAND, id=f"{rows}-{cols}")
+          for rows, cols in [(1, 1), (7, 3), (300, 40), (2000, 500), (3001, 100),
+                             (4096, 1 << 14), (20, 20000)]),
+        # `_existing`'s budget, down to its 8-row floor (cols > budget / 8)
+        *(pytest.param(rows, cols, solvers._EXISTING_BAND, id=f"{rows}-{cols}-existing")
+          for rows, cols in [(7, 3), (500, 500), (2000, 500), (3001, 100), (64, 4096),
+                             (100, 5000)]),
+    ])
+    def test_row_bands_tile_rows_at_multiples_of_8(self, rows, cols, budget):
+        bands = row_bands(rows, cols, budget)
         assert [b.start for b in bands] == [0] + [b.stop for b in bands[:-1]]
         assert bands[-1].stop == rows
         for b in bands:
             assert b.start % 8 == 0 and b.stop > b.start
-            assert (b.stop - b.start) * cols <= _BAND or b.stop - b.start <= 8
+            assert (b.stop - b.start) * cols <= budget or b.stop - b.start <= 8
+        # no band stops short where 8 more rows would still fit the budget
+        assert bands[0].stop == rows or (bands[0].stop + 8) * cols > budget
 
     @pytest.mark.parametrize("shape", [(2, 3), (255, 256), (256, 256), (2000, 501),
                                        (501, 501), (65537,)])
