@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = {}
     for name, text in (
         ("grow", "grow node by node, tracing errors vs the direct solve"),
-        ("bench", "time and meter chained node additions per algorithm"),
+        ("bench", "time chained node additions per algorithm, with their cost"),
         ("eval", "k-fold cross-validation report"),
         ("compare", "equivalence check of the rules against the direct solve"),
     ):

@@ -49,8 +49,9 @@ def _check_inputs(start: int, end: int) -> None:
 
 
 def _distinct(algorithms) -> list[AlgorithmKind]:
-    """`algorithms` as a list; DomainError if it is empty or lists a rule twice."""
-    kinds = list(algorithms)
+    """`algorithms`, kinds or names, as a list of kinds; DomainError if it is
+    empty or names an unknown rule or a rule twice."""
+    kinds = [AlgorithmKind(k) for k in algorithms]
     if not kinds:
         raise DomainError("no algorithm to run")
     for i, kind in enumerate(kinds):
@@ -90,7 +91,7 @@ def _chain(kind: AlgorithmKind, h: np.ndarray, y: np.ndarray, k0sq: float,
 
 
 def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
-             algorithms: list[AlgorithmKind], seed: int,
+             algorithms: list[AlgorithmKind | str], seed: int,
              params: ElmParams | None = None):
     """Grow each algorithm from `start` to `end` nodes, one after another.
 
@@ -100,9 +101,10 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     of `solvers.solve_direct`.  A step's output error |(W - W_l) H_l|_F comes
     from the difference its weight error takes.  Needs integers 1 <= start
     <= end <= the node count of `params`, a k0sq that `solvers.warm_start`
-    accepts and a non-empty rule list naming no rule twice, else raises
-    DomainError.  A rule's failed step, reported by NumericalBreakdownError,
-    ends its trace; a failed oracle or start raises.
+    accepts and a non-empty list of known rules, kinds or names, naming no
+    rule twice, else raises DomainError.  A rule's failed step, reported
+    by NumericalBreakdownError, ends its trace; a failed oracle or start
+    raises.
 
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
@@ -131,15 +133,15 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
     for kind in algorithms:
         trace = GrowthTrace(algorithm=kind.value)
-        breakdown, metered = None, 0
+        breakdown, before = None, 0
         try:
             for state, elapsed in _chain(kind, h_full, y, k0sq, start, end):
                 l = state.l
                 w_err, z_err = weight_output_errors(state.W, base_w[l], h_full[:l])
                 trace.append(StepRecord(l=l, weight_error=w_err, output_error=z_err,
-                                        flops=state.multiply_adds - metered,
+                                        flops=state.multiply_adds - before,
                                         elapsed_ns=elapsed))
-                metered = state.multiply_adds
+                before = state.multiply_adds
         except NumericalBreakdownError as exc:
             if not trace.records:                    # the start failed, not a step
                 raise
@@ -161,8 +163,8 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
 
 def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
-              algorithms: list[AlgorithmKind], seed: int, repeats: int):
-    """Time and meter `repeats` chained node additions from node count l.
+              algorithms: list[AlgorithmKind | str], seed: int, repeats: int):
+    """Time `repeats` chained node additions from node count l.
 
     Each algorithm is warm-started to l nodes and grown to l + repeats
     through `_chain`, the loop `grow_run` and `eval_run` step through, so
@@ -174,8 +176,8 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     The hidden rows come from `init_random_params(l + repeats, ...)`, so they
     change with `repeats`, and a large `repeats` grows l with it.  Needs
     integers l >= 1 (the CLI's --end) and repeats >= 1, a k0sq that
-    `solvers.warm_start` accepts and a non-empty rule list naming no rule
-    twice, else raises DomainError.
+    `solvers.warm_start` accepts and a non-empty list of known rules, kinds
+    or names, naming no rule twice, else raises DomainError.
     """
     _check_counts(1, end=l, repeats=repeats)
     algorithms = _distinct(algorithms)
@@ -211,13 +213,13 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
 
 
 def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: int,
-             algorithms: list[AlgorithmKind], seed: int, folds: int):
+             algorithms: list[AlgorithmKind | str], seed: int, folds: int):
     """K-fold cross-validation; per-fold training uses the chosen rule.
 
     Each fold grows from `start` to `end` nodes; needs integers 1 <= start
-    <= end, a k0sq that `solvers.warm_start` accepts, a non-empty rule list
-    naming no rule twice and an integer 2 <= folds <= the sample count, else
-    raises DomainError.
+    <= end, a k0sq that `solvers.warm_start` accepts, a non-empty list of
+    known rules, kinds or names, naming no rule twice and an integer
+    2 <= folds <= the sample count, else raises DomainError.
     """
     _check_inputs(start, end)
     algorithms = _distinct(algorithms)
@@ -259,6 +261,7 @@ def compare_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, en
     `DEFAULT_THRESHOLDS`, so a `start` above any limit raises DomainError,
     as do the checks of `grow_run`.
     """
+    _check_inputs(start, end)
     for kind, (limit_l, _) in DEFAULT_THRESHOLDS.items():
         if start > limit_l:
             raise DomainError(f"start {start} is above {kind.value}'s checked limit "

@@ -1,17 +1,15 @@
-"""Dense double-precision matrix helpers with optional flop instrumentation.
+"""Dense double-precision matrix helpers.
 
-Matrices are plain 2-D float64 numpy arrays (row-major).  Products of the
-kind "l1 x l2 times l2 x l3" are metered at 2*l1*l2*l3 multiply-adds, and an
-in-place rank-one update of an l1 x l3 matrix at 2*l1*l3, when a counter is
-passed; element-wise work is deliberately left uncounted so the recorded
-numbers match the dominant-cost model used in reports.  A symmetric
-positive definite system is solved in two calls: `cholesky` factors it
-once, and `solve_spd` solves with that factor or a leading block of it.
+Matrices are plain 2-D float64 numpy arrays (row-major).  The solvers run
+the products their cost model charges through `gemm`, an l1 x l2 times
+l2 x l3 product at 2*l1*l2*l3 multiply-adds, and `add_outer`, an in-place
+rank-one update of an l1 x l3 matrix at 2*l1*l3; `solvers.step_multiply_adds`
+sums them per step.  A symmetric positive definite system is solved in two
+calls: `cholesky` factors it once, and `solve_spd` solves with that factor
+or a leading block of it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -19,21 +17,12 @@ from scipy.linalg import blas, lapack
 from .errors import NumericalBreakdownError, ShapeError
 
 
-@dataclass
-class FlopCounter:
-    """Accumulates multiply-add counts for metered matrix products."""
-
-    multiply_adds: int = 0
-
-
-def gemm(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Matrix product a @ b, metered at 2*rows(a)*cols(a)*cols(b)."""
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product a @ b of 2-D operands, costed at 2*rows(a)*cols(a)*cols(b)."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"gemm needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm shape mismatch: {a.shape} x {b.shape}")
-    if counter is not None:
-        counter.multiply_adds += 2 * a.shape[0] * a.shape[1] * b.shape[1]
     return a @ b
 
 
@@ -65,23 +54,20 @@ def row_bands(rows: int, cols: int, budget: int = _BAND) -> list[slice]:
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
-def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray,
-              counter: FlopCounter | None = None) -> np.ndarray:
+def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """dst += outer(x, y) in place by one BLAS dgemm of inner dimension 1; returns dst.
 
     Callers band large updates themselves, one `row_bands` band per call.
     Each product x[i] y[j] is rounded once and added to dst with one more
     rounding, so the result is bitwise numpy's `dst + outer(x, y)`; negation
     is exact, so with -y it is bitwise `dst - outer(x, y)`.  dst must be
-    C-contiguous, x and y 1-D of lengths rows(dst) and cols(dst); metered at
+    C-contiguous, x and y 1-D of lengths rows(dst) and cols(dst); costed at
     2*rows*cols.
     """
     rows, cols = dst.shape
     if not dst.flags.c_contiguous or x.shape != (rows,) or y.shape != (cols,):
         raise ShapeError(f"add_outer needs a C-contiguous dst matching outer({x.shape}, "
                          f"{y.shape}), got {dst.shape}")
-    if counter is not None:
-        counter.multiply_adds += 2 * rows * cols
     dst_t = dst.T                                    # F-contiguous, updated in place
     # f2py copies a c it cannot write in place; the update would be lost
     if blas.dgemm(1.0, y.reshape(-1, 1), x.reshape(1, -1), 1.0, dst_t,

@@ -27,10 +27,12 @@ the one checked entry to C, and `solve_spd` the one solve with it, for the
 start, the direct-solve oracle `solve_direct_prefixes` and BASELINE's step.
 
 All rules grow W by a bordered column and agree with BASELINE up to
-rounding.  Products along the K (sample) dimension run through the metered
-gemm; l- and M-sized bookkeeping is deliberately unmetered so recorded
-flops follow the dominant-cost model.  A step's metered count, the new
-state's `multiply_adds` minus its parent's, is `step_multiply_adds`.
+rounding.  A step's cost, the new state's `multiply_adds` minus its
+parent's, is `step_multiply_adds`, the one cost model.  It charges the
+products a rule runs through `gemm` and `add_outer`: those along the K
+(sample) dimension, and EXISTING's h^T B H h.  Other l- and M-sized work
+and the updates inside `_bordered` are left out, as in the paper's
+dominant-cost model.
 
 Storage model.  States are immutable to the caller, but a step does not
 copy the append-only arrays H (a row per node), L (a column per node) and
@@ -59,7 +61,7 @@ from scipy.linalg import lapack
 
 from .data import _check_counts
 from .errors import DomainError, NumericalBreakdownError, ShapeError
-from .linalg import FlopCounter, add_outer, cholesky, gemm, row_bands, solve_spd
+from .linalg import add_outer, cholesky, gemm, row_bands, solve_spd
 
 BREAKDOWN_RTOL = 1e-12
 
@@ -199,21 +201,20 @@ def _operands(h, y, k0sq: float) -> tuple[float, np.ndarray, np.ndarray]:
     return k0sq, h, y
 
 
-def _factor(h: np.ndarray, y: np.ndarray, k0sq: float,
-            counter: FlopCounter | None = None) -> tuple[np.ndarray, ...]:
+def _factor(h: np.ndarray, y: np.ndarray, k0sq: float) -> tuple[np.ndarray, ...]:
     """Float64 H and Y, the lower Cholesky factor C of H H^T + k0sq I, and H Y^T.
 
     The operands must pass `_operands`, H's rows `_check_rows` and Y be
     finite (DomainError); a pivot that is not positive raises
-    NumericalBreakdownError at its node, from 1.  Both products meter on `counter`.
+    NumericalBreakdownError at its node, from 1.
     """
     k0sq, h, y = _operands(h, y, k0sq)
-    r = gemm(h, h.T, counter) + k0sq * np.eye(h.shape[0])
+    r = gemm(h, h.T) + k0sq * np.eye(h.shape[0])
     # the diagonal holds each row's c; by Cauchy-Schwarz its squares bound all of r
     _check_rows(np.diag(r).tolist(), 1)
     if not np.isfinite(y).all():
         raise DomainError("Y must be finite")
-    return h, y, cholesky(r), gemm(h, y.T, counter)
+    return h, y, cholesky(r), gemm(h, y.T)
 
 
 def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float) -> np.ndarray:
@@ -277,7 +278,7 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
     B = H^T Q, and keep B.  ALG3 never forms Q: C^-T is upper triangular
     with diagonal 1/diag(C), so Q = C^-T C^-1 = L diag(D) L^T for
     L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.  BASELINE keeps
-    W only.  The start is unmetered: the returned state's `multiply_adds` is 0.
+    W only.  The start is not costed: the returned state's `multiply_adds` is 0.
     """
     kind = AlgorithmKind(kind)
     h, y, c, rhs = _factor(h, y, k0sq)
@@ -297,9 +298,9 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
     return SolverState(kind=kind, k0sq=float(k0sq), H=h, Y=y, W=w, **aux)
 
 
-def compute_p(state: SolverState, h_bar: np.ndarray, counter: FlopCounter) -> np.ndarray:
+def compute_p(state: SolverState, h_bar: np.ndarray) -> np.ndarray:
     """Cross term p = H h_bar of every incremental rule, once per step (cost 2lK)."""
-    return gemm(state.H, _real(h_bar, "h_bar").reshape(-1, 1), counter).reshape(-1)
+    return gemm(state.H, _real(h_bar, "h_bar").reshape(-1, 1)).reshape(-1)
 
 
 def _schur_denominator(c: float, correction: float, node_index: int) -> float:
@@ -353,14 +354,14 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
     return out
 
 
-def _existing_correction(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
-                         cnt: FlopCounter) -> tuple[float, np.ndarray]:
-    u1 = gemm(h_bar.reshape(-1, 1).T, state.B, cnt)  # 1 x l
-    return gemm(u1, p.reshape(-1, 1), cnt)[0, 0], u1  # h^T B H h
+def _existing_correction(state: SolverState, h_bar: np.ndarray,
+                         p: np.ndarray) -> tuple[float, np.ndarray]:
+    u1 = gemm(h_bar.reshape(-1, 1).T, state.B)      # 1 x l
+    return gemm(u1, p.reshape(-1, 1))[0, 0], u1      # h^T B H h
 
 
 def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
-              u1: np.ndarray, store: _Store, cnt: FlopCounter) -> tuple:
+              u1: np.ndarray, store: _Store) -> tuple:
     """Literal two-term bordered update of the pseudo-inverse B.
 
     Both terms evaluate their own ((c I - h h^T) B) product and the output
@@ -376,7 +377,7 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, de
     k, l = b.shape
     p = p.reshape(-1, 1)                             # l x 1
     # the second term's row, evaluated afresh as printed
-    u2 = gemm(h_bar.reshape(-1, 1).T, b, cnt)
+    u2 = gemm(h_bar.reshape(-1, 1).T, b)
     u1, minus_u1, minus_u2 = u1.reshape(-1), -u1.reshape(-1), -u2.reshape(-1)
     bands = row_bands(k, l, _EXISTING_BAND)
     g_buf, t_buf = np.empty((bands[0].stop, l)), np.empty((bands[0].stop, l))
@@ -386,62 +387,62 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, de
         g, t1, b_band = g_buf[:n], t_buf[:n], b_new[band]
         # first term: ((c I - h h^T) B) (H h) (h^T B) / (c (c - h^T B H h))
         np.multiply(c, b[band], out=g)
-        add_outer(g, h, minus_u1, cnt)
-        v = gemm(g, p, cnt).reshape(-1)
+        add_outer(g, h, minus_u1)
+        v = gemm(g, p).reshape(-1)
         t1.fill(0.0)                                 # 0 + v u1^T rounds as the product v u1^T
-        add_outer(t1, v, u1, cnt)
+        add_outer(t1, v, u1)
         # second term: ((c I - h h^T) B) / c, in g once v is formed
         np.multiply(c, b[band], out=g)
-        add_outer(g, h, minus_u2, cnt)
+        add_outer(g, h, minus_u2)
         t1 /= c * delta
         g /= c
         np.add(t1, g, out=b_band[:, :-1])
-        b_band[:, -1] = (-gemm(b_band[:, :-1], p, cnt).reshape(-1) + h) / c
-    return gemm(state.Y, b_new, cnt), None, {"B": b_new}
+        b_band[:, -1] = (-gemm(b_band[:, :-1], p).reshape(-1) + h) / c
+    return gemm(state.Y, b_new), None, {"B": b_new}
 
 
-def _alg1_correction(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
-                     cnt: FlopCounter) -> tuple[float, np.ndarray]:
-    u = gemm(h_bar.reshape(1, -1), state.B, cnt).reshape(-1)  # h^T B, reused twice
+def _alg1_correction(state: SolverState, h_bar: np.ndarray,
+                     p: np.ndarray) -> tuple[float, np.ndarray]:
+    u = gemm(h_bar.reshape(1, -1), state.B).reshape(-1)  # h^T B, reused twice
     return float(u @ p), u
 
 
 def _alg1(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
-          u: np.ndarray, store: _Store, cnt: FlopCounter) -> tuple:
+          u: np.ndarray, store: _Store) -> tuple:
     """Simplified B update; the row u = h^T B is computed once and reused."""
     tau = 1.0 / delta
-    b_bar = tau * (h_bar - gemm(state.B, p.reshape(-1, 1), cnt).reshape(-1))
+    b_bar = tau * (h_bar - gemm(state.B, p.reshape(-1, 1)).reshape(-1))
     minus_u = -u                                     # B - b_bar u^T and W - w_bar u^T
     b_new = _bordered(state.B, b_bar, minus_u)
-    return gemm(state.Y, b_bar.reshape(-1, 1), cnt).reshape(-1), minus_u, {"B": b_new}
+    return gemm(state.Y, b_bar.reshape(-1, 1)).reshape(-1), minus_u, {"B": b_new}
 
 
-def _alg2_correction(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
-                     cnt: FlopCounter) -> tuple[float, np.ndarray]:
+def _alg2_correction(state: SolverState, h_bar: np.ndarray,
+                     p: np.ndarray) -> tuple[float, np.ndarray]:
     qp = state.Q @ p
     return float(p @ qp), qp
 
 
 def _alg2(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
-          qp: np.ndarray, store: _Store, cnt: FlopCounter) -> tuple:
+          qp: np.ndarray, store: _Store) -> tuple:
     """Bordered update of the inverse Q by t_tilde = t / tau, the row W's border takes."""
     tau = 1.0 / delta
     t = -tau * qp
     t_tilde = t / tau
     q_new = _bordered(state.Q, t, t_tilde, corner=tau)
-    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1), cnt).reshape(-1) - state.W @ p)
+    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1)).reshape(-1) - state.W @ p)
     return w_bar, t_tilde, {"Q": q_new}
 
 
-def _alg3_correction(state: SolverState, h_bar: np.ndarray, p: np.ndarray,
-                     cnt: FlopCounter) -> tuple[float, np.ndarray]:
+def _alg3_correction(state: SolverState, h_bar: np.ndarray,
+                     p: np.ndarray) -> tuple[float, np.ndarray]:
     v = state.L.T @ p                                # Q p = L D v, with Q never formed
     dv = state.D * v
     return float(v @ dv), state.L @ dv
 
 
 def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
-          ldv: np.ndarray, store: _Store, cnt: FlopCounter) -> tuple:
+          ldv: np.ndarray, store: _Store) -> tuple:
     """Bordered update of the factors L, D with L diag(D) L^T = Q.
 
     The new column -L D v of L above a unit diagonal, also W's border row,
@@ -449,7 +450,7 @@ def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta:
     """
     tau = 1.0 / delta
     t_tilde = -ldv
-    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1), cnt).reshape(-1) - state.W @ p)
+    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1)).reshape(-1) - state.W @ p)
     n = state.l
     store.L[:n, n] = t_tilde
     store.L[n, n] = 1.0
@@ -457,8 +458,8 @@ def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta:
     return w_bar, t_tilde, {"L": store.L[:n + 1, :n + 1], "D": store.D[:n + 1]}
 
 
-# rule -> (correction(state, h_bar, p, cnt) -> (c - delta, q), update(state, h_bar, c, p,
-# delta, q, store, cnt) -> (W's border column w_bar and row, aux arrays)); see `add_node`
+# rule -> (correction(state, h_bar, p) -> (c - delta, q), update(state, h_bar, c, p,
+# delta, q, store) -> (W's border column w_bar and row, aux arrays)); see `add_node`
 _RULES = {
     AlgorithmKind.EXISTING: (_existing_correction, _existing),
     AlgorithmKind.ALG1: (_alg1_correction, _alg1),
@@ -466,22 +467,28 @@ _RULES = {
     AlgorithmKind.ALG3: (_alg3_correction, _alg3),
 }
 
+# rule -> (l, K, M) -> multiply-adds of one step from l nodes, its `gemm` and `add_outer`
+# products outside `_bordered`; `add_node` reads it for a state's own, valid sizes
+_COST = {
+    AlgorithmKind.BASELINE: lambda l, k, m: 2 * (l + 1) ** 2 * k + 2 * m * (l + 1) * k,
+    AlgorithmKind.EXISTING: lambda l, k, m: 16 * l * k + 2 * l + 2 * m * (l + 1) * k,
+    AlgorithmKind.ALG1: lambda l, k, m: 6 * l * k + 2 * m * k,
+    AlgorithmKind.ALG2: lambda l, k, m: 2 * l * k + 2 * m * k,
+    AlgorithmKind.ALG3: lambda l, k, m: 2 * l * k + 2 * m * k,
+}
+
 
 def step_multiply_adds(kind: AlgorithmKind | str, l: int, k: int, m: int) -> int:
-    """Metered multiply-adds of one `kind` step from l to l + 1 nodes, K samples, M outputs.
+    """Multiply-adds of one `kind` step from l to l + 1 nodes, K samples, M outputs.
 
-    The rules' one cost model, exactly what `add_node` meters; `kind` is an
-    `AlgorithmKind` or its name, as in `warm_start`, and l, K >= 1 and M >= 0.
+    The rules' one cost model, the checked entry to `_COST`: `add_node`
+    adds the same figure, read from `_COST` for the state's own l, K and M,
+    to each child's `multiply_adds`.  `kind` is an `AlgorithmKind` or its
+    name, as in `warm_start`, and l, K >= 1 and M >= 0 (DomainError).
     """
     _check_counts(1, l=l, K=k)
     _check_counts(0, M=m)
-    return {
-        AlgorithmKind.BASELINE: 2 * (l + 1) ** 2 * k + 2 * m * (l + 1) * k,
-        AlgorithmKind.EXISTING: 16 * l * k + 2 * l + 2 * m * (l + 1) * k,
-        AlgorithmKind.ALG1: 6 * l * k + 2 * m * k,
-        AlgorithmKind.ALG2: 2 * l * k + 2 * m * k,
-        AlgorithmKind.ALG3: 2 * l * k + 2 * m * k,
-    }[AlgorithmKind(kind)]
+    return _COST[AlgorithmKind(kind)](l, k, m)
 
 
 def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
@@ -493,14 +500,15 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     oracle's row rule (DomainError naming the node, before the row is
     stored); h_bar is appended to the chain's store, in place only if
     `state` is at the store's fill level and the store has room, else into
-    a new store that copies `state`'s arrays; a counter starts from
-    `state.multiply_adds`.  BASELINE then re-solves on the stored rows.
+    a new store that copies `state`'s arrays.  BASELINE then re-solves on
+    the stored rows.
     Any other rule's correction in `_RULES` gets p = H h_bar
     from `compute_p`; the one breakdown test `_schur_denominator` forms
     delta = c - correction before anything is updated; the rule's update
     returns W's border, and W becomes [W + w_bar row^T, w_bar] (EXISTING
     returns its full Y B, row None).  The child is built over the store's
-    first l + 1 rows, and only then is the fill level l + 1.  A re-solve,
+    first l + 1 rows, with `multiply_adds` its parent's plus the step's
+    `step_multiply_adds`, and only then is the fill level l + 1.  A re-solve,
     correction or breakdown test that raises leaves `state` and its chain as
     they were: the row appended lies past every state's view and the fill
     level is unchanged.
@@ -515,19 +523,19 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     if store is None or store.n != n or store.H.shape[0] == n:
         store = _Store(state)
     store.H[n] = h_bar
-    cnt = FlopCounter(state.multiply_adds)
     if state.kind is AlgorithmKind.BASELINE:
-        _, _, factor, rhs = _factor(store.H[:n + 1], state.Y, state.k0sq, cnt)
+        _, _, factor, rhs = _factor(store.H[:n + 1], state.Y, state.k0sq)
         w, aux = solve_spd(factor, rhs).T, {}
     else:
         correction, update = _RULES[state.kind]
-        p = compute_p(state, h_bar, cnt)
-        corr, q = correction(state, h_bar, p, cnt)
+        p = compute_p(state, h_bar)
+        corr, q = correction(state, h_bar, p)
         delta = _schur_denominator(c, corr, n + 1)
-        w_bar, row, aux = update(state, h_bar, c, p, delta, q, store, cnt)
+        w_bar, row, aux = update(state, h_bar, c, p, delta, q, store)
         w = w_bar if row is None else _bordered(state.W, w_bar, row)
+    cost = _COST[state.kind](n, state.sample_count, state.Y.shape[0])
     child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1], Y=state.Y, W=w,
-                        multiply_adds=cnt.multiply_adds, **aux)
+                        multiply_adds=state.multiply_adds + cost, **aux)
     object.__setattr__(child, "_store", store)
     store.n = n + 1
     return child

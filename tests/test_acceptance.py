@@ -41,7 +41,7 @@ def deep_growth():
 
 @pytest.fixture(scope="module")
 def big_bench():
-    """100 timed and metered node additions at K=2000, l=500, M=10."""
+    """100 timed node additions at K=2000, l=500, M=10, with their costs."""
     ds = synth_dataset(SynthKind.SINE_MIXTURE, 2000, 8, 10, seed=1)
     return bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 500, ALL_INCREMENTAL,
                      seed=1, repeats=100)

@@ -189,7 +189,7 @@ class TestBenchCommand:
     def test_smoke(self, tmp_path):
         bench = self.bench(tmp_path)
         assert bench["l"] == 12 and bench["K"] == 80
-        # the metered counts are the cost model's, exactly
+        # each rule's first step, taken from l = --end, costs the cost model's figure
         assert set(bench["flop_model"]) == {"existing", "alg1", "alg2", "alg3"}
         for name, entry in bench["algorithms"].items():
             assert entry["flops_per_step"] == bench["flop_model"][name]
@@ -446,8 +446,14 @@ class TestErrorPaths:
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 20, 2, 1, seed=0)
         with pytest.raises(DomainError, match="'alg2' named twice"):
             runner(ds, [AlgorithmKind.ALG2, AlgorithmKind.ALG3, AlgorithmKind.ALG2])
+        # a rule's name is the rule, so a name and its kind are one rule twice
+        with pytest.raises(DomainError, match="'alg1' named twice"):
+            runner(ds, ["alg1", AlgorithmKind.ALG1])
+        with pytest.raises(DomainError, match="'alg9'"):
+            runner(ds, ["alg9"])
         with pytest.raises(DomainError, match="no algorithm"):
             runner(ds, [])
+        runner(ds, ["alg1"])                         # a name alone runs as its kind
 
     # solvers checks k0sq at a run's first start or oracle call; no runner checks it again
     @pytest.mark.parametrize("k0sq", [0.0, -1.0, np.inf, np.nan, 1e-200, 1e200, "0.1", 1 + 0j],
@@ -480,7 +486,12 @@ class TestErrorPaths:
                                           [AlgorithmKind.ALG3], 0, 2), "end"),
         (lambda ds: experiments.bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 3,
                                           [AlgorithmKind.ALG3], 0, 2.0), "repeats"),
-    ], ids=["grow-start", "grow-end", "eval-end", "eval-folds", "bench-end", "bench-repeats"])
+        (lambda ds: experiments.compare_run(ds, ActivationKind.GAUSSIAN, 0.1, "3", 5, 0),
+         "start"),
+        (lambda ds: experiments.compare_run(ds, ActivationKind.GAUSSIAN, 0.1, None, 5, 0),
+         "start"),
+    ], ids=["grow-start", "grow-end", "eval-end", "eval-folds", "bench-end", "bench-repeats",
+            "compare-start-text", "compare-start-none"])
     def test_runner_rejects_a_count_that_is_not_an_integer(self, call, name):
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 20, 2, 1, seed=0)
         with pytest.raises(DomainError, match=f"{name} must be an integer"):

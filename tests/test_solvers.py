@@ -25,7 +25,7 @@ from ifelm.errors import (
     ShapeError,
 )
 from ifelm.experiments import grow_run
-from ifelm.linalg import _BAND, FlopCounter, add_outer, cholesky, row_bands
+from ifelm.linalg import _BAND, add_outer, cholesky, row_bands
 from ifelm.model import ActivationKind, ElmParams, hidden_matrix, init_random_params
 from ifelm.solvers import (
     ALL_INCREMENTAL,
@@ -592,26 +592,26 @@ class TestInitSolver:
 class TestComputeP:
     def test_hand_product(self):
         st = worked_state(AlgorithmKind.ALG2)
-        assert np.allclose(compute_p(st, HBAR, FlopCounter()), [1.0])
+        assert np.allclose(compute_p(st, HBAR), [1.0])
 
     def test_zero_row(self):
         st = worked_state(AlgorithmKind.ALG2)
-        assert np.array_equal(compute_p(st, np.zeros(2), FlopCounter()), [0.0])
+        assert np.array_equal(compute_p(st, np.zeros(2)), [0.0])
 
     def test_identity_hidden_matrix(self):
         st = init_solver(AlgorithmKind.ALG2, [1.0, 0.0, 0.0], np.zeros((1, 3)), 1.0)
         st = replace(st, H=np.eye(3))
         h = np.array([0.3, -0.7, 0.2])
-        assert np.allclose(compute_p(st, h, FlopCounter()), h)
+        assert np.allclose(compute_p(st, h), h)
 
     def test_wrong_length(self):
         with pytest.raises(ShapeError):
-            compute_p(worked_state(AlgorithmKind.ALG2), np.zeros(5), FlopCounter())
+            compute_p(worked_state(AlgorithmKind.ALG2), np.zeros(5))
 
     def test_complex_row_rejected(self):
         # the float64 cast would drop the imaginary part
         with pytest.raises(DomainError, match="h_bar"):
-            compute_p(worked_state(AlgorithmKind.ALG2), [1 + 5j, 0], FlopCounter())
+            compute_p(worked_state(AlgorithmKind.ALG2), [1 + 5j, 0])
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_add_node_computes_it_once_per_incremental_step(self, kind, monkeypatch):
@@ -623,9 +623,9 @@ class TestComputeP:
         plain = add_node(st, rows[5])
         calls = []
 
-        def counting(state, h_bar, counter):
+        def counting(state, h_bar):
             calls.append(state)
-            return compute_p(state, h_bar, counter)
+            return compute_p(state, h_bar)
 
         monkeypatch.setattr(solvers, "compute_p", counting)
         child = add_node(st, rows[5])
@@ -911,10 +911,39 @@ class TestWarmStart:
             init_solver("nope", rows[0], y, 0.1)
 
 
-class TestFlopAccounting:
-    """Per-step metered counts must equal `step_multiply_adds` exactly.
+def count_products(monkeypatch) -> list[int]:
+    """Meter `solvers.gemm` and `solvers.add_outer` as the cost model charges them.
 
-    A step's count is the child's `multiply_adds` minus its parent's.
+    Each gemm adds 2 rows * inner * cols and each add_outer 2 rows * cols
+    to the returned one-entry list; the updates inside `_bordered` are
+    left out, as the cost model leaves them out.
+    """
+    total, bordered = [0], solvers._bordered
+
+    def counted(fn, madds):
+        def call(*args):
+            total[0] += madds(*(a.shape for a in args))
+            return fn(*args)
+        return call
+
+    def uncounted(*args, **kwargs):
+        before = total[0]
+        out = bordered(*args, **kwargs)
+        total[0] = before
+        return out
+
+    for name, madds in [("gemm", lambda a, b: 2 * a[0] * a[1] * b[1]),
+                        ("add_outer", lambda dst, x, y: 2 * dst[0] * dst[1])]:
+        monkeypatch.setattr(solvers, name, counted(getattr(solvers, name), madds))
+    monkeypatch.setattr(solvers, "_bordered", uncounted)
+    return total
+
+
+class TestFlopAccounting:
+    """Each step runs exactly the products `step_multiply_adds` charges.
+
+    A step's cost is the child's `multiply_adds` minus its parent's;
+    `count_products` counts the products the step actually runs.
     """
 
     def setup_state(self, kind, l=40, k=300, m=3):
@@ -930,10 +959,13 @@ class TestFlopAccounting:
     # K=3001 walks B in three row bands; the count must not depend on them
     @pytest.mark.parametrize("k", [300, 3001])
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
-    def test_step_is_the_cost_model(self, kind, k):
+    def test_step_is_the_cost_model(self, kind, k, monkeypatch):
         st, h_bar = self.setup_state(kind, k=k)
-        got = self.step_cost(st, add_node(st, h_bar))
-        assert got == step_multiply_adds(kind, st.l, k, st.Y.shape[0])
+        counted = count_products(monkeypatch)
+        child = add_node(st, h_bar)
+        want = step_multiply_adds(kind, st.l, k, st.Y.shape[0])
+        assert counted[0] == want
+        assert self.step_cost(st, child) == want
 
     def test_cost_model_at_the_readme_example(self):
         # K=2000, l=500, M=10, with rules named as in warm_start
