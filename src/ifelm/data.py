@@ -141,6 +141,13 @@ def _check_counts(floor: int, **counts: int) -> None:
             raise DomainError(f"{name} must be >= {floor}, got {n}")
 
 
+def _as_list(values, name: str) -> list:
+    """`values` as a list; DomainError naming it unless it is an iterable other than text."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise DomainError(f"{name} must be a list, not a single value, got {values!r}")
+    return list(values)
+
+
 def synth_dataset(kind: SynthKind, k: int, n: int, m: int, seed: int,
                   noise: float = 0.05) -> Dataset:
     """Deterministic seeded synthetic data with a known generating process."""

@@ -23,7 +23,14 @@ import time
 import numpy as np
 
 from . import solvers
-from .data import Dataset, TaskKind, _check_counts, apply_normalization, normalize_features
+from .data import (
+    Dataset,
+    TaskKind,
+    _as_list,
+    _check_counts,
+    apply_normalization,
+    normalize_features,
+)
 from .errors import DomainError, NumericalBreakdownError
 from .evaluation import (
     GrowthTrace,
@@ -50,8 +57,8 @@ def _check_inputs(start: int, end: int) -> None:
 
 def _distinct(algorithms) -> list[AlgorithmKind]:
     """`algorithms`, kinds or names, as a list of kinds; DomainError if it is
-    empty or names an unknown rule or a rule twice."""
-    kinds = [AlgorithmKind(k) for k in algorithms]
+    not a list, is empty or names an unknown rule or a rule twice."""
+    kinds = [AlgorithmKind(k) for k in _as_list(algorithms, "algorithms")]
     if not kinds:
         raise DomainError("no algorithm to run")
     for i, kind in enumerate(kinds):
@@ -108,9 +115,10 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
     Returns (traces, summary) where traces maps algorithm name to a
     GrowthTrace of per-step errors vs the direct solve and per-step
-    multiply-adds, and summary holds checkpoint errors and breakdown
-    diagnostics per algorithm, plus `oracle_residual`: the reference's
-    relative normal-equation residual at each checkpoint.
+    `solvers.step_multiply_adds` (0 for the start), and summary holds
+    checkpoint errors and breakdown diagnostics per algorithm, plus
+    `oracle_residual`: the reference's relative normal-equation residual at
+    each checkpoint.
     """
     _check_inputs(start, end)
     algorithms = _distinct(algorithms)
@@ -118,6 +126,7 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
         params = init_random_params(end, ds.X.shape[0], kernel, seed)
     h_full = hidden_matrix(params, ds.X)
     y = ds.Y
+    m, k = y.shape
 
     base_w = solvers.solve_direct_prefixes(h_full, y, k0sq, range(start, end + 1))
 
@@ -133,15 +142,14 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
 
     for kind in algorithms:
         trace = GrowthTrace(algorithm=kind.value)
-        breakdown, before = None, 0
+        breakdown = None
         try:
             for state, elapsed in _chain(kind, h_full, y, k0sq, start, end):
                 l = state.l
                 w_err, z_err = weight_output_errors(state.W, base_w[l], h_full[:l])
+                flops = solvers.step_multiply_adds(kind, l - 1, k, m) if l > start else 0
                 trace.append(StepRecord(l=l, weight_error=w_err, output_error=z_err,
-                                        flops=state.multiply_adds - before,
-                                        elapsed_ns=elapsed))
-                before = state.multiply_adds
+                                        flops=flops, elapsed_ns=elapsed))
         except NumericalBreakdownError as exc:
             if not trace.records:                    # the start failed, not a step
                 raise
@@ -171,8 +179,8 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     every timed step is the step those runs take.  The first step also
     builds the chain's store, copying H (and L, D); every later one
     appends in place, so `min_ns` is the in-place cost and `mean_ns`
-    includes the one copy.  `flops_per_step` is the first step's multiply-adds
-    and equals `flop_model`, each benched rule's `step_multiply_adds` at l.
+    includes the one copy.  `flops_per_step` is the first step's multiply-adds,
+    each benched rule's `flop_model` entry, `step_multiply_adds` at l.
     The hidden rows come from `init_random_params(l + repeats, ...)`, so they
     change with `repeats`, and a large `repeats` grows l with it.  Needs
     integers l >= 1 (the CLI's --end) and repeats >= 1, a k0sq that
@@ -194,10 +202,9 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     for kind in algorithms:
         steps = _chain(kind, h_full, ds.Y, k0sq, l, l + repeats)
         next(steps)  # the warm start at l nodes, untimed
-        first, ns = next(steps)
-        times = [ns, *(ns for _, ns in steps)]
+        times = [ns for _, ns in steps]
         report["algorithms"][kind.value] = {
-            "flops_per_step": first.multiply_adds,
+            "flops_per_step": report["flop_model"][kind.value],
             "mean_ns": float(np.mean(times)),
             "min_ns": int(np.min(times)),
         }

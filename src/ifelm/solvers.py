@@ -27,12 +27,12 @@ the one checked entry to C, and `solve_spd` the one solve with it, for the
 start, the direct-solve oracle `solve_direct_prefixes` and BASELINE's step.
 
 All rules grow W by a bordered column and agree with BASELINE up to
-rounding.  A step's cost, the new state's `multiply_adds` minus its
-parent's, is `step_multiply_adds`, the one cost model.  It charges the
-products a rule runs through `gemm` and `add_outer`: those along the K
-(sample) dimension, and EXISTING's h^T B H h.  Other l- and M-sized work
-and the updates inside `_bordered` are left out, as in the paper's
-dominant-cost model.
+rounding.  A step's cost is a function of its rule and sizes alone,
+`step_multiply_adds(kind, l, K, M)`, the one cost model; states carry no
+cost.  It charges the products a rule runs through `gemm` and `add_outer`:
+those along the K (sample) dimension, and EXISTING's h^T B H h.  Other l-
+and M-sized work and the updates inside `_bordered` are left out, as in
+the paper's dominant-cost model.
 
 Storage model.  States are immutable to the caller, but a step does not
 copy the append-only arrays H (a row per node), L (a column per node) and
@@ -59,7 +59,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lapack
 
-from .data import _check_counts
+from .data import _as_list, _check_counts
 from .errors import DomainError, NumericalBreakdownError, ShapeError
 from .linalg import add_outer, cholesky, gemm, row_bands, solve_spd
 
@@ -124,9 +124,8 @@ class SolverState:
     Q (l x l); ALG3 carries L (l x l, unit upper-triangular) and D (l,);
     BASELINE carries nothing beyond H, Y, W.  In a grown state H, L and D
     are views of its chain's store (see the module docstring), which only
-    `add_node` sets; treat every array as read-only.
-    `multiply_adds` sums each step's `step_multiply_adds` from the start (0
-    after `warm_start`) to this one.  States compare and hash by identity.
+    `add_node` sets; treat every array as read-only.  States compare and
+    hash by identity.
     """
 
     kind: AlgorithmKind
@@ -138,7 +137,6 @@ class SolverState:
     Q: np.ndarray | None = None
     L: np.ndarray | None = None
     D: np.ndarray | None = None
-    multiply_adds: int = 0
     _store: _Store | None = field(default=None, init=False, repr=False)
 
     @property
@@ -156,10 +154,12 @@ class SolverState:
 
 
 def _check_k0sq(k0sq: float) -> float:
-    # text passes float() but fails untyped in numpy, complex fails float(); and a
-    # step divides by c * delta >= k0sq^2, so k0sq^2 must be a normal float
-    if np.asarray(k0sq).dtype.kind in "SUc":
-        raise DomainError(f"regularization k0sq must be a number, not text or complex: {k0sq!r}")
+    # float() parses text, which numpy then cannot multiply, takes a bool, and fails
+    # untyped on complex, None and arrays; and a step divides by c * delta >= k0sq^2,
+    # so k0sq^2 must be a normal float
+    if k0sq is None or np.ndim(k0sq) or np.asarray(k0sq).dtype.kind in "bSUc":
+        raise DomainError(f"regularization k0sq must be a number, not text, complex, "
+                          f"a bool, None or an array: {k0sq!r}")
     try:
         f = float(k0sq)
     except OverflowError:
@@ -171,10 +171,11 @@ def _check_k0sq(k0sq: float) -> float:
 
 
 def _real(a, name: str) -> np.ndarray:
-    """`a` as a float64 array; DomainError if complex, whose imaginary part the cast drops."""
+    """`a` as a float64 array; DomainError if complex, whose imaginary part the cast
+    drops, or text, which it would parse."""
     a = np.asarray(a)
-    if a.dtype.kind == "c":
-        raise DomainError(f"{name} must be real, got {a.dtype}")
+    if a.dtype.kind in "cSU":
+        raise DomainError(f"{name} must be real numbers, got {a.dtype}")
     return a.astype(np.float64, copy=False)
 
 
@@ -244,7 +245,7 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     """
     # H's shape first, so that solve_direct of an empty H, prefix 0, is a ShapeError
     k0sq, h, y = _operands(h, y, k0sq)
-    ls = list(ls)
+    ls = _as_list(ls, "prefix lengths")
     if not ls:
         raise DomainError("need at least one prefix length")
     for l in ls:
@@ -278,7 +279,7 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
     B = H^T Q, and keep B.  ALG3 never forms Q: C^-T is upper triangular
     with diagonal 1/diag(C), so Q = C^-T C^-1 = L diag(D) L^T for
     L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.  BASELINE keeps
-    W only.  The start is not costed: the returned state's `multiply_adds` is 0.
+    W only.
     """
     kind = AlgorithmKind(kind)
     h, y, c, rhs = _factor(h, y, k0sq)
@@ -468,7 +469,7 @@ _RULES = {
 }
 
 # rule -> (l, K, M) -> multiply-adds of one step from l nodes, its `gemm` and `add_outer`
-# products outside `_bordered`; `add_node` reads it for a state's own, valid sizes
+# products outside `_bordered`
 _COST = {
     AlgorithmKind.BASELINE: lambda l, k, m: 2 * (l + 1) ** 2 * k + 2 * m * (l + 1) * k,
     AlgorithmKind.EXISTING: lambda l, k, m: 16 * l * k + 2 * l + 2 * m * (l + 1) * k,
@@ -481,10 +482,10 @@ _COST = {
 def step_multiply_adds(kind: AlgorithmKind | str, l: int, k: int, m: int) -> int:
     """Multiply-adds of one `kind` step from l to l + 1 nodes, K samples, M outputs.
 
-    The rules' one cost model, the checked entry to `_COST`: `add_node`
-    adds the same figure, read from `_COST` for the state's own l, K and M,
-    to each child's `multiply_adds`.  `kind` is an `AlgorithmKind` or its
-    name, as in `warm_start`, and l, K >= 1 and M >= 0 (DomainError).
+    The rules' one cost model, the checked entry to `_COST`.  A chain's
+    cost from l0 to l nodes is the sum of this over l0..l-1.  `kind` is an
+    `AlgorithmKind` or its name, as in `warm_start`, and l, K >= 1 and
+    M >= 0 (DomainError).
     """
     _check_counts(1, l=l, K=k)
     _check_counts(0, M=m)
@@ -507,8 +508,7 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     delta = c - correction before anything is updated; the rule's update
     returns W's border, and W becomes [W + w_bar row^T, w_bar] (EXISTING
     returns its full Y B, row None).  The child is built over the store's
-    first l + 1 rows, with `multiply_adds` its parent's plus the step's
-    `step_multiply_adds`, and only then is the fill level l + 1.  A re-solve,
+    first l + 1 rows, and only then is the fill level l + 1.  A re-solve,
     correction or breakdown test that raises leaves `state` and its chain as
     they were: the row appended lies past every state's view and the fill
     level is unchanged.
@@ -533,9 +533,7 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
         delta = _schur_denominator(c, corr, n + 1)
         w_bar, row, aux = update(state, h_bar, c, p, delta, q, store)
         w = w_bar if row is None else _bordered(state.W, w_bar, row)
-    cost = _COST[state.kind](n, state.sample_count, state.Y.shape[0])
-    child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1], Y=state.Y, W=w,
-                        multiply_adds=state.multiply_adds + cost, **aux)
+    child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1], Y=state.Y, W=w, **aux)
     object.__setattr__(child, "_store", store)
     store.n = n + 1
     return child

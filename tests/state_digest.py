@@ -8,8 +8,8 @@ way from run to run:
 For each configuration (K, l0, steps), every rule starts from the first l0
 rows (`init_solver` when l0 = 1, else `warm_start`) and takes `steps`
 chained steps.  Half-way, the parent of the newest state is stepped once
-more with another row, which takes the copy path.  The digest covers H, W,
-B, Q, L, D and `multiply_adds` of every state, then `solve_direct` and
+more with another row, which takes the copy path.  The digest covers the
+rule, l, H, W, B, Q, L and D of every state, then `solve_direct` and
 `solve_direct_prefixes` on all rows of each configuration.
 
 The first line is one digest over all of it; two commits that print the
@@ -58,7 +58,7 @@ def feed_array(digest, a):
 
 
 def feed_state(digest, st):
-    digest.update(f"{st.kind.value} {st.l} {st.multiply_adds}".encode())
+    digest.update(f"{st.kind.value} {st.l}".encode())
     for name in ("H", "W", "B", "Q", "L", "D"):
         feed_array(digest, getattr(st, name))
 

@@ -1,5 +1,6 @@
 import json
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ def _chains(calls, start, end):
     assert len(calls) % n == 0
     chains = [calls[i:i + n] for i in range(0, len(calls), n)]
     for chain in chains:
-        assert chain[0][0].l == start and chain[0][0].multiply_adds == 0
+        assert chain[0][0].l == start
         for (_, prev), (parent, _) in zip(chain, chain[1:]):
             assert parent is prev
     return chains
@@ -250,9 +251,8 @@ class TestChainContract:
         for kind, chain in zip(kinds, chains):
             for parent, child in chain[1:]:
                 assert np.shares_memory(child.H, parent.H)
-            first_child = chain[0][1]
             assert report["algorithms"][kind.value]["flops_per_step"] == \
-                first_child.multiply_adds
+                solvers.step_multiply_adds(kind, 8, 80, 2)
 
     def test_grow_run_steps_one_chain_per_rule(self, monkeypatch):
         calls = _record_steps(monkeypatch)
@@ -453,12 +453,19 @@ class TestErrorPaths:
             runner(ds, ["alg9"])
         with pytest.raises(DomainError, match="no algorithm"):
             runner(ds, [])
+        # one rule is not a list of rules: a name would be read letter by letter
+        for one in ["alg2", AlgorithmKind.ALG1, None]:
+            named = re.escape(repr(one))
+            with pytest.raises(DomainError, match=f"algorithms must be a list.*got {named}"):
+                runner(ds, one)
         runner(ds, ["alg1"])                         # a name alone runs as its kind
 
     # solvers checks k0sq at a run's first start or oracle call; no runner checks it again
-    @pytest.mark.parametrize("k0sq", [0.0, -1.0, np.inf, np.nan, 1e-200, 1e200, "0.1", 1 + 0j],
+    @pytest.mark.parametrize("k0sq", [0.0, -1.0, np.inf, np.nan, 1e-200, 1e200, "0.1", 1 + 0j,
+                                      [0.1], (0.1,), np.array([0.1]), None, True],
                              ids=["zero", "negative", "inf", "nan", "square-underflows",
-                                  "square-overflows", "text", "complex"])
+                                  "square-overflows", "text", "complex", "list", "tuple",
+                                  "1-d-array", "none", "bool"])
     @pytest.mark.parametrize("runner", [
         lambda ds, k0sq: experiments.grow_run(ds, ActivationKind.GAUSSIAN, k0sq, 1, 3,
                                               [AlgorithmKind.ALG3], 0),

@@ -72,8 +72,10 @@ class TestSolveDirect:
             solve_direct(np.ones((1, 2)), Y1, -1.0)
 
     # 1e200 is finite but its square is not, and a step divides by c * delta >= k0sq^2;
-    # the squares of 1e-155 and 1e-200 are subnormal or 0; 10**400 has no float at all
-    @pytest.mark.parametrize("k0sq", [np.inf, np.nan, -np.inf, 1e200, 1e-155, 1e-200, 10**400])
+    # the squares of 1e-155 and 1e-200 are subnormal or 0; 10**400 has no float at all;
+    # float() takes a bool and a one-entry array and fails untyped on a list, a tuple or None
+    @pytest.mark.parametrize("k0sq", [np.inf, np.nan, -np.inf, 1e200, 1e-155, 1e-200, 10**400,
+                                      [0.1], (0.1,), np.array([0.1]), None, True])
     def test_k0sq_must_be_finite(self, k0sq):
         with pytest.raises(DomainError):
             solve_direct(np.ones((1, 2)), Y1, k0sq)
@@ -203,7 +205,10 @@ class TestOneRowRule:
 
 
 class TestComplexInput:
-    """A complex k0sq, H, Y or row raises DomainError; none loses its imaginary part."""
+    """A complex k0sq, H, Y or row raises DomainError; none loses its imaginary part.
+
+    Text H, Y or rows raise DomainError too, rather than being parsed as numbers.
+    """
 
     @pytest.mark.parametrize("k0sq", [1 + 0j, np.complex128(0.5), np.array(1j)],
                              ids=["complex", "numpy-complex", "0-d-complex-array"])
@@ -222,20 +227,23 @@ class TestComplexInput:
         lambda h, y: solve_direct_prefixes(h, y, 1.0, [1, 2]),
     ], ids=["warm_start", "init_solver", "solve_direct", "solve_direct_prefixes"])
     def test_start_and_oracle(self, entry, where):
-        h = np.array([[1.0, 2.0], [1.0, 0.0]])
-        y = Y1
-        if where == "H":
-            h = h + 0.5j
-        else:
-            y = y + 0j
-        with pytest.raises(DomainError, match=f"{where} must be real"):
-            entry(h, y)
+        # complex, str and bytes arrays
+        for as_bad in (lambda a: a + 0.5j, lambda a: a.astype(str), lambda a: a.astype(bytes)):
+            h = np.array([[1.0, 2.0], [1.0, 0.0]])
+            y = Y1
+            if where == "H":
+                h = as_bad(h)
+            else:
+                y = as_bad(y)
+            with pytest.raises(DomainError, match=f"{where} must be real"):
+                entry(h, y)
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_add_node_row(self, kind):
         st = worked_state(kind)
-        with pytest.raises(DomainError, match="h_bar must be real"):
-            add_node(st, HBAR + 1j)
+        for bad in (HBAR + 1j, HBAR.astype(str), "abc"):
+            with pytest.raises(DomainError, match="h_bar must be real"):
+                add_node(st, bad)
         child = add_node(st, HBAR)                   # the chain is as it was
         assert child.W.tobytes() == add_node(worked_state(kind), HBAR).W.tobytes()
 
@@ -291,7 +299,8 @@ class TestSolveDirectPrefixes:
             solve_direct_prefixes(h, y, 0.1, [1])
 
     # a bool is no prefix length, as it is no integer anywhere in the package
-    @pytest.mark.parametrize("ls", [[], [0, 2], [1, 3], [2.5], [True, 2]])
+    # and one length is not a list of them
+    @pytest.mark.parametrize("ls", [[], [0, 2], [1, 3], [2.5], [True, 2], 2, None])
     def test_prefix_lengths_in_range(self, ls):
         with pytest.raises(DomainError):
             solve_direct_prefixes(np.ones((2, 2)), Y1, 0.1, ls)
@@ -631,7 +640,6 @@ class TestComputeP:
         child = add_node(st, rows[5])
         assert calls == ([] if kind is AlgorithmKind.BASELINE else [st])
         assert np.array_equal(child.W, plain.W)
-        assert child.multiply_adds == plain.multiply_adds
 
 
 class TestRowLength:
@@ -942,7 +950,6 @@ def count_products(monkeypatch) -> list[int]:
 class TestFlopAccounting:
     """Each step runs exactly the products `step_multiply_adds` charges.
 
-    A step's cost is the child's `multiply_adds` minus its parent's;
     `count_products` counts the products the step actually runs.
     """
 
@@ -952,20 +959,14 @@ class TestFlopAccounting:
         y = rng.standard_normal((m, k))
         return warm_start(kind, h[:l], y, 0.1), h[l]
 
-    @staticmethod
-    def step_cost(st, child):
-        return child.multiply_adds - st.multiply_adds
-
     # K=3001 walks B in three row bands; the count must not depend on them
     @pytest.mark.parametrize("k", [300, 3001])
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_step_is_the_cost_model(self, kind, k, monkeypatch):
         st, h_bar = self.setup_state(kind, k=k)
         counted = count_products(monkeypatch)
-        child = add_node(st, h_bar)
-        want = step_multiply_adds(kind, st.l, k, st.Y.shape[0])
-        assert counted[0] == want
-        assert self.step_cost(st, child) == want
+        add_node(st, h_bar)
+        assert counted[0] == step_multiply_adds(kind, st.l, k, st.Y.shape[0])
 
     def test_cost_model_at_the_readme_example(self):
         # K=2000, l=500, M=10, with rules named as in warm_start
@@ -991,23 +992,6 @@ class TestFlopAccounting:
     def test_cost_model_at_its_floors(self):
         assert step_multiply_adds("alg3", 1, 1, 0) == 2
         assert step_multiply_adds("existing", 1, 1, 0) == 18
-
-    def test_counter_monotone(self):
-        st, h_bar = self.setup_state(AlgorithmKind.ALG1)
-        seen = [st.multiply_adds]
-        for _ in range(3):
-            st = add_node(st, h_bar)
-            seen.append(st.multiply_adds)
-        assert seen[0] == 0
-        assert seen == sorted(seen)
-
-    @pytest.mark.parametrize("kind", list(AlgorithmKind))
-    def test_restep_counts_each_child_once(self, kind):
-        st, h_bar = self.setup_state(kind)
-        a = add_node(st, h_bar)
-        b = add_node(st, h_bar)
-        assert st.multiply_adds == 0
-        assert self.step_cost(st, a) == self.step_cost(st, b) > 0
 
     def test_grow_run_trace_matches_models(self):
         k, m, end = 60, 2, 12
@@ -1294,8 +1278,6 @@ class TestExistingRowBands:
         for name in ("H", "W", "B"):
             assert getattr(child, name).tobytes() == getattr(want, name).tobytes(), \
                 f"{name} at l={child.l}"
-        assert child.multiply_adds - st.multiply_adds == step_multiply_adds(
-            AlgorithmKind.EXISTING, st.l, st.sample_count, st.Y.shape[0])
         return child, want
 
     def chain(self, k, l0, steps):
