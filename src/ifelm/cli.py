@@ -25,7 +25,7 @@ import scipy
 from .data import SynthKind, TaskKind, load_csv, synth_dataset
 from .experiments import bench_run, compare_run, eval_run, grow_run
 from .model import ActivationKind
-from .solvers import ALL_INCREMENTAL, AlgorithmKind
+from .solvers import ALL_INCREMENTAL
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -117,8 +117,7 @@ def run(argv=None) -> int:
     started = time.time()
     ds = _dataset(args)
     spec = getattr(args, "alg", "all")
-    algs = (ALL_INCREMENTAL if spec == "all" else
-            [AlgorithmKind(name.strip()) for name in spec.split(",")])
+    algs = ALL_INCREMENTAL if spec == "all" else [name.strip() for name in spec.split(",")]
     kernel = ActivationKind(args.kernel)
     config = {k: v for k, v in vars(args).items() if k != "out"}
     out = Path(args.out)

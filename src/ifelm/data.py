@@ -118,10 +118,9 @@ def normalize_features(ds: Dataset):
 
 def apply_normalization(ds: Dataset, transform) -> Dataset:
     lo, hi = transform
-    if lo.size != ds.X.shape[0]:
-        raise ShapeError(
-            f"transform has {lo.size} features, dataset has {ds.X.shape[0]}"
-        )
+    if lo.size != ds.X.shape[0] or hi.size != ds.X.shape[0]:
+        raise ShapeError(f"transform has {lo.size} minima and {hi.size} maxima, "
+                         f"dataset has {ds.X.shape[0]} features")
     span = hi - lo
     safe = np.where(span == 0.0, 1.0, span)
     x = 2.0 * (ds.X - lo[:, None]) / safe[:, None] - 1.0

@@ -22,9 +22,11 @@ from one Cholesky factor C of H H^T + k0sq I, and builds only what it
 carries.  The start W of every rule is the oracle's own Cholesky solve.
 ALG2 takes Q from C by `dpotri`, EXISTING and ALG1 form B = H^T Q from that
 Q and drop it, BASELINE keeps W only, and ALG3 never forms Q: its factors
-come straight from C as L = C^-T diag(C) and D = 1/diag(C)^2.  `_factor` is
-the one checked entry to C, and `solve_spd` the one solve with it, for the
-start, the direct-solve oracle `solve_direct_prefixes` and BASELINE's step.
+come straight from C as L = C^-T diag(C) and D = 1/diag(C)^2.  Outside
+values are read through one allowlist, `_read`, and checked once: H, Y and
+k0sq by `_operands` at the start and the oracle, each row by `add_node`.
+`_factor`, the one way to C, and `solve_spd`, the one solve with it, serve
+the start, the direct-solve oracle `solve_direct_prefixes` and BASELINE's step.
 
 All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  A step's cost is a function of its rule and sizes alone,
@@ -153,17 +155,22 @@ class SolverState:
         return {**self.__dict__, "_store": None}
 
 
-def _check_k0sq(k0sq: float) -> float:
-    # float() parses text, which numpy then cannot multiply, takes a bool, and fails
-    # untyped on complex, None and arrays; and a step divides by c * delta >= k0sq^2,
-    # so k0sq^2 must be a normal float
-    if k0sq is None or np.ndim(k0sq) or np.asarray(k0sq).dtype.kind in "bSUc":
-        raise DomainError(f"regularization k0sq must be a number, not text, complex, "
-                          f"a bool, None or an array: {k0sq!r}")
+def _read(a, kinds: str) -> np.ndarray | None:
+    """`a` as numpy reads it if that is an array of one of the dtype `kinds`, else None."""
     try:
-        f = float(k0sq)
-    except OverflowError:
-        raise DomainError("regularization k0sq is beyond float range") from None
+        a = np.asarray(a)
+    except ValueError:                               # a ragged list, say
+        return None
+    return a if a.dtype.kind in kinds else None
+
+
+def _check_k0sq(k0sq: float) -> float:
+    # one int or float number; a step divides by c * delta >= k0sq^2, so k0sq^2 is normal
+    a = _read(k0sq, "iuf")
+    if a is None or a.ndim:
+        raise DomainError(f"regularization k0sq must be a number numpy reads as an int or "
+                          f"float, not text, complex, a bool, None or an array: {k0sq!r}")
+    f = float(a)
     if not (f > 0.0 and np.finfo(float).tiny <= f * f < math.inf):
         raise DomainError(f"regularization k0sq must lie in about 1.49e-154..1.34e154, "
                           f"where its square is a normal float, got {k0sq}")
@@ -171,11 +178,10 @@ def _check_k0sq(k0sq: float) -> float:
 
 
 def _real(a, name: str) -> np.ndarray:
-    """`a` as a float64 array; DomainError if complex, whose imaginary part the cast
-    drops, or text, which it would parse."""
-    a = np.asarray(a)
-    if a.dtype.kind in "cSU":
-        raise DomainError(f"{name} must be real numbers, got {a.dtype}")
+    """`a` as a float64 array if `_read` takes it as bool, int or float, else DomainError."""
+    a = _read(a, "biuf")
+    if a is None:
+        raise DomainError(f"{name} must be real numbers, read by numpy as bool, int or float")
     return a.astype(np.float64, copy=False)
 
 
@@ -189,33 +195,28 @@ def _check_rows(cs, first: int) -> None:
 
 
 def _operands(h, y, k0sq: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """k0sq, float64 H and Y, checked for `_factor` and before any use of H's shape.
+    """k0sq, float64 H and Y, checked once where they enter; H's rows are `_factor`'s.
 
-    k0sq must pass `_check_k0sq` and H and Y be real (DomainError); H must be
-    non-empty and 2-D, and Y 2-D with H's K columns (ShapeError).
+    k0sq must pass `_check_k0sq`, H and Y `_real` and Y be finite (DomainError);
+    H must be non-empty and 2-D, and Y 2-D with H's K columns (ShapeError).
     """
     k0sq = _check_k0sq(k0sq)
     h, y = _real(h, "H"), _real(y, "Y")
     if h.ndim != 2 or h.size < 1 or y.ndim != 2 or h.shape[1] != y.shape[1]:
         raise ShapeError(f"need a non-empty 2-D H and a 2-D Y with as many columns, "
                          f"got H {h.shape}, Y {y.shape}")
+    if not np.isfinite(y).all():
+        raise DomainError("Y must be finite")
     return k0sq, h, y
 
 
-def _factor(h: np.ndarray, y: np.ndarray, k0sq: float) -> tuple[np.ndarray, ...]:
-    """Float64 H and Y, the lower Cholesky factor C of H H^T + k0sq I, and H Y^T.
-
-    The operands must pass `_operands`, H's rows `_check_rows` and Y be
-    finite (DomainError); a pivot that is not positive raises
-    NumericalBreakdownError at its node, from 1.
-    """
-    k0sq, h, y = _operands(h, y, k0sq)
+def _factor(h: np.ndarray, y: np.ndarray, k0sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factor C of H H^T + k0sq I and H Y^T, for operands from `_operands`;
+    DomainError if H's rows fail `_check_rows`, NumericalBreakdownError at a pivot <= 0."""
     r = gemm(h, h.T) + k0sq * np.eye(h.shape[0])
     # the diagonal holds each row's c; by Cauchy-Schwarz its squares bound all of r
     _check_rows(np.diag(r).tolist(), 1)
-    if not np.isfinite(y).all():
-        raise DomainError("Y must be finite")
-    return h, y, cholesky(r), gemm(h, y.T)
+    return cholesky(r), gemm(h, y.T)
 
 
 def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float) -> np.ndarray:
@@ -254,14 +255,14 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
     if n > h.shape[0]:
         raise DomainError(f"prefix lengths must lie in 1..{h.shape[0]}, the rows of H, "
                           f"got {min(ls)}..{n}")
-    h, y, c, rhs = _factor(h[:n], y, k0sq)
+    c, rhs = _factor(h[:n], y, k0sq)
     return {l: solve_spd(c[:l, :l], rhs[:l]).T for l in ls}
 
 
 def init_solver(kind: AlgorithmKind | str, h1: np.ndarray, y: np.ndarray,
                 k0sq: float) -> SolverState:
     """Start from the single hidden row h1: `warm_start` with l0 = 1."""
-    return warm_start(kind, np.asarray(h1).reshape(1, -1), y, k0sq)
+    return warm_start(kind, _real(h1, "H").reshape(1, -1), y, k0sq)
 
 
 def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
@@ -270,19 +271,20 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
 
     `kind` is an `AlgorithmKind` or its name (DomainError for any other),
     and k0sq a real number > 0 whose square is a normal float, about
-    1.49e-154..1.34e154 (DomainError, checked before any product).  With C
-    the lower Cholesky factor of R = H H^T + k0sq I from `_factor`, every
-    kind gets W = Y H^T R^-1 by `solve_spd` with C, the oracle's own
-    solve, so bitwise `solve_direct(h, y, k0sq)`, and builds only the state
-    its rule carries.  ALG2 takes Q = R^-1 from C by `dpotri`, mirrored to
-    be exactly symmetric; EXISTING and ALG1 take the same Q only to form
-    B = H^T Q, and keep B.  ALG3 never forms Q: C^-T is upper triangular
-    with diagonal 1/diag(C), so Q = C^-T C^-1 = L diag(D) L^T for
-    L = C^-T diag(C) (unit diagonal) and D = 1/diag(C)^2.  BASELINE keeps
-    W only.
+    1.49e-154..1.34e154; `_operands` checks H, Y and k0sq, once, before any
+    product.  With C the lower Cholesky factor of R = H H^T + k0sq I from
+    `_factor`, every kind gets W = Y H^T R^-1 by `solve_spd` with C, the
+    oracle's own solve, so bitwise `solve_direct(h, y, k0sq)`, and builds
+    only the state its rule carries.  ALG2 takes Q = R^-1 from C by
+    `dpotri`, mirrored to be exactly symmetric; EXISTING and ALG1 take the
+    same Q only to form B = H^T Q, and keep B.  ALG3 never forms Q: C^-T is
+    upper triangular with diagonal 1/diag(C), so Q = C^-T C^-1 =
+    L diag(D) L^T for L = C^-T diag(C) (unit diagonal) and
+    D = 1/diag(C)^2.  BASELINE keeps W only.
     """
     kind = AlgorithmKind(kind)
-    h, y, c, rhs = _factor(h, y, k0sq)
+    k0sq, h, y = _operands(h, y, k0sq)
+    c, rhs = _factor(h, y, k0sq)
     w = solve_spd(c, rhs).T
     aux = {}
     if kind is AlgorithmKind.ALG3:
@@ -296,7 +298,7 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
         q += np.tril(q, -1).T
         q = q.T                                      # exactly symmetric, so C order for free
         aux = {"Q": q} if kind is AlgorithmKind.ALG2 else {"B": h.T @ q}
-    return SolverState(kind=kind, k0sq=float(k0sq), H=h, Y=y, W=w, **aux)
+    return SolverState(kind=kind, k0sq=k0sq, H=h, Y=y, W=w, **aux)
 
 
 def compute_p(state: SolverState, h_bar: np.ndarray) -> np.ndarray:
@@ -524,7 +526,7 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
         store = _Store(state)
     store.H[n] = h_bar
     if state.kind is AlgorithmKind.BASELINE:
-        _, _, factor, rhs = _factor(store.H[:n + 1], state.Y, state.k0sq)
+        factor, rhs = _factor(store.H[:n + 1], state.Y, state.k0sq)
         w, aux = solve_spd(factor, rhs).T, {}
     else:
         correction, update = _RULES[state.kind]

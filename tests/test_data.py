@@ -147,8 +147,10 @@ class TestNormalizeFeatures:
     def test_transform_of_another_width_rejected(self):
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=0)
         _, (lo, hi) = normalize_features(ds)
-        with pytest.raises(ShapeError):
-            apply_normalization(ds, (lo[:2], hi[:2]))
+        # a one-entry hi would broadcast to every feature, a short one fail untyped
+        for transform in [(lo[:2], hi[:2]), (lo, hi[:1]), (lo, hi[:2])]:
+            with pytest.raises(ShapeError):
+                apply_normalization(ds, transform)
 
     def test_transform_is_min_and_max_arrays(self):
         ds = synth_dataset(SynthKind.SINE_MIXTURE, 10, 3, 1, seed=0)

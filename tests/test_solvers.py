@@ -349,6 +349,100 @@ class TestGramInputs:
             GRAM_ENTRIES[entry](h, y)
 
 
+# one dtype of each kind numpy has, StringDType's T since numpy 2
+DTYPE_OF_KIND = {"b": bool, "i": np.int64, "u": np.uint8, "f": np.float32, "c": np.complex128,
+                 "m": "m8[s]", "M": "M8[s]", "O": object, "S": "S8", "U": "U8", "V": "V8"}
+if hasattr(getattr(np, "dtypes", None), "StringDType"):
+    DTYPE_OF_KIND["T"] = np.dtypes.StringDType()
+
+
+def entries(role):
+    """Every entry point that reads an outside `role` (H, Y, row or k0sq), as a function
+    of its value; the other inputs are the worked instance's floats."""
+    h, k0sq = np.array([[1.0, 2.0], [1.0, 0.0]]), 1.0
+    if role == "row":
+        starts = [warm_start(kind, h, Y1, k0sq) for kind in AlgorithmKind]
+        return ([lambda v, st=st: add_node(st, v).W for st in starts]
+                + [lambda v: compute_p(starts[0], v)])
+
+    def inputs(v):
+        return (v if role == "H" else h, v if role == "Y" else Y1,
+                v if role == "k0sq" else k0sq)
+
+    return ([lambda v: solve_direct(*inputs(v)),
+             lambda v: solve_direct_prefixes(*inputs(v), [1, 2])[1],
+             # init_solver is given H's second row
+             lambda v: init_solver(AlgorithmKind.ALG2, inputs(v)[0][1], *inputs(v)[1:]).W]
+            + [lambda v, kind=kind: warm_start(kind, *inputs(v)).W for kind in AlgorithmKind])
+
+
+class TestOneAllowlist:
+    """An outside H, Y, row or k0sq is used only if numpy reads it as bool, int,
+    unsigned or float, k0sq as one number and no bool; any other dtype kind and input
+    numpy cannot read raise DomainError at every entry point."""
+
+    @pytest.mark.parametrize("role", ["H", "Y", "row", "k0sq"])
+    @pytest.mark.parametrize("kind", list(DTYPE_OF_KIND))
+    def test_dtype_kind(self, kind, role):
+        base = {"H": [[1, 1], [1, 0]], "Y": [[3, 0]], "row": [1, 0], "k0sq": 1}[role]
+        value = np.array(base).astype(DTYPE_OF_KIND[kind])
+        assert value.dtype.kind == kind
+        for entry in entries(role):
+            if kind in ("iuf" if role == "k0sq" else "biuf"):
+                assert entry(value).tobytes() == entry(value.astype(float)).tobytes()
+            else:
+                with pytest.raises(DomainError):
+                    entry(value)
+
+    @pytest.mark.parametrize("role,value", [
+        ("H", np.array([["1", "0"], ["0", "1"]], dtype=object)),
+        ("Y", np.array([["3", "0"]], dtype=object)),
+        ("row", np.array(["1", "0"], dtype=object)),
+        ("k0sq", np.array("0.1", dtype=object)),
+        ("H", [[1.0, 2.0], [1.0, [0.0]]]),
+        ("Y", [[3.0, 0.0], [1.0]]),
+        ("row", [1.0, [0.0]]),
+        ("k0sq", [[0.1], [0.1, 0.2]]),
+    ], ids=["object-text-H", "object-text-Y", "object-text-row", "object-text-k0sq",
+            "ragged-H", "ragged-Y", "ragged-row", "ragged-k0sq"])
+    def test_object_text_and_ragged_input(self, role, value):
+        for entry in entries(role):
+            with pytest.raises(DomainError):
+                entry(value)
+
+
+class TestChecksRunOnce:
+    """Each outside value is checked where it enters; a step reuses its state's k0sq."""
+
+    @staticmethod
+    def counted_k0sq_checks(monkeypatch) -> list:
+        calls = []
+        check = solvers._check_k0sq
+
+        def counting(k0sq):
+            calls.append(k0sq)
+            return check(k0sq)
+
+        monkeypatch.setattr(solvers, "_check_k0sq", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_a_chain_checks_at_its_start_only(self, monkeypatch, kind):
+        h, y, _, _ = oracle_problem(nodes=41, k=60)
+        calls = self.counted_k0sq_checks(monkeypatch)
+        st = init_solver(kind, h[0], y, 0.1)
+        assert len(calls) == 1
+        for row in h[1:]:
+            st = add_node(st, row)
+        assert st.l == 41 and len(calls) == 1
+
+    def test_the_oracle_checks_once(self, monkeypatch):
+        h, y, _, _ = oracle_problem(nodes=12, k=40)
+        calls = self.counted_k0sq_checks(monkeypatch)
+        solve_direct_prefixes(h, y, 0.1, [1, 5, 12])
+        assert len(calls) == 1
+
+
 class TestOneSolvePath:
     """Every direct solve calls `solvers.solve_spd`, the module global a tracer rebinds."""
 
