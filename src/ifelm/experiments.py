@@ -179,8 +179,9 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     every timed step is the step those runs take.  The first step also
     builds the chain's store, copying H (and L, D); every later one
     appends in place, so `min_ns` is the in-place cost and `mean_ns`
-    includes the one copy.  `flops_per_step` is the first step's multiply-adds,
-    each benched rule's `flop_model` entry, `step_multiply_adds` at l.
+    includes the one copy.  Each rule's `flops_per_step` is the multiply-adds
+    of its first step, `solvers.step_multiply_adds` at l, the one cost figure
+    the report gives; `flop_ratio_vs_existing` divides `existing`'s by it.
     The hidden rows come from `init_random_params(l + repeats, ...)`, so they
     change with `repeats`, and a large `repeats` grows l with it.  Needs
     integers l >= 1 (the CLI's --end) and repeats >= 1, a k0sq that
@@ -193,18 +194,13 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
     h_full = hidden_matrix(params, ds.X)
     m, k = ds.Y.shape
 
-    report = {
-        "K": k, "l": l, "M": m, "repeats": repeats,
-        "flop_model": {kind.value: solvers.step_multiply_adds(kind, l, k, m)
-                       for kind in algorithms},
-        "algorithms": {},
-    }
+    report = {"K": k, "l": l, "M": m, "repeats": repeats, "algorithms": {}}
     for kind in algorithms:
         steps = _chain(kind, h_full, ds.Y, k0sq, l, l + repeats)
         next(steps)  # the warm start at l nodes, untimed
         times = [ns for _, ns in steps]
         report["algorithms"][kind.value] = {
-            "flops_per_step": report["flop_model"][kind.value],
+            "flops_per_step": solvers.step_multiply_adds(kind, l, k, m),
             "mean_ns": float(np.mean(times)),
             "min_ns": int(np.min(times)),
         }

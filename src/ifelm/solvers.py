@@ -24,7 +24,7 @@ ALG2 takes Q from C by `dpotri`, EXISTING and ALG1 form B = H^T Q from that
 Q and drop it, BASELINE keeps W only, and ALG3 never forms Q: its factors
 come straight from C as L = C^-T diag(C) and D = 1/diag(C)^2.  Outside
 values are read through one allowlist, `_read`, and checked once: H, Y and
-k0sq by `_operands` at the start and the oracle, each row by `add_node`.
+k0sq by `_operands` at the start and the oracle, each row by `_row` in `add_node`.
 `_factor`, the one way to C, and `solve_spd`, the one solve with it, serve
 the start, the direct-solve oracle `solve_direct_prefixes` and BASELINE's step.
 
@@ -89,11 +89,6 @@ class AlgorithmKind(Enum):
     def _missing_(cls, value):
         raise DomainError(f"unknown rule {value!r}; expected one of "
                           f"{', '.join(k.value for k in cls)}")
-
-
-# the four incremental rules, in the order every report lists them
-ALL_INCREMENTAL = (AlgorithmKind.EXISTING, AlgorithmKind.ALG1,
-                   AlgorithmKind.ALG2, AlgorithmKind.ALG3)
 
 
 class _Store:
@@ -185,6 +180,14 @@ def _real(a, name: str) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+def _row(h_bar, k: int) -> np.ndarray:
+    """`h_bar` as `_real` reads it if its shape is (k,), else ShapeError naming its shape."""
+    h_bar = _real(h_bar, "h_bar")
+    if h_bar.shape != (k,):
+        raise ShapeError(f"h_bar must have shape (K,) = ({k},), got {h_bar.shape}")
+    return h_bar
+
+
 def _check_rows(cs, first: int) -> None:
     """The one row rule: DomainError at the first of nodes first, first + 1, ... whose
     c = h_bar^T h_bar + k0sq has no finite square, as a step divides by c delta <= c^2."""
@@ -261,8 +264,12 @@ def solve_direct_prefixes(h: np.ndarray, y: np.ndarray, k0sq: float,
 
 def init_solver(kind: AlgorithmKind | str, h1: np.ndarray, y: np.ndarray,
                 k0sq: float) -> SolverState:
-    """Start from the single hidden row h1: `warm_start` with l0 = 1."""
-    return warm_start(kind, _real(h1, "H").reshape(1, -1), y, k0sq)
+    """Start from the single hidden row h1, real as H is and 1-D (ShapeError naming
+    its shape): `warm_start` with l0 = 1."""
+    h1 = _real(h1, "H")
+    if h1.ndim != 1:
+        raise ShapeError(f"h1 must be one row, of shape (K,), got {h1.shape}")
+    return warm_start(kind, h1.reshape(1, -1), y, k0sq)
 
 
 def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
@@ -302,8 +309,9 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
 
 
 def compute_p(state: SolverState, h_bar: np.ndarray) -> np.ndarray:
-    """Cross term p = H h_bar of every incremental rule, once per step (cost 2lK)."""
-    return gemm(state.H, _real(h_bar, "h_bar").reshape(-1, 1)).reshape(-1)
+    """Cross term p = H h_bar of every incremental rule, once per step (cost 2lK);
+    h_bar is read by `_row`, as in `add_node`."""
+    return gemm(state.H, _row(h_bar, state.sample_count).reshape(-1, 1)).reshape(-1)
 
 
 def _schur_denominator(c: float, correction: float, node_index: int) -> float:
@@ -461,14 +469,16 @@ def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta:
     return w_bar, t_tilde, {"L": store.L[:n + 1, :n + 1], "D": store.D[:n + 1]}
 
 
-# rule -> (correction(state, h_bar, p) -> (c - delta, q), update(state, h_bar, c, p,
-# delta, q, store) -> (W's border column w_bar and row, aux arrays)); see `add_node`
+# the four incremental rules, in the order every report lists them: rule ->
+# (correction(state, h_bar, p) -> (c - delta, q), update(state, h_bar, c, p, delta, q,
+# store) -> (W's border column w_bar and row, aux arrays)); see `add_node`
 _RULES = {
     AlgorithmKind.EXISTING: (_existing_correction, _existing),
     AlgorithmKind.ALG1: (_alg1_correction, _alg1),
     AlgorithmKind.ALG2: (_alg2_correction, _alg2),
     AlgorithmKind.ALG3: (_alg3_correction, _alg3),
 }
+ALL_INCREMENTAL = tuple(_RULES)
 
 # rule -> (l, K, M) -> multiply-adds of one step from l nodes, its `gemm` and `add_outer`
 # products outside `_bordered`
@@ -497,13 +507,13 @@ def step_multiply_adds(kind: AlgorithmKind | str, l: int, k: int, m: int) -> int
 def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     """Add one hidden node with row h_bar to `state`; returns the child state.
 
-    The frame common to every rule, in order: h_bar becomes a flat float64
-    row, real (DomainError) with K entries (ShapeError); c = h_bar^T h_bar +
-    k0sq is computed once and must pass `_check_rows`, the start's and the
-    oracle's row rule (DomainError naming the node, before the row is
-    stored); h_bar is appended to the chain's store, in place only if
-    `state` is at the store's fill level and the store has room, else into
-    a new store that copies `state`'s arrays.  BASELINE then re-solves on
+    The frame common to every rule, in order: `_row` reads h_bar as a real
+    (DomainError) float64 row of shape (K,) (ShapeError naming any other
+    shape); c = h_bar^T h_bar + k0sq is computed once and must pass
+    `_check_rows`, the start's and the oracle's row rule (DomainError naming
+    the node, before the row is stored); h_bar is appended to the chain's
+    store, in place only if `state` is at the store's fill level and the
+    store has room, else into a new store that copies `state`'s arrays.  BASELINE then re-solves on
     the stored rows.
     Any other rule's correction in `_RULES` gets p = H h_bar
     from `compute_p`; the one breakdown test `_schur_denominator` forms
@@ -515,9 +525,7 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     they were: the row appended lies past every state's view and the fill
     level is unchanged.
     """
-    h_bar = _real(h_bar, "h_bar").reshape(-1)
-    if h_bar.size != state.sample_count:
-        raise ShapeError(f"h_bar has {h_bar.size} entries, expected K={state.sample_count}")
+    h_bar = _row(h_bar, state.sample_count)
     c = float(np.vdot(h_bar, h_bar)) + state.k0sq
     n = state.l
     _check_rows((c,), n + 1)

@@ -1,14 +1,16 @@
-"""Reference forms of the update rules, kept for tests to compare against.
+"""Reference forms of the update rules and a product meter, kept for tests.
 
 `reference_step` is the copy-based form of every rule and
 `add_node_q_unsimplified` the Q recursion in the paper's original order.
-Neither is part of the package.
+`count_products` counts the products a step runs, for the tests that hold
+the cost model to them.  None is part of the package.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
+from ifelm import solvers
 from ifelm.solvers import AlgorithmKind, solve_direct
 
 
@@ -98,3 +100,31 @@ def reference_step(s, h_bar):
     l_new[s.l, s.l] = 1.0
     return replace(s, H=h_new, W=weight_border(p, tau, t_tilde),
                    L=l_new, D=np.append(s.D, tau))
+
+
+def count_products(monkeypatch) -> list[int]:
+    """Meter `solvers.gemm` and `solvers.add_outer` as the cost model charges them.
+
+    Each gemm adds 2 rows * inner * cols and each add_outer 2 rows * cols
+    to the returned one-entry list; the updates inside `_bordered` are
+    left out, as the cost model leaves them out.
+    """
+    total, bordered = [0], solvers._bordered
+
+    def counted(fn, madds):
+        def call(*args):
+            total[0] += madds(*(a.shape for a in args))
+            return fn(*args)
+        return call
+
+    def uncounted(*args, **kwargs):
+        before = total[0]
+        out = bordered(*args, **kwargs)
+        total[0] = before
+        return out
+
+    for name, madds in [("gemm", lambda a, b: 2 * a[0] * a[1] * b[1]),
+                        ("add_outer", lambda dst, x, y: 2 * dst[0] * dst[1])]:
+        monkeypatch.setattr(solvers, name, counted(getattr(solvers, name), madds))
+    monkeypatch.setattr(solvers, "_bordered", uncounted)
+    return total

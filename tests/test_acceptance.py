@@ -13,15 +13,16 @@ import pytest
 from ifelm.data import SynthKind, synth_dataset
 from ifelm.evaluation import classification_metrics, kfold_split
 from ifelm.experiments import bench_run, eval_run, grow_run
-from ifelm.model import ActivationKind
+from ifelm.model import ActivationKind, hidden_matrix, init_random_params
 from ifelm.solvers import (
     ALL_INCREMENTAL,
     AlgorithmKind,
     add_node,
     init_solver,
+    warm_start,
 )
 
-from reference_rules import add_node_q_unsimplified
+from reference_rules import add_node_q_unsimplified, count_products
 
 
 def report(ident, name, ok):
@@ -39,11 +40,15 @@ def deep_growth():
     return summary, time.perf_counter() - t0
 
 
+def bench_data():
+    """The benchmark's data set: K=2000 samples, 8 features, M=10 outputs."""
+    return synth_dataset(SynthKind.SINE_MIXTURE, 2000, 8, 10, seed=1)
+
+
 @pytest.fixture(scope="module")
 def big_bench():
     """100 timed node additions at K=2000, l=500, M=10, with their costs."""
-    ds = synth_dataset(SynthKind.SINE_MIXTURE, 2000, 8, 10, seed=1)
-    return bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 500, ALL_INCREMENTAL,
+    return bench_run(bench_data(), ActivationKind.GAUSSIAN, 0.1, 500, ALL_INCREMENTAL,
                      seed=1, repeats=100)
 
 
@@ -77,12 +82,23 @@ def test_2_stability_drift_to_500_nodes(deep_growth):
     report(2, "direct-inverse drift bounded, factored rule tighter", ok)
 
 
-def test_3_flop_counts_match_cost_models(big_bench):
-    ok = True
+def test_3_flop_counts_match_cost_models(big_bench, monkeypatch):
+    """Each rule's reported cost is within 20% of the products its bench step runs.
+
+    The step is the bench's first, from l = 500 over the bench's own hidden
+    rows, metered by `count_products`; a warm start's products are not counted.
+    """
+    ds = bench_data()
+    params = init_random_params(600, ds.X.shape[0], ActivationKind.GAUSSIAN, seed=1)
+    h = hidden_matrix(params, ds.X)
+    counted = count_products(monkeypatch)
+    ok = (big_bench["K"], big_bench["l"], big_bench["M"]) == (2000, 500, 10)
     for name in ("existing", "alg1", "alg2", "alg3"):
-        got = big_bench["algorithms"][name]["flops_per_step"]
-        model = big_bench["flop_model"][name]
-        ok = ok and abs(got - model) <= 0.20 * model
+        state = warm_start(name, h[:500], ds.Y, 0.1)
+        counted[0] = 0
+        add_node(state, h[500])
+        model = big_bench["algorithms"][name]["flops_per_step"]
+        ok = ok and abs(counted[0] - model) <= 0.20 * model
     ratio = big_bench["algorithms"]["alg2"]["flop_ratio_vs_existing"]
     ok = ok and abs(ratio - 18.0) <= 0.20 * 18.0
     report(3, "per-step flops within 20% of cost models", ok)
