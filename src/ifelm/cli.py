@@ -74,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         commands[name].add_argument("--start", type=int, default=1, help="initial node count")
     for name in ("grow", "bench", "eval"):
         commands[name].add_argument(
-            "--alg", default="all", help="comma list of baseline,existing,alg1,alg2,alg3 or 'all'")
+            "--alg", default="all",
+            help="comma list of baseline,existing,alg1,alg2,alg3, or 'all' (the default): "
+                 "the four incremental rules; baseline runs only when named")
     commands["bench"].add_argument(
         "--repeats", type=int, default=100,
         help="chained steps timed from l = --end; the chain grows to --end + --repeats nodes")

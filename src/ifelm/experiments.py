@@ -124,6 +124,8 @@ def grow_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     algorithms = _distinct(algorithms)
     if params is None:
         params = init_random_params(end, ds.X.shape[0], kernel, seed)
+    elif len(params.d) < end:
+        raise DomainError(f"end {end} is above the {len(params.d)} nodes of params")
     h_full = hidden_matrix(params, ds.X)
     y = ds.Y
     m, k = y.shape

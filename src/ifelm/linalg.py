@@ -26,29 +26,26 @@ def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-# Entries per row band, the budget of `solvers._bordered` (alg1's B, alg2's Q,
-# every W border), for two reasons.  OpenBLAS runs a gemm of at most
-# 4 * 65536 multiply-adds on one thread: with its default threads on a 2-vCPU
-# machine, a 2000 x 501 update in one dgemm took about 8 ms in over a quarter
-# of 200 calls, in bands 0.42-0.49 ms (quartiles).  And `row_bands` cuts at
+# Entries per row band, the one band size of both row-band walks,
+# `solvers._bordered` (alg1's B, alg2's Q, every W border) and
+# `solvers._existing`, for three reasons.  OpenBLAS runs a gemm of at most
+# 4 * 65536 multiply-adds on one thread, and a band's dgemm stays under it:
+# with its default threads on a 2-vCPU machine, a 2000 x 501 update in one
+# dgemm took about 8 ms in over a quarter of 200 calls.  `row_bands` cuts at
 # multiples of 8 rows, where OpenBLAS's gemv over a band rounds each row as
 # its call over all rows does; over bands of 257 or 262 rows it did not.
-# `_bordered` keeps two band arrays live, 2 MiB at this budget, and 2^15
-# gained it nothing (alg1-alg3 chains at K=500 and 2000 within 4%, neither
-# side ahead).  `solvers._existing` keeps four and walks a quarter of this
-# budget (`solvers._EXISTING_BAND`), so that all four fit in a 2 MiB L2.
-_BAND = 1 << 17
+# And `_existing` keeps four band arrays live (B's band, the scratch g and
+# t1, the new B's band), 1 MiB together at this size, so they fit a 2 MiB L2.
+_BAND = 1 << 15
 
 
-def row_bands(rows: int, cols: int, budget: int = _BAND) -> list[slice]:
-    """Row slices tiling 0..rows in order, each of at most `budget` entries of `cols` columns.
+def row_bands(rows: int, cols: int) -> list[slice]:
+    """Row slices tiling 0..rows in order, each of at most `_BAND` entries of `cols` columns.
 
     Every band starts at a multiple of 8 rows, and holds 8 rows if 8 rows
-    alone exceed `budget`.  The default `_BAND` suits one dgemm on one thread
-    and the two arrays `solvers._bordered` updates per band; `solvers._existing`
-    passes its smaller budget for the four arrays it keeps per band.
+    alone exceed `_BAND`.
     """
-    step = max(8, budget // cols // 8 * 8)
+    step = max(8, _BAND // cols // 8 * 8)
     if 0 < rows <= step:                             # one band, without the comprehension's cost
         return [slice(0, rows)]
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]

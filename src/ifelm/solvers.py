@@ -70,13 +70,6 @@ BREAKDOWN_RTOL = 1e-12
 # `_fresh` rounds an array of at least this many entries up to whole blocks of it
 _BLOCK = 1 << 16
 
-# `_existing` walks B in row bands of at most this many entries.  It keeps four
-# band arrays live at once (the band of B, read twice, the scratch g and t1 and
-# the new B's band), 1 MiB together here, so they stay in a 2 MiB L2; at
-# `linalg._BAND` they would take 4 MiB.  Of 2^14, 2^15 and 2^16, 2^15 stepped fastest
-# at K=2000, l=500 (one BLAS thread, a 2-vCPU VM with 2 MiB of L2 per core).
-_EXISTING_BAND = 1 << 15
-
 
 class AlgorithmKind(Enum):
     BASELINE = "baseline"
@@ -198,10 +191,11 @@ def _check_rows(cs, first: int) -> None:
 
 
 def _operands(h, y, k0sq: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """k0sq, float64 H and Y, checked once where they enter; H's rows are `_factor`'s.
+    """k0sq, float64 H and Y, checked once where they enter, before the Gram product.
 
-    k0sq must pass `_check_k0sq`, H and Y `_real` and Y be finite (DomainError);
-    H must be non-empty and 2-D, and Y 2-D with H's K columns (ShapeError).
+    k0sq must pass `_check_k0sq`, H and Y `_real`, Y be finite and every row
+    of H `_check_rows` (DomainError); H must be non-empty and 2-D, and Y 2-D
+    with H's K columns (ShapeError).
     """
     k0sq = _check_k0sq(k0sq)
     h, y = _real(h, "H"), _real(y, "Y")
@@ -210,16 +204,16 @@ def _operands(h, y, k0sq: float) -> tuple[float, np.ndarray, np.ndarray]:
                          f"got H {h.shape}, Y {y.shape}")
     if not np.isfinite(y).all():
         raise DomainError("Y must be finite")
+    # each row's c, the diagonal of H H^T + k0sq I; by Cauchy-Schwarz their squares
+    # bound all of it
+    _check_rows((np.einsum("ij,ij->i", h, h) + k0sq).tolist(), 1)
     return k0sq, h, y
 
 
 def _factor(h: np.ndarray, y: np.ndarray, k0sq: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factor C of H H^T + k0sq I and H Y^T, for operands from `_operands`;
-    DomainError if H's rows fail `_check_rows`, NumericalBreakdownError at a pivot <= 0."""
-    r = gemm(h, h.T) + k0sq * np.eye(h.shape[0])
-    # the diagonal holds each row's c; by Cauchy-Schwarz its squares bound all of r
-    _check_rows(np.diag(r).tolist(), 1)
-    return cholesky(r), gemm(h, y.T)
+    """Lower Cholesky factor C of H H^T + k0sq I and H Y^T, for operands from `_operands`
+    or rows `add_node` checked; NumericalBreakdownError at a pivot <= 0."""
+    return cholesky(gemm(h, h.T) + k0sq * np.eye(h.shape[0])), gemm(h, y.T)
 
 
 def solve_direct(h: np.ndarray, y: np.ndarray, k0sq: float) -> np.ndarray:
@@ -379,9 +373,8 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, de
     weights are recomputed in full as Y B, so W takes no border (row None);
     `step_multiply_adds` is the cost this rule is charged in comparisons.
     The rows h^T B, here and in the correction, run over all of B; the
-    rest walks B in `row_bands` of `_EXISTING_BAND` entries, forming each band
-    of both terms and of the new B while it is in cache, in two band-sized
-    scratch arrays.
+    rest walks B in `row_bands`, forming each band of both terms and of the
+    new B while it is in cache, in two band-sized scratch arrays.
     Every product keeps its operands and its rounding.
     """
     b = state.B
@@ -390,7 +383,7 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, de
     # the second term's row, evaluated afresh as printed
     u2 = gemm(h_bar.reshape(-1, 1).T, b)
     u1, minus_u1, minus_u2 = u1.reshape(-1), -u1.reshape(-1), -u2.reshape(-1)
-    bands = row_bands(k, l, _EXISTING_BAND)
+    bands = row_bands(k, l)
     g_buf, t_buf = np.empty((bands[0].stop, l)), np.empty((bands[0].stop, l))
     b_new = _fresh((k, l + 1))
     for band in bands:

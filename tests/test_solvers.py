@@ -437,6 +437,23 @@ class TestChecksRunOnce:
             st = add_node(st, row)
         assert st.l == 41 and len(calls) == 1
 
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_a_chain_checks_each_row_once(self, monkeypatch, kind):
+        h, y, _, _ = oracle_problem(nodes=41, k=60)
+        seen = []
+        check = solvers._check_rows
+
+        def counting(cs, first):
+            seen.extend(cs)
+            return check(cs, first)
+
+        monkeypatch.setattr(solvers, "_check_rows", counting)
+        st = init_solver(kind, h[0], y, 0.1)
+        assert len(seen) == 1
+        for row in h[1:]:
+            st = add_node(st, row)
+            assert len(seen) == st.l
+
     def test_the_oracle_checks_once(self, monkeypatch):
         h, y, _, _ = oracle_problem(nodes=12, k=40)
         calls = self.counted_k0sq_checks(monkeypatch)
@@ -643,18 +660,26 @@ class TestGrowRunOracle:
         assert residual[0] == residual[1]
         assert all(0.0 < r < 1e-12 for r in residual[1].values())
 
-    def test_params_with_too_few_nodes(self):
-        # the oracle's range check names the nodes there are
+    def test_params_with_too_few_nodes(self, monkeypatch):
+        # the check names end and the nodes there are, before any product
         _, _, ds, _ = oracle_problem()
         params = init_random_params(3, 4, ActivationKind.GAUSSIAN, 5)
-        with pytest.raises(DomainError, match=r"1\.\.3, the rows of H, got 1\.\.5"):
+
+        def no_product(*args):
+            raise AssertionError("hidden_matrix was called")
+
+        monkeypatch.setattr(experiments, "hidden_matrix", no_product)
+        with pytest.raises(DomainError, match=r"end 5 is above the 3 nodes of params"):
             grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 5, [AlgorithmKind.ALG3],
                      seed=5, params=params)
 
     @pytest.mark.parametrize("start,end", [(0, 5), (6, 5), (1, 61)])
     def test_node_range_checked(self, start, end):
         _, _, ds, params = oracle_problem()
-        with pytest.raises(DomainError):
+        # params holds 60 nodes
+        message = {(0, 5): "start must be >= 1", (6, 5): "start <= end",
+                   (1, 61): "end 61 is above the 60 nodes of params"}[start, end]
+        with pytest.raises(DomainError, match=message):
             grow_run(ds, ActivationKind.GAUSSIAN, 0.1, start, end, [AlgorithmKind.ALG3],
                      seed=5, params=params)
 
@@ -1170,9 +1195,9 @@ def snapshot(st):
 class TestCopyOnWrite:
     """Steps append into solver-owned buffers; every state must stay intact.
 
-    At K=1000 the rank-one updates of EXISTING and ALG1 fit in one of
-    `row_bands`; the K=3000 chains span two, and ALG2's Q border goes from
-    one band to two at l = 361.
+    At K=1000 the rank-one updates of EXISTING and ALG1 go from one of
+    `row_bands` to two at l = 32 or 33; the K=3000 chains go from five to six,
+    and ALG2's Q border spans five bands, the last of 4 to 11 rows.
     """
 
     K, M, STEPS = 1000, 3, 40
@@ -1196,7 +1221,7 @@ class TestCopyOnWrite:
             st, ref = add_node(st, h[l]), reference_step(ref, h[l])
             assert_same_state(st, ref)
 
-    # (K, l0, steps); row_bands(361, 362) is [0:360] and [360:361]
+    # (K, l0, steps); row_bands(361, 362) is four bands of 88 rows and one of 9
     BAND_CHAINS = {AlgorithmKind.EXISTING: (3000, 50, 5), AlgorithmKind.ALG1: (3000, 50, 5),
                    AlgorithmKind.ALG2: (400, 356, 8)}
 
@@ -1374,13 +1399,11 @@ class TestExistingRowBands:
 
     def test_chain_across_three_bands(self):
         # the split `_existing` walks at l = 24; three bands up to l = 27
-        assert [b.stop - b.start for b in row_bands(3001, 24, solvers._EXISTING_BAND)] == \
-            [1360, 1360, 281]
+        assert [b.stop - b.start for b in row_bands(3001, 24)] == [1360, 1360, 281]
         self.chain(3001, 24, 4)
 
     def test_chain_across_ten_bands_the_last_partial(self):
-        assert [b.stop - b.start for b in row_bands(3001, 100, solvers._EXISTING_BAND)] == \
-            [320] * 9 + [121]
+        assert [b.stop - b.start for b in row_bands(3001, 100)] == [320] * 9 + [121]
         self.chain(3001, 100, 4)
 
     def test_one_step_at_chain_benchmark_size(self):
@@ -1412,8 +1435,8 @@ class TestBorderedRowBands:
     """
 
     @pytest.mark.parametrize("rows,cols,corner,bands", [
-        (2000, 500, False, [256] * 7 + [208]),
-        (400, 400, True, [320, 80]),
+        (2000, 500, False, [64] * 31 + [16]),
+        (400, 400, True, [80] * 5),
         (1, 1, True, [1]),
         (2, 3, False, [2]),
         (0, 3, False, []),                  # W of a model with no outputs
@@ -1435,24 +1458,19 @@ class TestBorderedRowBands:
 
 
 class TestStorageHelpers:
-    @pytest.mark.parametrize("rows,cols,budget", [
-        *(pytest.param(rows, cols, _BAND, id=f"{rows}-{cols}")
-          for rows, cols in [(1, 1), (7, 3), (300, 40), (2000, 500), (3001, 100),
-                             (4096, 1 << 14), (20, 20000)]),
-        # `_existing`'s budget, down to its 8-row floor (cols > budget / 8)
-        *(pytest.param(rows, cols, solvers._EXISTING_BAND, id=f"{rows}-{cols}-existing")
-          for rows, cols in [(7, 3), (500, 500), (2000, 500), (3001, 100), (64, 4096),
-                             (100, 5000)]),
-    ])
-    def test_row_bands_tile_rows_at_multiples_of_8(self, rows, cols, budget):
-        bands = row_bands(rows, cols, budget)
+    # from (64, 4096) on, every band has the floor's 8 rows
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (300, 40), (500, 500), (2000, 500),
+                                           (3001, 100), (64, 4096), (100, 5000),
+                                           (4096, 1 << 14), (20, 20000)])
+    def test_row_bands_tile_rows_at_multiples_of_8(self, rows, cols):
+        bands = row_bands(rows, cols)
         assert [b.start for b in bands] == [0] + [b.stop for b in bands[:-1]]
         assert bands[-1].stop == rows
         for b in bands:
             assert b.start % 8 == 0 and b.stop > b.start
-            assert (b.stop - b.start) * cols <= budget or b.stop - b.start <= 8
+            assert (b.stop - b.start) * cols <= _BAND or b.stop - b.start <= 8
         # no band stops short where 8 more rows would still fit the budget
-        assert bands[0].stop == rows or (bands[0].stop + 8) * cols > budget
+        assert bands[0].stop == rows or (bands[0].stop + 8) * cols > _BAND
 
     @pytest.mark.parametrize("shape", [(2, 3), (255, 256), (256, 256), (2000, 501),
                                        (501, 501), (65537,)])
