@@ -1458,11 +1458,31 @@ class TestBorderedRowBands:
 
 
 class TestStorageHelpers:
-    # from (64, 4096) on, every band has the floor's 8 rows
-    @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (300, 40), (500, 500), (2000, 500),
-                                           (3001, 100), (64, 4096), (100, 5000),
-                                           (4096, 1 << 14), (20, 20000)])
-    def test_row_bands_tile_rows_at_multiples_of_8(self, rows, cols):
+    # from (64, 4096) on, every band has the floor's 8 rows; the -existing cases
+    # take their bands from an EXISTING step on a K = rows, l = cols state
+    @pytest.mark.parametrize("rows,cols,walk", [
+        *(pytest.param(rows, cols, False, id=f"{rows}-{cols}")
+          for rows, cols in [(1, 1), (7, 3), (300, 40), (500, 500), (2000, 500), (3001, 100),
+                             (64, 4096), (100, 5000), (4096, 1 << 14), (20, 20000)]),
+        *(pytest.param(rows, cols, True, id=f"{rows}-{cols}-existing")
+          for rows, cols in [(7, 3), (2000, 500), (3001, 100)]),
+    ])
+    def test_row_bands_tile_rows_at_multiples_of_8(self, monkeypatch, rows, cols, walk):
+        if walk:
+            calls = []
+
+            def recording(*shape):
+                calls.append(shape)
+                return row_bands(*shape)
+
+            monkeypatch.setattr(solvers, "row_bands", recording)
+            rng = np.random.default_rng(29)
+            h = np.exp(-np.square(rng.uniform(-1, 1, (cols + 1, rows))))
+            st = warm_start(AlgorithmKind.EXISTING, h[:cols], rng.standard_normal((2, rows)),
+                            0.1)
+            calls.clear()
+            add_node(st, h[cols])
+            assert calls == [(rows, cols)]
         bands = row_bands(rows, cols)
         assert [b.start for b in bands] == [0] + [b.stop for b in bands[:-1]]
         assert bands[-1].stop == rows
