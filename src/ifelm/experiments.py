@@ -4,10 +4,13 @@ All runs share one set of random hidden-node parameters and one node order
 so differences between algorithms isolate the update rule.  Every runner
 steps through one chain loop, `_chain`: a warm start on the first rows,
 then one add_node call per further row, each child stepped from the one
-before, so every step after the first appends in place to the chain's
-store.  `grow`, `eval`, `compare` and `bench` thus time and run the same
-step.  Timing covers the add_node call only; hidden-row generation and
-data loading are shared cost and excluded.
+before.  Each row is the next row of the runner's own hidden matrix, so
+every state's H views that matrix and no chain copies it; every step after
+the first appends in place to the chain's store (for alg3, its L and D).
+The runners never write the hidden matrix while its states are in use.
+`grow`, `eval`, `compare` and `bench` thus time and run the same step.
+Timing covers the add_node call only; hidden-row generation and data
+loading are shared cost and excluded.
 
 grow_run's oracle is independent of every update rule: one Gram product
 and one Cholesky factorization of all `end` nodes, whose leading l x l
@@ -178,12 +181,13 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
 
     Each algorithm is warm-started to l nodes and grown to l + repeats
     through `_chain`, the loop `grow_run` and `eval_run` step through, so
-    every timed step is the step those runs take.  The first step also
-    builds the chain's store, copying H (and L, D); every later one
-    appends in place, so `min_ns` is the in-place cost and `mean_ns`
-    includes the one copy.  Each rule's `flops_per_step` is the multiply-adds
-    of its first step, `solvers.step_multiply_adds` at l, the one cost figure
-    the report gives; `flop_ratio_vs_existing` divides `existing`'s by it.
+    every timed step is the step those runs take.  Every step views H in
+    the hidden rows.  The first step also builds the chain's store, which
+    copies alg3's L and D; every later one appends in place, so `min_ns` is
+    the in-place cost and alg3's `mean_ns` includes that one copy.  Each
+    rule's `flops_per_step` is the multiply-adds of its first step,
+    `solvers.step_multiply_adds` at l, the one cost figure the report gives;
+    `flop_ratio_vs_existing` divides `existing`'s by it.
     The hidden rows come from `init_random_params(l + repeats, ...)`, so they
     change with `repeats`, and a large `repeats` grows l with it.  Needs
     integers l >= 1 (the CLI's --end) and repeats >= 1, a k0sq that

@@ -38,22 +38,31 @@ the paper's dominant-cost model.
 
 Storage model.  States are immutable to the caller, but a step does not
 copy the append-only arrays H (a row per node), L (a column per node) and
-D (an entry per node).  Each chain of states keeps them in one store of
-buffers whose capacity doubles when full; the state's fields are exact
-l-sized views of them.  The store's fill level n is the node count of the
-newest state grown from it.  A step appends in place only when the state
-it steps has l == n and the store has room.  Any other state copies into
-a new store first: one already stepped, and one with no store, such as a
-`dataclasses.replace`d, pickled or deep-copied state or one from
-`warm_start` (whose h is never written).  So re-stepping an old state is
-correct but pays a copy, and chained growth appends in place.  B, Q and W
-are rewritten by every step, each into a fresh array at its new size;
-`_fresh` carves the large ones from whole blocks, which a freed parent's
-array can leave behind.  Two threads must not step the same state at once.
+D (an entry per node).  Each chain of states keeps them in one store (see
+`_Store`); the state's fields are exact l-sized views.  A chain over the
+caller's consecutive rows views them, as `warm_start` views the H it is
+given: when a step's row is the row right after the state's H in the same
+C-contiguous float64 array, by data address and not by overlap, the
+child's H is that array's view one row longer, and no H is allocated or
+written.  The caller must not write those rows while the states are in
+use; ifelm never writes them.  Any other row, and a state whose H is no
+such view (a pickled or deep-copied one, or one whose H came from a list),
+takes the copy path: H goes into a buffer of the store's own.  That
+buffer, and ALG3's L and D on either path, doubles its capacity when full.
+The store's fill level n is the node count of the newest state grown from
+it.  A step appends in place only when the state it steps has l == n and
+the store has room.  Any other state, one already stepped or one with no
+store, gets a new store first, which copies L and D and, on the copy path,
+H.  So re-stepping an old state is correct but may pay a copy, and chained
+growth appends in place.  B, Q and W are rewritten by every step, each into
+a fresh array at its new size; `_fresh` carves the large ones from whole
+blocks, which a freed parent's array can leave behind.  Two threads must
+not step the same state at once.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,6 +75,9 @@ from .errors import DomainError, NumericalBreakdownError, ShapeError
 from .linalg import add_outer, cholesky, gemm, row_bands, solve_spd
 
 BREAKDOWN_RTOL = 1e-12
+
+# the native float64 dtype, which `_row` takes as it is
+_FLOAT64 = np.dtype(np.float64)
 
 # `_fresh` rounds an array of at least this many entries up to whole blocks of it
 _BLOCK = 1 << 16
@@ -84,26 +96,90 @@ class AlgorithmKind(Enum):
                           f"{', '.join(k.value for k in cls)}")
 
 
-class _Store:
-    """One chain's H, plus L and D for ALG3, in buffers with spare capacity.
+def _address(a: np.ndarray) -> int | None:
+    """The data address of the array a if it is C-contiguous, else None; a ctypes
+    view of a's buffer reads it at a third of the cost of `a.ctypes.data`."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except TypeError:                                # read-only or not C-contiguous
+        return a.ctypes.data if a.flags.c_contiguous else None
 
-    `n`, the fill level, is the node count of the newest state grown from it,
-    the only state that may append.  L is zeroed, so a step writes only its column.
+
+class _Store:
+    """Where one chain's H lives, plus L and D for ALG3, with room for more nodes.
+
+    H is one of two things.  On the view path it is the caller's rows, of the
+    array that holds the chain's first state's H, from that H's first row on;
+    `at` is their address, and no step writes them.  On the copy path it is a
+    buffer of the store's own, `at` is None, and each step writes its row
+    there.  `n`, the fill level, is the node count of the newest state grown
+    from the store, the only state that may append; `room` is the node count
+    the store can hold.  L is zeroed, so a step writes only its column.
     """
 
-    __slots__ = ("H", "L", "D", "n")
+    __slots__ = ("H", "at", "L", "D", "n", "room")
 
-    def __init__(self, state: SolverState):
+    def __init__(self, state: SolverState, rows: np.ndarray | None, h_bar: np.ndarray):
+        # over `rows`, the caller's rows from state's first on, or with a buffer of
+        # its own that copies state's H and then h_bar
         n, size = state.l, 2 * (state.l + 1)
-        self.H = np.empty((size, state.sample_count))
-        self.H[:n] = state.H
+        if rows is None:
+            self.H, self.at, self.room = np.empty((size, state.sample_count)), None, size
+            self.H[:n] = state.H
+            self.H[n] = h_bar
+        else:
+            self.H, self.at, self.room = rows, _address(rows), rows.shape[0]
         self.L = self.D = None
         if state.kind is AlgorithmKind.ALG3:
             self.L = np.zeros((size, size))
             self.L[:n, :n] = state.L
             self.D = np.empty(size)
             self.D[:n] = state.D
+            self.room = min(self.room, size)
         self.n = n
+
+    @staticmethod
+    def _caller_rows(h: np.ndarray, row: np.ndarray) -> np.ndarray | None:
+        """The rows of the array that holds h, from h's first on, if `row` is the row
+        right after h's last in that C-contiguous float64 array; else None.
+
+        Data addresses decide, not overlap: a row that only overlaps the next one,
+        such as a shifted flat view, is another row.
+        """
+        base, at = h.base, _address(h)
+        if not (at is not None and _address(row) == at + h.nbytes
+                and type(base) is np.ndarray and base.dtype == np.float64
+                and (base.flags.c_contiguous or base.flags.f_contiguous)):
+            return None
+        flat = base.reshape(-1, order="A")           # in memory order, a view for C and F
+        first, misaligned = divmod(at - _address(flat), flat.itemsize)
+        k = h.shape[1]
+        rows = (flat.size - first) // k
+        if misaligned or rows <= h.shape[0]:         # row lies past the end of base
+            return None
+        return flat[first:first + rows * k].reshape(rows, k)
+
+    @staticmethod
+    def for_step(state: SolverState, h_bar: np.ndarray) -> _Store:
+        """The store whose H holds `state`'s l rows and then h_bar.
+
+        `state`'s own store when `state` is at its fill level and the store has
+        room, if h_bar can be row l there: any row can, written into a buffer
+        of the store's own, but in the caller's rows only the row already
+        there.  Otherwise a new store, over the same caller's rows if h_bar is
+        the next of them, else with a buffer of its own.
+        """
+        store, n = state._store, state.l
+        if store is None:
+            return _Store(state, _Store._caller_rows(state.H, h_bar), h_bar)
+        at_fill = store.n == n and n < store.room
+        if store.at is None:
+            if at_fill:
+                store.H[n] = h_bar
+                return store
+        elif n < store.H.shape[0] and _address(h_bar) == store.at + n * store.H.strides[0]:
+            return store if at_fill else _Store(state, store.H, h_bar)
+        return _Store(state, None, h_bar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +188,10 @@ class SolverState:
 
     Aux content by kind: EXISTING/ALG1 carry B (K x l); ALG2 carries
     Q (l x l); ALG3 carries L (l x l, unit upper-triangular) and D (l,);
-    BASELINE carries nothing beyond H, Y, W.  In a grown state H, L and D
-    are views of its chain's store (see the module docstring), which only
-    `add_node` sets; treat every array as read-only.  States compare and
-    hash by identity.
+    BASELINE carries nothing beyond H, Y, W.  In a grown state H is a view
+    of the caller's rows or of its chain's store, and L and D are views of
+    the store (see the module docstring), which only `add_node` sets; treat
+    every array as read-only.  States compare and hash by identity.
     """
 
     kind: AlgorithmKind
@@ -175,6 +251,8 @@ def _real(a, name: str) -> np.ndarray:
 
 def _row(h_bar, k: int) -> np.ndarray:
     """`h_bar` as `_real` reads it if its shape is (k,), else ShapeError naming its shape."""
+    if type(h_bar) is np.ndarray and h_bar.dtype is _FLOAT64 and h_bar.shape == (k,):
+        return h_bar                                 # what the full read returns
     h_bar = _real(h_bar, "h_bar")
     if h_bar.shape != (k,):
         raise ShapeError(f"h_bar must have shape (K,) = ({k},), got {h_bar.shape}")
@@ -504,28 +582,26 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     (DomainError) float64 row of shape (K,) (ShapeError naming any other
     shape); c = h_bar^T h_bar + k0sq is computed once and must pass
     `_check_rows`, the start's and the oracle's row rule (DomainError naming
-    the node, before the row is stored); h_bar is appended to the chain's
-    store, in place only if `state` is at the store's fill level and the
-    store has room, else into a new store that copies `state`'s arrays.  BASELINE then re-solves on
-    the stored rows.
-    Any other rule's correction in `_RULES` gets p = H h_bar
-    from `compute_p`; the one breakdown test `_schur_denominator` forms
-    delta = c - correction before anything is updated; the rule's update
-    returns W's border, and W becomes [W + w_bar row^T, w_bar] (EXISTING
-    returns its full Y B, row None).  The child is built over the store's
-    first l + 1 rows, and only then is the fill level l + 1.  A re-solve,
-    correction or breakdown test that raises leaves `state` and its chain as
-    they were: the row appended lies past every state's view and the fill
-    level is unchanged.
+    the node, before the row is stored); `_Store.for_step` appends h_bar to
+    the chain's H, by viewing it if it is the caller's row right after
+    `state`'s H and by writing it into the store's own buffer if not, in
+    place only if `state` is at the store's fill level and the store has
+    room, else in a new store that copies `state`'s arrays.  BASELINE then
+    re-solves on the stored rows.  Any other rule's correction in `_RULES`
+    gets p = H h_bar from `compute_p`; the one breakdown test
+    `_schur_denominator` forms delta = c - correction before anything is
+    updated; the rule's update returns W's border, and W becomes
+    [W + w_bar row^T, w_bar] (EXISTING returns its full Y B, row None).
+    The child is built over the store's first l + 1 rows, and only then is
+    the fill level l + 1.  A re-solve, correction or breakdown test that
+    raises leaves `state` and its chain as they were: the row appended lies
+    past every state's view and the fill level is unchanged.
     """
     h_bar = _row(h_bar, state.sample_count)
     c = float(np.vdot(h_bar, h_bar)) + state.k0sq
     n = state.l
     _check_rows((c,), n + 1)
-    store = state._store
-    if store is None or store.n != n or store.H.shape[0] == n:
-        store = _Store(state)
-    store.H[n] = h_bar
+    store = _Store.for_step(state, h_bar)
     if state.kind is AlgorithmKind.BASELINE:
         factor, rhs = _factor(store.H[:n + 1], state.Y, state.k0sq)
         w, aux = solve_spd(factor, rhs).T, {}

@@ -275,6 +275,35 @@ class TestChainContract:
         chains = _chains(calls, 1, 6)
         assert [chain[0][0].kind for chain in chains] == [k for k in kinds for _ in range(3)]
 
+    @pytest.mark.parametrize("run", ["grow", "eval", "bench"])
+    def test_every_chain_views_the_runners_hidden_matrix(self, monkeypatch, run):
+        # each state a runner steps, and each child, is a view of the hidden
+        # matrix its chain started on, so no chain writes H into a buffer of its own
+        calls = _record_steps(monkeypatch)
+        made, hidden = [], experiments.hidden_matrix
+
+        def recording(params, x):
+            made.append(hidden(params, x))
+            return made[-1]
+
+        monkeypatch.setattr(experiments, "hidden_matrix", recording)
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 60, 3, 2, seed=0)
+        kinds = list(AlgorithmKind)
+        if run == "grow":
+            experiments.grow_run(ds, ActivationKind.GAUSSIAN, 0.1, 3, 12, kinds, seed=0)
+        elif run == "eval":
+            experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 6, kinds, seed=0,
+                                 folds=3)
+        else:
+            experiments.bench_run(ds, ActivationKind.GAUSSIAN, 0.1, 8, kinds, seed=0,
+                                  repeats=5)
+        assert calls
+        for parent, child in calls:
+            h = parent.H.base
+            assert any(h is m for m in made) and child.H.base is h
+            assert np.shares_memory(parent.H, h) and np.shares_memory(child.H, h)
+            assert child.l == parent.l + 1 and child._store.at is not None
+
 
 class TestEvalCommand:
     def test_classification_smoke(self, tmp_path, capsys):

@@ -119,27 +119,31 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_row_whose_c_squared_is_just_finite(self, kind):
-        # c just below and just above sqrt(max float), on a chain with room to append
+        # c just below and just above sqrt(max float), each on a chain with room to
+        # append: one over the caller's rows, whose next row is the one below, and one
+        # whose rows came from a list, so that its store holds its own copy
         rng = np.random.default_rng(5)
         h, y = rng.uniform(-1, 1, (5, 30)), rng.standard_normal((2, 30))
-        st = warm_start(kind, h[:2], y, 0.1)
-        for row in h[2:]:
-            st = add_node(st, row)
-        kept = snapshot(st)
         v = rng.uniform(-1, 1, 30)
         root = math.sqrt(np.finfo(float).max)
         below, above = (v * math.sqrt(root * f / np.vdot(v, v)) for f in (1 - 1e-12, 1 + 1e-12))
         c = [float(np.vdot(r, r)) + 0.1 for r in (below, above)]
         assert math.isfinite(c[0] * c[0]) and not math.isfinite(c[1] * c[1])
-        with pytest.raises(DomainError):
-            add_node(st, above)
-        child = add_node(st, below)
-        assert np.shares_memory(child.H, st.H)  # the rejection left the fill level as it was
-        for name, want in kept.items():
-            assert np.array_equal(getattr(st, name), want), name
-        want = solve_direct(np.vstack([h, below]), y, 0.1)
-        assert np.isfinite(child.W).all()
-        assert np.linalg.norm(child.W - want) <= 1e-10 * np.linalg.norm(want)
+        rows = np.vstack([h, below])
+        want = solve_direct(rows, y, 0.1)
+        for start in (rows[:2], rows[:2].tolist()):
+            st = warm_start(kind, start, y, 0.1)
+            for row in rows[2:5]:
+                st = add_node(st, row)
+            kept = snapshot(st)
+            with pytest.raises(DomainError):
+                add_node(st, above)
+            child = add_node(st, rows[5])
+            assert child._store is st._store  # the rejection left the fill level as it was
+            for name, want_a in kept.items():
+                assert np.array_equal(getattr(st, name), want_a), name
+            assert np.isfinite(child.W).all()
+            assert np.linalg.norm(child.W - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["H", "Y"])
@@ -1193,7 +1197,8 @@ def snapshot(st):
 
 
 class TestCopyOnWrite:
-    """Steps append into solver-owned buffers; every state must stay intact.
+    """Steps view the caller's rows or append into solver-owned buffers; every
+    state must stay intact.
 
     At K=1000 the rank-one updates of EXISTING and ALG1 go from one of
     `row_bands` to two at l = 32 or 33; the K=3000 chains go from five to six,
@@ -1255,18 +1260,23 @@ class TestCopyOnWrite:
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_chain_appends_in_place(self, kind):
-        # only a step that grows the store's capacity may leave its parent's buffers
+        # a chain over the caller's rows views them at every step; a chain over rows
+        # from elsewhere writes them into its store; and only a step that grows the
+        # store's capacity may leave its parent's buffers
         h, y = self.rows()
-        st = init_solver(kind, h[0], y, 0.1)
-        names = ["H", "L", "D"] if kind is AlgorithmKind.ALG3 else ["H"]
-        copies = 0
-        for l in range(1, 1 + self.STEPS):
-            child = add_node(st, h[l])
-            shared = [np.shares_memory(getattr(child, n), getattr(st, n)) for n in names]
-            assert all(shared) or not any(shared), f"l={l}: {dict(zip(names, shared))}"
-            copies += not shared[0]
-            st = child
-        assert copies <= 7
+        for own in (False, True):
+            st = init_solver(kind, h[0], y, 0.1)
+            names = ["L", "D"] if kind is AlgorithmKind.ALG3 else []
+            names += ["H"] if own else []
+            copies = 0
+            for l in range(1, 1 + self.STEPS):
+                child = add_node(st, h[l].copy() if own else h[l])
+                assert (child.H.base is h) is not own
+                shared = [np.shares_memory(getattr(child, n), getattr(st, n)) for n in names]
+                assert all(shared) or not any(shared), f"l={l}: {dict(zip(names, shared))}"
+                copies += bool(names) and not shared[0]
+                st = child
+            assert copies <= 7
 
     @pytest.mark.parametrize("kind", ALL_INCREMENTAL)
     def test_failed_in_place_step_leaves_chain_intact(self, kind):
@@ -1350,7 +1360,7 @@ class TestCopyOnWrite:
         (AlgorithmKind.ALG1, "W"), (AlgorithmKind.ALG2, "W"), (AlgorithmKind.ALG3, "W"),
     ])
     def test_replaced_field_steps_correctly(self, kind, name):
-        # the chain stops at l = 9, one row short of its store's capacity of 10
+        # the chain stops at l = 9, where ALG3's store has room for one more node
         h, y = self.rows()
         s = self.start(kind, h, y, 1)
         for l in range(1, 9):
@@ -1361,13 +1371,14 @@ class TestCopyOnWrite:
         elif name in ("D", "W"):
             changed *= 1.0 + 1e-3
         r = replace(s, **{name: changed})
-        stepped = add_node(r, h[10])
-        assert_same_state(stepped, reference_step(r, h[10]))
+        for row in (h[9], h[10]):               # its next row, then a row it does not hold
+            stepped = add_node(r, row)
+            assert_same_state(stepped, reference_step(r, row))
         assert np.array_equal(getattr(r, name), changed)
         # the original is still at its store's fill level and steps in place as before
-        child = add_node(s, h[10])
-        assert np.shares_memory(child.H, s.H)
-        assert_same_state(child, reference_step(s, h[10]))
+        child = add_node(s, h[9])
+        assert child._store is s._store and np.shares_memory(child.H, s.H)
+        assert_same_state(child, reference_step(s, h[9]))
 
 
 class TestExistingRowBands:
@@ -1455,6 +1466,106 @@ class TestBorderedRowBands:
         else:
             got, want = solvers._bordered(a, col, row), np.hstack([top, col[:, None]])
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestViewOrCopy:
+    """A step views the caller's array only for the row right after the state's H in it.
+
+    Every other row takes the copy path: the child's H is the store's own
+    buffer, bitwise the copy reference, and neither the parent nor the
+    caller's rows change.
+    """
+
+    K, M = 60, 2
+
+    def problem(self, kind, l0=3, steps=4, rows=12):
+        rng = np.random.default_rng(37)
+        h = np.exp(-np.square(rng.uniform(-1, 1, (rows, self.K))))
+        y = rng.standard_normal((self.M, self.K))
+        st = warm_start(kind, h[:l0], y, 0.1)
+        for l in range(l0, l0 + steps):
+            st = add_node(st, h[l])
+        assert st.H.base is h                   # a chain over the caller's rows
+        return h, y, st
+
+    def copies(self, parent, row, want_row, h, ref_parent=None):
+        kept, rows_before = snapshot(parent), h.copy()
+        child = add_node(parent, row)
+        assert not np.shares_memory(child.H, h)
+        assert_same_state(child, reference_step(ref_parent or parent, want_row))
+        for name, want in kept.items():
+            assert np.array_equal(getattr(parent, name), want), name
+        assert np.array_equal(h, rows_before)
+        return child
+
+    CASES = {
+        "equal-values": lambda h, l: h.copy()[l],
+        "float32": lambda h, l: h[l].astype(np.float32),
+        "shifted-flat-view": lambda h, l: h.reshape(-1)[l * h.shape[1] + 1:(l + 1) * h.shape[1] + 1],
+        "F-ordered": lambda h, l: np.asfortranarray(h)[l],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_other_rows_copy(self, kind, case):
+        h, _, st = self.problem(kind)
+        row = self.CASES[case](h, st.l)
+        self.copies(st, row, np.asarray(row, dtype=np.float64), h)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_the_literal_shifted_flat_view_copies(self, kind):
+        # h.reshape(-1)[1:K+1] overlaps the next row of a state at l = 1
+        h, y, _ = self.problem(kind)
+        st = init_solver(kind, h[0], y, 0.1)
+        row = h.reshape(-1)[1:self.K + 1]
+        assert np.shares_memory(row, h[1])
+        self.copies(st, row, row.copy(), h)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_rows_of_an_F_ordered_array_copy(self, kind):
+        # BASELINE re-solves on the store's C-ordered copy of the F-ordered H
+        h, y, _ = self.problem(kind)
+        f = np.asfortranarray(h)
+        st = warm_start(kind, f[:3], y, 0.1)
+        for l in range(3, 6):
+            ref = replace(st, H=np.ascontiguousarray(st.H)) if kind is AlgorithmKind.BASELINE else None
+            st = self.copies(st, f[l], f[l], f, ref)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_rows_of_a_C_ordered_transpose_are_viewed(self, kind):
+        # g.T is C-contiguous over the F-ordered g, so its rows lie one after another
+        h, y, _ = self.problem(kind)
+        g = np.array(h.T, order="F")
+        st = warm_start(kind, g.T[:3], y, 0.1)
+        for l in range(3, 6):
+            kept, child = snapshot(st), add_node(st, g.T[l])
+            assert child.H.base is g
+            assert_same_state(child, reference_step(st, g.T[l]))
+            for name, want in kept.items():
+                assert np.array_equal(getattr(st, name), want), name
+            st = child
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_state_at_the_last_row_copies(self, kind):
+        h, _, st = self.problem(kind, l0=3, steps=9, rows=12)
+        assert st.l == len(h)
+        other = np.random.default_rng(41).uniform(-1, 1, self.K)
+        self.copies(st, other, other, h)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_restep_views_only_its_own_next_row(self, kind):
+        h, _, st = self.problem(kind)
+        l = st.l
+        newest = add_node(st, h[l])
+        older = add_node(newest, h[l + 1])      # the store's fill level is past st now
+        kept = [snapshot(x) for x in (st, newest, older)]
+        again = add_node(st, h[l])              # its own next row: viewed
+        assert again.H.base is h and again._store is not st._store
+        assert_same_state(again, reference_step(st, h[l]))
+        self.copies(st, h[l + 1], h[l + 1], h)  # a different row: copied
+        for x, want in zip((st, newest, older), kept):
+            for name, a in want.items():
+                assert np.array_equal(getattr(x, name), a), name
 
 
 class TestStorageHelpers:
