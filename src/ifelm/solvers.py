@@ -169,16 +169,16 @@ class _Store:
         there.  Otherwise a new store, over the same caller's rows if h_bar is
         the next of them, else with a buffer of its own.
         """
-        store, n = state._store, state.l
+        store, n = state._store, state.H.shape[0]
         if store is None:
             return _Store(state, _Store._caller_rows(state.H, h_bar), h_bar)
-        at_fill = store.n == n and n < store.room
+        at_fill, h = store.n == n and n < store.room, store.H
         if store.at is None:
             if at_fill:
-                store.H[n] = h_bar
+                h[n] = h_bar
                 return store
-        elif n < store.H.shape[0] and _address(h_bar) == store.at + n * store.H.strides[0]:
-            return store if at_fill else _Store(state, store.H, h_bar)
+        elif n < h.shape[0] and _address(h_bar) == store.at + n * h.strides[0]:
+            return store if at_fill else _Store(state, h, h_bar)
         return _Store(state, None, h_bar)
 
 
@@ -383,7 +383,8 @@ def warm_start(kind: AlgorithmKind | str, h: np.ndarray, y: np.ndarray,
 def compute_p(state: SolverState, h_bar: np.ndarray) -> np.ndarray:
     """Cross term p = H h_bar of every incremental rule, once per step (cost 2lK);
     h_bar is read by `_row`, as in `add_node`."""
-    return gemm(state.H, _row(h_bar, state.sample_count).reshape(-1, 1)).reshape(-1)
+    h = state.H
+    return gemm(h, _row(h_bar, h.shape[1]).reshape(-1, 1)).reshape(-1)
 
 
 def _schur_denominator(c: float, correction: float, node_index: int) -> float:
@@ -397,8 +398,8 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
     return delta
 
 
-def _fresh(shape: tuple[int, ...]) -> np.ndarray:
-    """np.empty(shape), carved from whole `_BLOCK`-entry blocks when that large.
+def _fresh(shape: tuple[int, int]) -> np.ndarray:
+    """np.empty(shape), 2-D, carved from whole `_BLOCK`-entry blocks when that large.
 
     Fresh B, Q and W arrays grow by a column every step, so a freed parent's
     array of the exact size is always one column too short for the next
@@ -406,7 +407,8 @@ def _fresh(shape: tuple[int, ...]) -> np.ndarray:
     a step or two before serves the next array.  The result is C-contiguous;
     below `_BLOCK` entries it is a plain allocation.
     """
-    size = math.prod(shape)
+    rows, cols = shape
+    size = rows * cols
     if size < _BLOCK:
         return np.empty(shape)
     return np.empty(-(-size // _BLOCK) * _BLOCK)[:size].reshape(shape)
@@ -420,16 +422,21 @@ def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
     The new array comes from `_fresh`.  Each band of `row_bands` is copied
     from a, updated in place by one `add_outer` with row padded by a 0 for
     the last column, and given its stretch of col in that column while it
-    is in cache.  Rounds exactly as forming the outer product, the sum and
-    the block apart.
+    is in cache; a lone band takes out (its first rows, with a corner), col
+    and a whole, not sliced.  Rounds exactly as forming the outer product,
+    the sum and the block apart.
     """
     rows, cols = a.shape
     out = _fresh((rows + (corner is not None), cols + 1))
     padded = np.zeros(cols + 1)
     padded[:-1] = row
-    for band in row_bands(rows, cols + 1):
-        o, c = out[band], col[band]
-        o[:, :-1] = a[band]
+    bands = row_bands(rows, cols + 1)
+    if len(bands) == 1:
+        parts = [(out if corner is None else out[:rows], col, a)]
+    else:
+        parts = ((out[band], col[band], a[band]) for band in bands)
+    for o, c, a_band in parts:
+        o[:, :-1] = a_band
         add_outer(o, c, padded)
         o[:, -1] = c
     if corner is not None:
@@ -479,14 +486,17 @@ def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, de
         t1 /= c * delta
         g /= c
         np.add(t1, g, out=b_band[:, :-1])
-        b_band[:, -1] = (-gemm(b_band[:, :-1], p).reshape(-1) + h) / c
+        # (-B~p + h) / c, bitwise, without the two temporaries
+        np.divide(np.subtract(h, gemm(b_band[:, :-1], p).reshape(-1)), c, out=b_band[:, -1])
     return gemm(state.Y, b_new), None, {"B": b_new}
 
 
 def _alg1_correction(state: SolverState, h_bar: np.ndarray,
                      p: np.ndarray) -> tuple[float, np.ndarray]:
     u = gemm(h_bar.reshape(1, -1), state.B).reshape(-1)  # h^T B, reused twice
-    return float(u @ p), u
+    # here and below, ndarray.dot rounds as @ does, in about half its call time; it
+    # copies a strided matrix first, so L, a view of the store, keeps @
+    return float(u.dot(p)), u
 
 
 def _alg1(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
@@ -501,8 +511,8 @@ def _alg1(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta:
 
 def _alg2_correction(state: SolverState, h_bar: np.ndarray,
                      p: np.ndarray) -> tuple[float, np.ndarray]:
-    qp = state.Q @ p
-    return float(p @ qp), qp
+    qp = state.Q.dot(p)
+    return float(p.dot(qp)), qp
 
 
 def _alg2(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
@@ -512,15 +522,15 @@ def _alg2(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta:
     t = -tau * qp
     t_tilde = t / tau
     q_new = _bordered(state.Q, t, t_tilde, corner=tau)
-    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1)).reshape(-1) - state.W @ p)
+    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1)).reshape(-1) - state.W.dot(p))
     return w_bar, t_tilde, {"Q": q_new}
 
 
 def _alg3_correction(state: SolverState, h_bar: np.ndarray,
                      p: np.ndarray) -> tuple[float, np.ndarray]:
-    v = state.L.T @ p                                # Q p = L D v, with Q never formed
+    v = p @ state.L                                  # L^T p, so Q p = L D v, Q never formed
     dv = state.D * v
-    return float(v @ dv), state.L @ dv
+    return float(v.dot(dv)), state.L @ dv
 
 
 def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
@@ -530,14 +540,12 @@ def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta:
     The new column -L D v of L above a unit diagonal, also W's border row,
     and D's new entry tau are written into the store past the state's l nodes.
     """
-    tau = 1.0 / delta
-    t_tilde = -ldv
-    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1)).reshape(-1) - state.W @ p)
-    n = state.l
-    store.L[:n, n] = t_tilde
-    store.L[n, n] = 1.0
+    tau, n, big_l = 1.0 / delta, store.n, store.L    # store.n is the state's l
+    t_tilde = np.negative(ldv, out=big_l[:n, n])
+    big_l[n, n] = 1.0
     store.D[n] = tau
-    return w_bar, t_tilde, {"L": store.L[:n + 1, :n + 1], "D": store.D[:n + 1]}
+    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1)).reshape(-1) - state.W.dot(p))
+    return w_bar, t_tilde, {"L": big_l[:n + 1, :n + 1], "D": store.D[:n + 1]}
 
 
 # the four incremental rules, in the order every report lists them: rule ->
@@ -550,6 +558,9 @@ _RULES = {
     AlgorithmKind.ALG3: (_alg3_correction, _alg3),
 }
 ALL_INCREMENTAL = tuple(_RULES)
+
+# the aux fields of a child state that its rule's update does not return
+_NO_AUX = dict.fromkeys(("B", "Q", "L", "D"))
 
 # rule -> (l, K, M) -> multiply-adds of one step from l nodes, its `gemm` and `add_outer`
 # products outside `_bordered`
@@ -597,22 +608,25 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     raises leaves `state` and its chain as they were: the row appended lies
     past every state's view and the fill level is unchanged.
     """
-    h_bar = _row(h_bar, state.sample_count)
+    n, k = state.H.shape
+    h_bar = _row(h_bar, k)
     c = float(np.vdot(h_bar, h_bar)) + state.k0sq
-    n = state.l
     _check_rows((c,), n + 1)
     store = _Store.for_step(state, h_bar)
-    if state.kind is AlgorithmKind.BASELINE:
+    rule = _RULES.get(state.kind)
+    if rule is None:                                 # BASELINE
         factor, rhs = _factor(store.H[:n + 1], state.Y, state.k0sq)
         w, aux = solve_spd(factor, rhs).T, {}
     else:
-        correction, update = _RULES[state.kind]
+        correction, update = rule
         p = compute_p(state, h_bar)
         corr, q = correction(state, h_bar, p)
         delta = _schur_denominator(c, corr, n + 1)
         w_bar, row, aux = update(state, h_bar, c, p, delta, q, store)
         w = w_bar if row is None else _bordered(state.W, w_bar, row)
-    child = SolverState(kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1], Y=state.Y, W=w, **aux)
-    object.__setattr__(child, "_store", store)
+    # all ten fields in one update, without the frozen __init__'s ten setattr calls
+    child = object.__new__(SolverState)
+    child.__dict__.update(_NO_AUX, kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1],
+                          Y=state.Y, W=w, _store=store, **aux)
     store.n = n + 1
     return child

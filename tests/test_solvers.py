@@ -11,7 +11,7 @@ import math
 import pickle
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from ifelm.model import ActivationKind, ElmParams, hidden_matrix, init_random_pa
 from ifelm.solvers import (
     ALL_INCREMENTAL,
     AlgorithmKind,
+    SolverState,
     add_node,
     compute_p,
     init_solver,
@@ -1196,6 +1197,39 @@ def snapshot(st):
     return {n: a.copy() for n, a in arrays(st).items()}
 
 
+class TestChildIsAnOrdinaryState:
+    """`add_node` builds its child without the dataclass's `__init__`; the child
+    must still behave as a state the constructor built."""
+
+    K, M = 30, 2
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_child_after_one_step(self, kind):
+        rng = np.random.default_rng(41)
+        h = np.exp(-np.square(rng.uniform(-1, 1, (5, self.K))))
+        y = rng.standard_normal((self.M, self.K))
+        start = warm_start(kind, h[:3], y, 0.1)
+        child = add_node(start, h[3])
+        # every field and no other; a dropped field fails here.  A constructed state
+        # reads the unset `_store` from the class's default
+        names = {f.name for f in fields(SolverState)}
+        assert vars(child).keys() == names == vars(start).keys() | {"_store"}
+        assert type(child) is SolverState and child.kind is kind and child._store is not None
+        assert [name for name in STATE_ARRAYS if getattr(child, name) is not None] == \
+               [name for name in STATE_ARRAYS if getattr(start, name) is not None]
+        twin = replace(child, W=child.W.copy())
+        assert twin._store is None and twin.W.tobytes() == child.W.tobytes()
+        assert "_store" not in repr(child)
+        with pytest.raises(FrozenInstanceError):
+            child.W = child.W
+        for copied in (copy.deepcopy(child), pickle.loads(pickle.dumps(child))):
+            assert copied._store is None
+            stepped = add_node(copied, h[4])
+            want = add_node(child, h[4])
+            for name, a in arrays(want).items():
+                assert getattr(stepped, name).tobytes() == a.tobytes(), name
+
+
 class TestCopyOnWrite:
     """Steps view the caller's rows or append into solver-owned buffers; every
     state must stay intact.
@@ -1451,6 +1485,12 @@ class TestBorderedRowBands:
         (1, 1, True, [1]),
         (2, 3, False, [2]),
         (0, 3, False, []),                  # W of a model with no outputs
+        # one band at a cross-validation fold's size (K = 270, M = 2, l = 21):
+        # W, alg1's B and alg2's Q, then a single column
+        (2, 21, False, [2]),
+        (270, 21, False, [270]),
+        (21, 21, True, [21]),
+        (3, 1, False, [3]),
     ])
     def test_matches_numpy_block_form(self, rows, cols, corner, bands):
         assert [b.stop - b.start for b in row_bands(rows, cols + 1)] == bands
@@ -1604,7 +1644,7 @@ class TestStorageHelpers:
         assert bands[0].stop == rows or (bands[0].stop + 8) * cols > _BAND
 
     @pytest.mark.parametrize("shape", [(2, 3), (255, 256), (256, 256), (2000, 501),
-                                       (501, 501), (65537,)])
+                                       (501, 501), (1, 65537)])
     def test_fresh_arrays_come_in_whole_blocks(self, shape):
         a = solvers._fresh(shape)
         assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
