@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from ifelm import experiments, solvers
 from ifelm.data import Dataset, SynthKind, synth_dataset
@@ -1684,3 +1685,114 @@ class TestBorderedStepProperty:
         for row in h[l0:]:
             st, ref = add_node(st, row), reference_step(ref, row)
             assert_same_state(st, ref)
+
+
+def state_bytes(st):
+    return {n: (a.shape, a.tobytes()) for n, a in arrays(st).items()}
+
+
+class ChainStateMachine(RuleBasedStateMachine):
+    """The chain contract under any mix of starts, steps, branches, copies and failures.
+
+    Each live state is recorded with `reference_step`'s state for its history
+    and with its bytes, which must be the reference's when the state is made
+    and must not move afterwards; the caller's arrays must never change.
+    States start from a C-ordered array, a list, the C-ordered transpose of
+    an F-ordered array or float32 rows, so that steps take both the view and
+    the copy path, and re-stepping an older state or a copy of one branches
+    its chain.  A k0sq of 1e-14 lets a duplicate row break an incremental
+    rule down.
+    """
+
+    K, M, ROWS = 16, 2, 10
+
+    SOURCES = {
+        "C": lambda h: h,
+        "list": lambda h: h.tolist(),
+        "F-transpose": lambda h: np.array(h.T, order="F").T,
+        "float32": lambda h: h.astype(np.float32),
+    }
+
+    def __init__(self):
+        super().__init__()
+        self.callers = []       # (rows as the caller passes them, their float64 values)
+        self.live = []          # (state, its reference, index into callers, its bytes)
+
+    def made(self, state, ref, caller):
+        got = state_bytes(state)
+        assert got == state_bytes(ref), f"{state.kind} at l={state.l}"
+        self.live.append((state, ref, caller, got))
+
+    def pick(self, i):
+        return self.live[i % len(self.live)]
+
+    def step(self, node, row, row64):
+        state, ref, caller, _ = node
+        self.made(add_node(state, row), reference_step(ref, row64), caller)
+
+    @rule(kind=strategies.sampled_from(list(AlgorithmKind)),
+          source=strategies.sampled_from(list(SOURCES)), l0=strategies.integers(1, 3),
+          k0sq=strategies.sampled_from([0.1, 1e-14]), seed=strategies.integers(0, 2**16))
+    def start(self, kind, source, l0, k0sq, seed):
+        rng = np.random.default_rng(seed)
+        rows = self.SOURCES[source](rng.uniform(-1, 1, (self.ROWS, self.K)))
+        state = warm_start(kind, rows[:l0], rng.standard_normal((self.M, self.K)), k0sq)
+        self.callers.append((rows, np.array(rows, dtype=np.float64)))
+        self.made(state, copy.deepcopy(state), len(self.callers) - 1)
+
+    @precondition(lambda self: self.live and self.live[-1][0].l < self.ROWS)
+    @rule()
+    def step_newest(self):
+        node = self.live[-1]
+        rows, rows64 = self.callers[node[2]]
+        self.step(node, rows[node[0].l], rows64[node[0].l])
+
+    @precondition(lambda self: self.live)
+    @rule(i=strategies.integers(0, 999), how=strategies.sampled_from(["next", "equal", "foreign"]),
+          seed=strategies.integers(0, 2**16))
+    def step_any(self, i, how, seed):
+        # the caller's next row, a value-equal copy of it or a row from elsewhere
+        node = self.pick(i)
+        l, (rows, rows64) = node[0].l, self.callers[node[2]]
+        if l >= self.ROWS:
+            return
+        if how == "foreign":
+            row = np.random.default_rng(seed).uniform(-1, 1, self.K)
+            self.step(node, row, row)
+        else:
+            self.step(node, rows[l] if how == "next" else rows64[l].copy(), rows64[l])
+
+    @precondition(lambda self: self.live)
+    @rule(i=strategies.integers(0, 999),
+          how=strategies.sampled_from(["pickle", "deepcopy", "replace"]))
+    def copy_state(self, i, how):
+        state, ref, caller, _ = self.pick(i)
+        twin = {"pickle": lambda s: pickle.loads(pickle.dumps(s)), "deepcopy": copy.deepcopy,
+                "replace": replace}[how](state)
+        self.made(twin, ref, caller)
+
+    @precondition(lambda self: self.live)
+    @rule(i=strategies.integers(0, 999),
+          how=strategies.sampled_from(["nan", "shape", "duplicate"]))
+    def failed_step(self, i, how):
+        state = self.pick(i)[0]
+        if how == "duplicate" and state.kind in ALL_INCREMENTAL and state.k0sq < 1e-12:
+            row, error = state.H[0].copy(), NumericalBreakdownError
+        elif how == "shape":
+            row, error = np.zeros(self.K + 1), ShapeError
+        else:
+            row, error = np.full(self.K, np.nan), DomainError
+        with pytest.raises(error):
+            add_node(state, row)
+
+    @invariant()
+    def nothing_moved(self):
+        for state, _, _, kept in self.live:
+            assert state_bytes(state) == kept, f"{state.kind} at l={state.l}"
+        for rows, rows64 in self.callers:
+            assert np.array(rows, dtype=np.float64).tobytes() == rows64.tobytes()
+
+
+TestChainStateMachine = ChainStateMachine.TestCase
+TestChainStateMachine.settings = settings(max_examples=40, stateful_step_count=30,
+                                          derandomize=True, deadline=None)
