@@ -1,0 +1,175 @@
+"""Where a chain of solver states keeps H, L and D: the one storage policy.
+
+States are immutable to the caller, but a step does not copy the
+append-only arrays H (a row per node), L (a column per node) and D (an
+entry per node).  Each chain of states keeps them in one store, `_Store`;
+the state's fields are exact l-sized views.  A chain over the caller's
+consecutive rows views them, as `warm_start` views the H it is given: when
+a step's row is the row right after the state's H in the same C-contiguous
+float64 array, by data address and not by overlap, the child's H is that
+array's view one row longer, and no H is allocated or written.  The caller
+must not write those rows while the states are in use; ifelm never writes
+them.  Any other row, and a state whose H is no such view (a pickled or
+deep-copied one, or one whose H came from a list), takes the copy path: H
+goes into a buffer of the store's own.  That buffer, and ALG3's L and D on
+either path, doubles its capacity when full.  The store's fill level n is
+the node count of the newest state grown from it.  A step appends in place
+only when the state it steps has l == n and the store has room.  Any other
+state, one already stepped or one with no store, gets a new store first,
+which copies L and D and, on the copy path, H.  So re-stepping an old state
+is correct but may pay a copy, and chained growth appends in place.  A step
+stores its row by `_Store.for_step` before its rule runs, and ALG3's column
+and entry by `_Store.append`, which moves the fill level last: a step that
+raises has written only past every state's view.  B, Q and W are rewritten
+by every step, each into a fresh array at its new size; `_fresh` carves the
+large ones from whole blocks, which a freed parent's array can leave
+behind.  Two threads must not step the same state at once.
+"""
+
+from __future__ import annotations
+
+import ctypes
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .linalg import add_outer, row_bands
+
+if TYPE_CHECKING:
+    from .solvers import SolverState
+
+# `_fresh` rounds an array of at least this many entries up to whole blocks of it
+_BLOCK = 1 << 16
+
+
+def _address(a: np.ndarray) -> int | None:
+    """The data address of the array a if it is C-contiguous, else None; a ctypes
+    view of a's buffer reads it at a third of the cost of `a.ctypes.data`."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except TypeError:                                # read-only or not C-contiguous
+        return a.ctypes.data if a.flags.c_contiguous else None
+
+
+class _Store:
+    """Where one chain's H lives, plus L and D for ALG3, with room for more nodes.
+
+    On the view path H is the caller's rows, of the array that holds the
+    chain's first state's H, from that H's first row on, and `at` is their
+    address; on the copy path H is a buffer of the store's own and `at` is
+    None.  `n` is the fill level and `room` the node count the store can
+    hold.  L is zeroed, so a step writes only its column.
+    """
+
+    __slots__ = ("H", "at", "L", "D", "n", "room")
+
+    def __init__(self, state: SolverState, rows: np.ndarray | None, h_bar: np.ndarray):
+        # over the caller's `rows`, or a buffer of its own holding state's H, then h_bar
+        n, size = state.l, 2 * (state.l + 1)
+        if rows is None:
+            self.H, self.at, self.room = np.empty((size, state.sample_count)), None, size
+            self.H[:n] = state.H
+            self.H[n] = h_bar
+        else:
+            self.H, self.at, self.room = rows, _address(rows), rows.shape[0]
+        self.L = self.D = None
+        if state.L is not None:                      # ALG3, the one rule that carries L
+            self.L = np.zeros((size, size))
+            self.L[:n, :n] = state.L
+            self.D = np.empty(size)
+            self.D[:n] = state.D
+            self.room = min(self.room, size)
+        self.n = n
+
+    @staticmethod
+    def _caller_rows(h: np.ndarray, row: np.ndarray) -> np.ndarray | None:
+        """The rows of the array that holds h, from h's first on, if `row` is the row
+        right after h's last in that C-contiguous float64 array, else None; by data
+        address, not overlap, so a shifted flat view over the next row is another row."""
+        base, at = h.base, _address(h)
+        if not (at is not None and _address(row) == at + h.nbytes
+                and type(base) is np.ndarray and base.dtype == np.float64
+                and (base.flags.c_contiguous or base.flags.f_contiguous)):
+            return None
+        flat = base.reshape(-1, order="A")           # in memory order, a view for C and F
+        first, misaligned = divmod(at - _address(flat), flat.itemsize)
+        k = h.shape[1]
+        rows = (flat.size - first) // k
+        if misaligned or rows <= h.shape[0]:         # row lies past the end of base
+            return None
+        return flat[first:first + rows * k].reshape(rows, k)
+
+    @staticmethod
+    def for_step(state: SolverState, h_bar: np.ndarray) -> _Store:
+        """The store whose H holds `state`'s l rows and then h_bar: `state`'s own if
+        `state` is at its fill level, the store has room and h_bar can be row l there
+        (any row, written into a buffer of the store's own, but in the caller's rows
+        only the row already there); else a new store, over the same caller's rows
+        if h_bar is the next of them, else with a buffer of its own."""
+        store, n = state._store, state.H.shape[0]
+        if store is None:
+            return _Store(state, _Store._caller_rows(state.H, h_bar), h_bar)
+        at_fill, h = store.n == n and n < store.room, store.H
+        if store.at is None:
+            if at_fill:
+                h[n] = h_bar
+                return store
+        elif n < h.shape[0] and _address(h_bar) == store.at + n * h.strides[0]:
+            return store if at_fill else _Store(state, h, h_bar)
+        return _Store(state, None, h_bar)
+
+    def append(self, n: int, aux: dict) -> dict:
+        """`aux` with the child's H, L and D, their first n + 1 nodes here, once ALG3's
+        new column aux["L"] and entry aux["D"] are written; the fill level becomes n + 1."""
+        aux["H"] = self.H[:n + 1]
+        if self.L is not None:
+            self.L[:n, n], self.L[n, n], self.D[n] = aux["L"], 1.0, aux["D"]
+            aux["L"], aux["D"] = self.L[:n + 1, :n + 1], self.D[:n + 1]
+        self.n = n + 1
+        return aux
+
+
+def _fresh(shape: tuple[int, int]) -> np.ndarray:
+    """np.empty(shape), 2-D, carved from whole `_BLOCK`-entry blocks when that large.
+
+    Fresh B, Q and W arrays grow by a column every step, so a freed parent's
+    array of the exact size is always one column too short for the next
+    one.  Rounded up to whole blocks, the sizes coincide and a block freed
+    a step or two before serves the next array.  The result is C-contiguous;
+    below `_BLOCK` entries it is a plain allocation.
+    """
+    rows, cols = shape
+    size = rows * cols
+    if size < _BLOCK:
+        return np.empty(shape)
+    return np.empty(-(-size // _BLOCK) * _BLOCK)[:size].reshape(shape)
+
+
+def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
+              corner: float | None = None) -> np.ndarray:
+    """[a + outer(col, row), col] in one new array; pass -row to subtract.
+
+    With a `corner`, the square a also gets the last row [col^T, corner].
+    The new array comes from `_fresh`.  Each band of `row_bands` is copied
+    from a, updated in place by one `add_outer` with row padded by a 0 for
+    the last column, and given its stretch of col in that column while it
+    is in cache; a lone band takes out (its first rows, with a corner), col
+    and a whole, not sliced.  Rounds exactly as forming the outer product,
+    the sum and the block apart.
+    """
+    rows, cols = a.shape
+    out = _fresh((rows + (corner is not None), cols + 1))
+    padded = np.zeros(cols + 1)
+    padded[:-1] = row
+    bands = row_bands(rows, cols + 1)
+    if len(bands) == 1:
+        parts = [(out if corner is None else out[:rows], col, a)]
+    else:
+        parts = ((out[band], col[band], a[band]) for band in bands)
+    for o, c, a_band in parts:
+        o[:, :-1] = a_band
+        add_outer(o, c, padded)
+        o[:, -1] = c
+    if corner is not None:
+        out[-1, :-1], out[-1, -1] = col, corner
+    return out

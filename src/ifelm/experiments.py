@@ -4,10 +4,9 @@ All runs share one set of random hidden-node parameters and one node order
 so differences between algorithms isolate the update rule.  Every runner
 steps through one chain loop, `_chain`: a warm start on the first rows,
 then one add_node call per further row, each child stepped from the one
-before.  Each row is the next row of the runner's own hidden matrix, so
-every state's H views that matrix and no chain copies it; every step after
-the first appends in place to the chain's store (for alg3, its L and D).
-The runners never write the hidden matrix while its states are in use.
+before.  Each row is the next row of the runner's own hidden matrix, which
+the runners never write while its states are in use, so every chain views
+it and copies no H (see `ifelm._store`).
 `grow`, `eval`, `compare` and `bench` thus time and run the same step.
 Timing covers the add_node call only; hidden-row generation and data
 loading are shared cost and excluded.
@@ -181,10 +180,9 @@ def bench_run(ds: Dataset, kernel: ActivationKind, k0sq: float, l: int,
 
     Each algorithm is warm-started to l nodes and grown to l + repeats
     through `_chain`, the loop `grow_run` and `eval_run` step through, so
-    every timed step is the step those runs take.  Every step views H in
-    the hidden rows.  The first step also builds the chain's store, which
-    copies alg3's L and D; every later one appends in place, so `min_ns` is
-    the in-place cost and alg3's `mean_ns` includes that one copy.  Each
+    every timed step is the step those runs take.  The first step also
+    builds the chain's store (see `ifelm._store`), so `min_ns` is the
+    in-place cost and alg3's `mean_ns` includes its one copy of L and D.  Each
     rule's `flops_per_step` is the multiply-adds of its first step,
     `solvers.step_multiply_adds` at l, the one cost figure the report gives;
     `flop_ratio_vs_existing` divides `existing`'s by it.
@@ -235,24 +233,25 @@ def eval_run(ds: Dataset, kernel: ActivationKind, k0sq: float, start: int, end: 
     splits = kfold_split(ds.sample_count, folds, seed)
     params = init_random_params(end, ds.X.shape[0], kernel, seed)
     report = {"folds": folds, "task": ds.task.value, "nodes": end, "algorithms": {}}
-
-    for kind in algorithms:
-        fold_metrics: list[dict] = []
-        for train_idx, test_idx in splits:
-            train = Dataset(X=ds.X[:, train_idx], Y=ds.Y[:, train_idx], task=ds.task)
-            test = Dataset(X=ds.X[:, test_idx], Y=ds.Y[:, test_idx], task=ds.task)
-            train_n, transform = normalize_features(train)
-            test_n = apply_normalization(test, transform)
-            h_train = hidden_matrix(params, train_n.X)
+    per_fold = {kind: [] for kind in algorithms}
+    # each fold's data and hidden matrices are prepared once, for every rule
+    for train_idx, test_idx in splits:
+        train = Dataset(X=ds.X[:, train_idx], Y=ds.Y[:, train_idx], task=ds.task)
+        test = Dataset(X=ds.X[:, test_idx], Y=ds.Y[:, test_idx], task=ds.task)
+        train_n, transform = normalize_features(train)
+        test_n = apply_normalization(test, transform)
+        h_train, h_test = hidden_matrix(params, train_n.X), hidden_matrix(params, test_n.X)
+        for kind, fold_metrics in per_fold.items():
             for state, _ in _chain(kind, h_train, train_n.Y, k0sq, start, end):
                 pass
-            z_test = state.W @ hidden_matrix(params, test_n.X)
+            z_test = state.W @ h_test
             if ds.task is TaskKind.REGRESSION:
                 fold_metrics.append({"mse": mse(z_test, test_n.Y)})
             else:
                 rep = classification_metrics(z_test, test_n.Y)
                 fold_metrics.append({"acc": rep.acc, "sn": rep.sn,
                                      "pe": rep.pe, "mcc": rep.mcc})
+    for kind, fold_metrics in per_fold.items():
         names = fold_metrics[0].keys()
         report["algorithms"][kind.value] = {
             "per_fold": fold_metrics,

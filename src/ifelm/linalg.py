@@ -27,7 +27,7 @@ def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # Entries per row band, the one band size of both row-band walks,
-# `solvers._bordered` (alg1's B, alg2's Q, every W border) and
+# `_store._bordered` (alg1's B, alg2's Q, every W border) and
 # `solvers._existing`, for three reasons.  OpenBLAS runs a gemm of at most
 # 4 * 65536 multiply-adds on one thread, and a band's dgemm stays under it:
 # with its default threads on a 2-vCPU machine, a 2000 x 501 update in one

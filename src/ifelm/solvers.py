@@ -27,6 +27,7 @@ values are read through one allowlist, `_read`, and checked once: H, Y and
 k0sq by `_operands` at the start and the oracle, each row by `_row` in `add_node`.
 `_factor`, the one way to C, and `solve_spd`, the one solve with it, serve
 the start, the direct-solve oracle `solve_direct_prefixes` and BASELINE's step.
+`_store` decides where H, L and D live; the rules see only their arrays.
 
 All rules grow W by a bordered column and agree with BASELINE up to
 rounding.  A step's cost is a function of its rule and sizes alone,
@@ -35,34 +36,10 @@ cost.  It charges the products a rule runs through `gemm` and `add_outer`:
 those along the K (sample) dimension, and EXISTING's h^T B H h.  Other l-
 and M-sized work and the updates inside `_bordered` are left out, as in
 the paper's dominant-cost model.
-
-Storage model.  States are immutable to the caller, but a step does not
-copy the append-only arrays H (a row per node), L (a column per node) and
-D (an entry per node).  Each chain of states keeps them in one store (see
-`_Store`); the state's fields are exact l-sized views.  A chain over the
-caller's consecutive rows views them, as `warm_start` views the H it is
-given: when a step's row is the row right after the state's H in the same
-C-contiguous float64 array, by data address and not by overlap, the
-child's H is that array's view one row longer, and no H is allocated or
-written.  The caller must not write those rows while the states are in
-use; ifelm never writes them.  Any other row, and a state whose H is no
-such view (a pickled or deep-copied one, or one whose H came from a list),
-takes the copy path: H goes into a buffer of the store's own.  That
-buffer, and ALG3's L and D on either path, doubles its capacity when full.
-The store's fill level n is the node count of the newest state grown from
-it.  A step appends in place only when the state it steps has l == n and
-the store has room.  Any other state, one already stepped or one with no
-store, gets a new store first, which copies L and D and, on the copy path,
-H.  So re-stepping an old state is correct but may pay a copy, and chained
-growth appends in place.  B, Q and W are rewritten by every step, each into
-a fresh array at its new size; `_fresh` carves the large ones from whole
-blocks, which a freed parent's array can leave behind.  Two threads must
-not step the same state at once.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -70,6 +47,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lapack
 
+from ._store import _bordered, _fresh, _Store
 from .data import _as_list, _check_counts
 from .errors import DomainError, NumericalBreakdownError, ShapeError
 from .linalg import add_outer, cholesky, gemm, row_bands, solve_spd
@@ -78,9 +56,6 @@ BREAKDOWN_RTOL = 1e-12
 
 # the native float64 dtype, which `_row` takes as it is
 _FLOAT64 = np.dtype(np.float64)
-
-# `_fresh` rounds an array of at least this many entries up to whole blocks of it
-_BLOCK = 1 << 16
 
 
 class AlgorithmKind(Enum):
@@ -96,102 +71,15 @@ class AlgorithmKind(Enum):
                           f"{', '.join(k.value for k in cls)}")
 
 
-def _address(a: np.ndarray) -> int | None:
-    """The data address of the array a if it is C-contiguous, else None; a ctypes
-    view of a's buffer reads it at a third of the cost of `a.ctypes.data`."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    except TypeError:                                # read-only or not C-contiguous
-        return a.ctypes.data if a.flags.c_contiguous else None
-
-
-class _Store:
-    """Where one chain's H lives, plus L and D for ALG3, with room for more nodes.
-
-    H is one of two things.  On the view path it is the caller's rows, of the
-    array that holds the chain's first state's H, from that H's first row on;
-    `at` is their address, and no step writes them.  On the copy path it is a
-    buffer of the store's own, `at` is None, and each step writes its row
-    there.  `n`, the fill level, is the node count of the newest state grown
-    from the store, the only state that may append; `room` is the node count
-    the store can hold.  L is zeroed, so a step writes only its column.
-    """
-
-    __slots__ = ("H", "at", "L", "D", "n", "room")
-
-    def __init__(self, state: SolverState, rows: np.ndarray | None, h_bar: np.ndarray):
-        # over `rows`, the caller's rows from state's first on, or with a buffer of
-        # its own that copies state's H and then h_bar
-        n, size = state.l, 2 * (state.l + 1)
-        if rows is None:
-            self.H, self.at, self.room = np.empty((size, state.sample_count)), None, size
-            self.H[:n] = state.H
-            self.H[n] = h_bar
-        else:
-            self.H, self.at, self.room = rows, _address(rows), rows.shape[0]
-        self.L = self.D = None
-        if state.kind is AlgorithmKind.ALG3:
-            self.L = np.zeros((size, size))
-            self.L[:n, :n] = state.L
-            self.D = np.empty(size)
-            self.D[:n] = state.D
-            self.room = min(self.room, size)
-        self.n = n
-
-    @staticmethod
-    def _caller_rows(h: np.ndarray, row: np.ndarray) -> np.ndarray | None:
-        """The rows of the array that holds h, from h's first on, if `row` is the row
-        right after h's last in that C-contiguous float64 array; else None.
-
-        Data addresses decide, not overlap: a row that only overlaps the next one,
-        such as a shifted flat view, is another row.
-        """
-        base, at = h.base, _address(h)
-        if not (at is not None and _address(row) == at + h.nbytes
-                and type(base) is np.ndarray and base.dtype == np.float64
-                and (base.flags.c_contiguous or base.flags.f_contiguous)):
-            return None
-        flat = base.reshape(-1, order="A")           # in memory order, a view for C and F
-        first, misaligned = divmod(at - _address(flat), flat.itemsize)
-        k = h.shape[1]
-        rows = (flat.size - first) // k
-        if misaligned or rows <= h.shape[0]:         # row lies past the end of base
-            return None
-        return flat[first:first + rows * k].reshape(rows, k)
-
-    @staticmethod
-    def for_step(state: SolverState, h_bar: np.ndarray) -> _Store:
-        """The store whose H holds `state`'s l rows and then h_bar.
-
-        `state`'s own store when `state` is at its fill level and the store has
-        room, if h_bar can be row l there: any row can, written into a buffer
-        of the store's own, but in the caller's rows only the row already
-        there.  Otherwise a new store, over the same caller's rows if h_bar is
-        the next of them, else with a buffer of its own.
-        """
-        store, n = state._store, state.H.shape[0]
-        if store is None:
-            return _Store(state, _Store._caller_rows(state.H, h_bar), h_bar)
-        at_fill, h = store.n == n and n < store.room, store.H
-        if store.at is None:
-            if at_fill:
-                h[n] = h_bar
-                return store
-        elif n < h.shape[0] and _address(h_bar) == store.at + n * h.strides[0]:
-            return store if at_fill else _Store(state, h, h_bar)
-        return _Store(state, None, h_bar)
-
-
 @dataclass(frozen=True, eq=False)
 class SolverState:
     """Immutable snapshot of one solver after l node additions.
 
     Aux content by kind: EXISTING/ALG1 carry B (K x l); ALG2 carries
     Q (l x l); ALG3 carries L (l x l, unit upper-triangular) and D (l,);
-    BASELINE carries nothing beyond H, Y, W.  In a grown state H is a view
-    of the caller's rows or of its chain's store, and L and D are views of
-    the store (see the module docstring), which only `add_node` sets; treat
-    every array as read-only.  States compare and hash by identity.
+    BASELINE carries nothing beyond H, Y, W.  In a grown state H, L and D
+    are views into storage that `add_node` alone writes (see `_store`);
+    treat every array as read-only.  States compare and hash by identity.
     """
 
     kind: AlgorithmKind
@@ -398,50 +286,9 @@ def _schur_denominator(c: float, correction: float, node_index: int) -> float:
     return delta
 
 
-def _fresh(shape: tuple[int, int]) -> np.ndarray:
-    """np.empty(shape), 2-D, carved from whole `_BLOCK`-entry blocks when that large.
-
-    Fresh B, Q and W arrays grow by a column every step, so a freed parent's
-    array of the exact size is always one column too short for the next
-    one.  Rounded up to whole blocks, the sizes coincide and a block freed
-    a step or two before serves the next array.  The result is C-contiguous;
-    below `_BLOCK` entries it is a plain allocation.
-    """
-    rows, cols = shape
-    size = rows * cols
-    if size < _BLOCK:
-        return np.empty(shape)
-    return np.empty(-(-size // _BLOCK) * _BLOCK)[:size].reshape(shape)
-
-
-def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray,
-              corner: float | None = None) -> np.ndarray:
-    """[a + outer(col, row), col] in one new array; pass -row to subtract.
-
-    With a `corner`, the square a also gets the last row [col^T, corner].
-    The new array comes from `_fresh`.  Each band of `row_bands` is copied
-    from a, updated in place by one `add_outer` with row padded by a 0 for
-    the last column, and given its stretch of col in that column while it
-    is in cache; a lone band takes out (its first rows, with a corner), col
-    and a whole, not sliced.  Rounds exactly as forming the outer product,
-    the sum and the block apart.
-    """
-    rows, cols = a.shape
-    out = _fresh((rows + (corner is not None), cols + 1))
-    padded = np.zeros(cols + 1)
-    padded[:-1] = row
-    bands = row_bands(rows, cols + 1)
-    if len(bands) == 1:
-        parts = [(out if corner is None else out[:rows], col, a)]
-    else:
-        parts = ((out[band], col[band], a[band]) for band in bands)
-    for o, c, a_band in parts:
-        o[:, :-1] = a_band
-        add_outer(o, c, padded)
-        o[:, -1] = c
-    if corner is not None:
-        out[-1, :-1], out[-1, -1] = col, corner
-    return out
+def _w_border(state: SolverState, h_bar: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
+    """W's new column w_bar = tau (Y h_bar - W p), which ALG2 and ALG3 share."""
+    return tau * (gemm(state.Y, h_bar.reshape(-1, 1)).reshape(-1) - state.W.dot(p))
 
 
 def _existing_correction(state: SolverState, h_bar: np.ndarray,
@@ -451,7 +298,7 @@ def _existing_correction(state: SolverState, h_bar: np.ndarray,
 
 
 def _existing(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
-              u1: np.ndarray, store: _Store) -> tuple:
+              u1: np.ndarray) -> tuple:
     """Literal two-term bordered update of the pseudo-inverse B.
 
     Both terms evaluate their own ((c I - h h^T) B) product and the output
@@ -500,7 +347,7 @@ def _alg1_correction(state: SolverState, h_bar: np.ndarray,
 
 
 def _alg1(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
-          u: np.ndarray, store: _Store) -> tuple:
+          u: np.ndarray) -> tuple:
     """Simplified B update; the row u = h^T B is computed once and reused."""
     tau = 1.0 / delta
     b_bar = tau * (h_bar - gemm(state.B, p.reshape(-1, 1)).reshape(-1))
@@ -516,14 +363,13 @@ def _alg2_correction(state: SolverState, h_bar: np.ndarray,
 
 
 def _alg2(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
-          qp: np.ndarray, store: _Store) -> tuple:
+          qp: np.ndarray) -> tuple:
     """Bordered update of the inverse Q by t_tilde = t / tau, the row W's border takes."""
     tau = 1.0 / delta
     t = -tau * qp
     t_tilde = t / tau
     q_new = _bordered(state.Q, t, t_tilde, corner=tau)
-    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1)).reshape(-1) - state.W.dot(p))
-    return w_bar, t_tilde, {"Q": q_new}
+    return _w_border(state, h_bar, p, tau), t_tilde, {"Q": q_new}
 
 
 def _alg3_correction(state: SolverState, h_bar: np.ndarray,
@@ -534,23 +380,16 @@ def _alg3_correction(state: SolverState, h_bar: np.ndarray,
 
 
 def _alg3(state: SolverState, h_bar: np.ndarray, c: float, p: np.ndarray, delta: float,
-          ldv: np.ndarray, store: _Store) -> tuple:
-    """Bordered update of the factors L, D with L diag(D) L^T = Q.
-
-    The new column -L D v of L above a unit diagonal, also W's border row,
-    and D's new entry tau are written into the store past the state's l nodes.
-    """
-    tau, n, big_l = 1.0 / delta, store.n, store.L    # store.n is the state's l
-    t_tilde = np.negative(ldv, out=big_l[:n, n])
-    big_l[n, n] = 1.0
-    store.D[n] = tau
-    w_bar = tau * (gemm(state.Y, h_bar.reshape(-1, 1)).reshape(-1) - state.W.dot(p))
-    return w_bar, t_tilde, {"L": big_l[:n + 1, :n + 1], "D": store.D[:n + 1]}
+          ldv: np.ndarray) -> tuple:
+    """Bordered update of the factors L, D with L diag(D) L^T = Q: L's new column
+    t_tilde = -L D v above a unit diagonal, also W's border row, and D's new entry tau."""
+    tau, t_tilde = 1.0 / delta, -ldv
+    return _w_border(state, h_bar, p, tau), t_tilde, {"L": t_tilde, "D": tau}
 
 
 # the four incremental rules, in the order every report lists them: rule ->
-# (correction(state, h_bar, p) -> (c - delta, q), update(state, h_bar, c, p, delta, q,
-# store) -> (W's border column w_bar and row, aux arrays)); see `add_node`
+# (correction(state, h_bar, p) -> (c - delta, q), update(state, h_bar, c, p, delta, q) ->
+# (W's border column w_bar and row, the child's B or Q or ALG3's L column and D entry))
 _RULES = {
     AlgorithmKind.EXISTING: (_existing_correction, _existing),
     AlgorithmKind.ALG1: (_alg1_correction, _alg1),
@@ -593,20 +432,15 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     (DomainError) float64 row of shape (K,) (ShapeError naming any other
     shape); c = h_bar^T h_bar + k0sq is computed once and must pass
     `_check_rows`, the start's and the oracle's row rule (DomainError naming
-    the node, before the row is stored); `_Store.for_step` appends h_bar to
-    the chain's H, by viewing it if it is the caller's row right after
-    `state`'s H and by writing it into the store's own buffer if not, in
-    place only if `state` is at the store's fill level and the store has
-    room, else in a new store that copies `state`'s arrays.  BASELINE then
-    re-solves on the stored rows.  Any other rule's correction in `_RULES`
-    gets p = H h_bar from `compute_p`; the one breakdown test
-    `_schur_denominator` forms delta = c - correction before anything is
-    updated; the rule's update returns W's border, and W becomes
+    the node, before the row is stored); `_Store.for_step` stores h_bar
+    after `state`'s rows, and BASELINE re-solves on them.  Any other rule's
+    correction in `_RULES` gets p = H h_bar from `compute_p`; the one
+    breakdown test `_schur_denominator` forms delta = c - correction before
+    anything is updated; the rule's update returns W's border, and W becomes
     [W + w_bar row^T, w_bar] (EXISTING returns its full Y B, row None).
-    The child is built over the store's first l + 1 rows, and only then is
-    the fill level l + 1.  A re-solve, correction or breakdown test that
-    raises leaves `state` and its chain as they were: the row appended lies
-    past every state's view and the fill level is unchanged.
+    Last, `_Store.append` stores ALG3's new column and entry and gives the
+    child's H, L and D.  A re-solve, correction or breakdown test that
+    raises leaves `state` and its chain as they were (see `_store`).
     """
     n, k = state.H.shape
     h_bar = _row(h_bar, k)
@@ -622,11 +456,10 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
         p = compute_p(state, h_bar)
         corr, q = correction(state, h_bar, p)
         delta = _schur_denominator(c, corr, n + 1)
-        w_bar, row, aux = update(state, h_bar, c, p, delta, q, store)
+        w_bar, row, aux = update(state, h_bar, c, p, delta, q)
         w = w_bar if row is None else _bordered(state.W, w_bar, row)
     # all ten fields in one update, without the frozen __init__'s ten setattr calls
     child = object.__new__(SolverState)
-    child.__dict__.update(_NO_AUX, kind=state.kind, k0sq=state.k0sq, H=store.H[:n + 1],
-                          Y=state.Y, W=w, _store=store, **aux)
-    store.n = n + 1
+    child.__dict__.update(_NO_AUX, kind=state.kind, k0sq=state.k0sq, Y=state.Y, W=w,
+                          _store=store, **store.append(n, aux))
     return child

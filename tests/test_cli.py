@@ -273,7 +273,21 @@ class TestChainContract:
         kinds = list(solvers.ALL_INCREMENTAL)
         experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 6, kinds, seed=0, folds=3)
         chains = _chains(calls, 1, 6)
-        assert [chain[0][0].kind for chain in chains] == [k for k in kinds for _ in range(3)]
+        # folds outside, rules inside
+        assert [chain[0][0].kind for chain in chains] == [k for _ in range(3) for k in kinds]
+
+    def test_eval_run_prepares_each_fold_once_for_every_rule(self, monkeypatch):
+        counts = dict.fromkeys(["normalize_features", "apply_normalization", "hidden_matrix"], 0)
+        for name in counts:
+            def counted(*args, _fn=getattr(experiments, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(experiments, name, counted)
+        ds = synth_dataset(SynthKind.SINE_MIXTURE, 60, 3, 2, seed=0)
+        experiments.eval_run(ds, ActivationKind.GAUSSIAN, 0.1, 1, 6,
+                             list(solvers.ALL_INCREMENTAL), seed=0, folds=3)
+        # a fold's train and test hidden matrices
+        assert counts == {"normalize_features": 3, "apply_normalization": 3, "hidden_matrix": 6}
 
     @pytest.mark.parametrize("run", ["grow", "eval", "bench"])
     def test_every_chain_views_the_runners_hidden_matrix(self, monkeypatch, run):

@@ -19,7 +19,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from ifelm import experiments, solvers
+from ifelm import _store, experiments, solvers
 from ifelm.data import Dataset, SynthKind, synth_dataset
 from ifelm.errors import (
     DomainError,
@@ -1502,10 +1502,10 @@ class TestBorderedRowBands:
         top = a + np.outer(col, row)
         if corner:
             tau = float(rng.uniform(1, 2))
-            got, want = solvers._bordered(a, col, row, tau), np.block([[top, col[:, None]],
+            got, want = _store._bordered(a, col, row, tau), np.block([[top, col[:, None]],
                                                                        [col, tau]])
         else:
-            got, want = solvers._bordered(a, col, row), np.hstack([top, col[:, None]])
+            got, want = _store._bordered(a, col, row), np.hstack([top, col[:, None]])
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -1647,9 +1647,9 @@ class TestStorageHelpers:
     @pytest.mark.parametrize("shape", [(2, 3), (255, 256), (256, 256), (2000, 501),
                                        (501, 501), (1, 65537)])
     def test_fresh_arrays_come_in_whole_blocks(self, shape):
-        a = solvers._fresh(shape)
+        a = _store._fresh(shape)
         assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
-        size, block = math.prod(shape), solvers._BLOCK
+        size, block = math.prod(shape), _store._BLOCK
         if size < block:
             assert a.base is None
         else:
