@@ -3,27 +3,29 @@
 States are immutable to the caller, but a step does not copy the
 append-only arrays H (a row per node), L (a column per node) and D (an
 entry per node).  Each chain of states keeps them in one store, `_Store`;
-the state's fields are exact l-sized views.  A chain over the caller's
-consecutive rows views them, as `warm_start` views the H it is given: when
-a step's row is the row right after the state's H in the same C-contiguous
-float64 array, by data address and not by overlap, the child's H is that
-array's view one row longer, and no H is allocated or written.  The caller
-must not write those rows while the states are in use; ifelm never writes
-them.  Any other row, and a state whose H is no such view (a pickled or
-deep-copied one, or one whose H came from a list), takes the copy path: H
-goes into a buffer of the store's own.  That buffer, and ALG3's L and D on
-either path, doubles its capacity when full.  The store's fill level n is
-the node count of the newest state grown from it.  A step appends in place
-only when the state it steps has l == n and the store has room.  Any other
-state, one already stepped or one with no store, gets a new store first,
-which copies L and D and, on the copy path, H.  So re-stepping an old state
-is correct but may pay a copy, and chained growth appends in place.  A step
-stores its row by `_Store.for_step` before its rule runs, and ALG3's column
-and entry by `_Store.append`, which moves the fill level last: a step that
-raises has written only past every state's view.  B, Q and W are rewritten
-by every step, each into a fresh array at its new size; `_fresh` carves the
-large ones from whole blocks, which a freed parent's array can leave
-behind.  Two threads must not step the same state at once.
+the state's fields are exact l-sized views.  The store's fill level n is
+the node count of the newest state grown from it.  One rule decides reuse:
+a step appends in place only when its state has l == n, the store has room
+and h_bar can be row n there, written into a buffer of the store's own or,
+on the view path, already in place.  Every other step, and the first step
+of a state with no store (a pickled, copied or replaced one), gets a new
+store, which copies L and D.  It views the caller's rows in one layout,
+the one `hidden_matrix` returns: if h_bar is the row right after the
+state's H in a 2-D C-contiguous float64 array with K columns, by data
+address and not by overlap, the child's H is that array's view one row
+longer, and no H is allocated or written.  The caller must not write those
+rows while the states are in use; ifelm never writes them.  Else H is
+copied into a buffer of the store's own.  That buffer has a 1-D owner, so
+no store takes it for caller rows, which its own store may still write.
+It, and ALG3's L and D on either path, doubles when full.  So re-stepping
+an old state is correct but may pay a copy, and chained growth appends in
+place.  A step stores its row by `_Store.for_step` before its rule runs,
+and ALG3's column and entry by `_Store.append`, which moves the fill
+level last: a step that raises has written only past every state's view.
+B, Q and W are rewritten by every step, each into a fresh array at its
+new size; `_fresh` carves the large ones from whole blocks, which a freed
+parent's array can leave behind.  Two threads must not step the same
+state at once.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ class _Store:
 
     def __init__(self, state: SolverState, rows: np.ndarray | None, h_bar: np.ndarray):
         # over the caller's `rows`, or a buffer of its own holding state's H, then h_bar
-        n, size = state.l, 2 * (state.l + 1)
-        if rows is None:
-            self.H, self.at, self.room = np.empty((size, state.sample_count)), None, size
+        n, k, size = state.l, state.sample_count, 2 * (state.l + 1)
+        if rows is None:                             # a 1-D owner: never caller rows
+            self.H, self.at, self.room = np.empty(size * k).reshape(size, k), None, size
             self.H[:n] = state.H
             self.H[n] = h_bar
         else:
@@ -83,40 +85,29 @@ class _Store:
 
     @staticmethod
     def _caller_rows(h: np.ndarray, row: np.ndarray) -> np.ndarray | None:
-        """The rows of the array that holds h, from h's first on, if `row` is the row
-        right after h's last in that C-contiguous float64 array, else None; by data
-        address, not overlap, so a shifted flat view over the next row is another row."""
-        base, at = h.base, _address(h)
-        if not (at is not None and _address(row) == at + h.nbytes
-                and type(base) is np.ndarray and base.dtype == np.float64
-                and (base.flags.c_contiguous or base.flags.f_contiguous)):
+        """The rows of the 2-D C-contiguous float64 array with K columns that holds h,
+        from h's first on, if `row` is the row right after h's last there, else None;
+        by data address, not overlap, so a shifted flat view over the next row is another row."""
+        base, at, k = h.base, _address(h), h.shape[1]
+        if not (at is not None and _address(row) == at + h.nbytes and type(base) is np.ndarray
+                and base.dtype == np.float64 and base.ndim == 2 and base.shape[1] == k
+                and base.flags.c_contiguous):
             return None
-        flat = base.reshape(-1, order="A")           # in memory order, a view for C and F
-        first, misaligned = divmod(at - _address(flat), flat.itemsize)
-        k = h.shape[1]
-        rows = (flat.size - first) // k
-        if misaligned or rows <= h.shape[0]:         # row lies past the end of base
-            return None
-        return flat[first:first + rows * k].reshape(rows, k)
+        first, misaligned = divmod(at - _address(base), 8 * k)
+        return None if misaligned or base.shape[0] - first <= h.shape[0] else base[first:]
 
     @staticmethod
     def for_step(state: SolverState, h_bar: np.ndarray) -> _Store:
         """The store whose H holds `state`'s l rows and then h_bar: `state`'s own if
-        `state` is at its fill level, the store has room and h_bar can be row l there
-        (any row, written into a buffer of the store's own, but in the caller's rows
-        only the row already there); else a new store, over the same caller's rows
-        if h_bar is the next of them, else with a buffer of its own."""
+        the one reuse rule allows, else a new one over the caller's rows or a copy."""
         store, n = state._store, state.H.shape[0]
-        if store is None:
-            return _Store(state, _Store._caller_rows(state.H, h_bar), h_bar)
-        at_fill, h = store.n == n and n < store.room, store.H
-        if store.at is None:
-            if at_fill:
-                h[n] = h_bar
+        if store is not None and store.n == n < store.room:
+            if store.at is None:
+                store.H[n] = h_bar
                 return store
-        elif n < h.shape[0] and _address(h_bar) == store.at + n * h.strides[0]:
-            return store if at_fill else _Store(state, h, h_bar)
-        return _Store(state, None, h_bar)
+            if _address(h_bar) == store.at + n * store.H.strides[0]:
+                return store
+        return _Store(state, _Store._caller_rows(state.H, h_bar), h_bar)
 
     def append(self, n: int, aux: dict) -> dict:
         """`aux` with the child's H, L and D, their first n + 1 nodes here, once ALG3's

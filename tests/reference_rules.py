@@ -106,10 +106,11 @@ def count_products(monkeypatch) -> list[int]:
     """Meter `solvers.gemm` and `solvers.add_outer` as the cost model charges them.
 
     Each gemm adds 2 rows * inner * cols and each add_outer 2 rows * cols
-    to the returned one-entry list; the updates inside `_bordered` are
-    left out, as the cost model leaves them out.
+    to the returned one-entry list.  The updates inside `_bordered` go
+    uncounted, as the cost model leaves them out: `_store._bordered` calls
+    its own `add_outer`, which this meter does not patch.
     """
-    total, bordered = [0], solvers._bordered
+    total = [0]
 
     def counted(fn, madds):
         def call(*args):
@@ -117,14 +118,7 @@ def count_products(monkeypatch) -> list[int]:
             return fn(*args)
         return call
 
-    def uncounted(*args, **kwargs):
-        before = total[0]
-        out = bordered(*args, **kwargs)
-        total[0] = before
-        return out
-
     for name, madds in [("gemm", lambda a, b: 2 * a[0] * a[1] * b[1]),
                         ("add_outer", lambda dst, x, y: 2 * dst[0] * dst[1])]:
         monkeypatch.setattr(solvers, name, counted(getattr(solvers, name), madds))
-    monkeypatch.setattr(solvers, "_bordered", uncounted)
     return total

@@ -16,10 +16,15 @@ The first line is one digest over all of it; two commits that print the
 same first line produce bitwise the same states.  The lines after it
 digest the same bytes split by source, one per rule (`baseline`,
 `existing`, `alg1`, `alg2`, `alg3`) and one for the oracle (`oracle`), so
-they show which of them moved.  Only public names are used, so the script
-runs unchanged on older commits.
+they show which of them moved.  The last line, `copies`, feeds none of
+the others: it digests the same chains stepped with value-equal copies of
+their rows, so that every step writes H into a buffer of the store's own
+and the buffer doubles, and half-way the steps of a `copy.copy` of the
+newest state, which holds no store.  Only public names are used, so the
+script runs unchanged on older commits.
 """
 
+import copy
 import hashlib
 
 import numpy as np
@@ -69,20 +74,37 @@ def problem(k, rows, seed):
     return h, rng.standard_normal((M, k))
 
 
+def start(kind, h, y, l0):
+    return init_solver(kind, h[0], y, K0SQ) if l0 == 1 else warm_start(kind, h[:l0], y, K0SQ)
+
+
+def feed_copies(digest, kind, h, y, l0, steps):
+    st = start(kind, h, y, l0)
+    for i in range(steps):
+        st = add_node(st, h[l0 + i].copy())
+        feed_state(digest, st)
+        if i == steps // 2:
+            twin = copy.copy(st)
+            for row in (h[l0 + i + 1], h[l0 + steps]):
+                twin = add_node(twin, row)
+                feed_state(digest, twin)
+
+
 def main():
-    digest = hashlib.sha256()
+    digest, copies = hashlib.sha256(), hashlib.sha256()
     parts = {name: hashlib.sha256() for name in [k.value for k in AlgorithmKind] + ["oracle"]}
     for seed, (k, l0, steps) in enumerate(CONFIGS):
         h, y = problem(k, l0 + steps + 1, seed)
         for kind in AlgorithmKind:
             feed = Tee(digest, parts[kind.value])
-            st = init_solver(kind, h[0], y, K0SQ) if l0 == 1 else warm_start(kind, h[:l0], y, K0SQ)
+            st = start(kind, h, y, l0)
             feed_state(feed, st)
             for i in range(steps):
                 parent, st = st, add_node(st, h[l0 + i])
                 feed_state(feed, st)
                 if i == steps // 2:
                     feed_state(feed, add_node(parent, h[l0 + steps]))
+            feed_copies(copies, kind, h, y, l0, steps)
         feed = Tee(digest, parts["oracle"])
         n = l0 + steps
         feed_array(feed, solve_direct(h[:n], y, K0SQ))
@@ -92,6 +114,7 @@ def main():
     print(digest.hexdigest())
     for name, part in parts.items():
         print(f"{name:9s}{part.hexdigest()}")
+    print(f"{'copies':9s}{copies.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -1510,11 +1510,12 @@ class TestBorderedRowBands:
 
 
 class TestViewOrCopy:
-    """A step views the caller's array only for the row right after the state's H in it.
+    """A step views the caller's array only for the row right after the state's H in
+    it, and only in a 2-D C-contiguous float64 array with K columns.
 
-    Every other row takes the copy path: the child's H is the store's own
-    buffer, bitwise the copy reference, and neither the parent nor the
-    caller's rows change.
+    Every other row and layout takes the copy path: the child's H is the
+    store's own buffer, bitwise the copy reference, and neither the parent
+    nor the caller's rows change.
     """
 
     K, M = 60, 2
@@ -1574,17 +1575,30 @@ class TestViewOrCopy:
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_rows_of_a_C_ordered_transpose_are_viewed(self, kind):
-        # g.T is C-contiguous over the F-ordered g, so its rows lie one after another
+        # g.T is C-contiguous and its rows lie one after another, but over the
+        # F-ordered g, which is not the viewed layout: each step copies
         h, y, _ = self.problem(kind)
         g = np.array(h.T, order="F")
         st = warm_start(kind, g.T[:3], y, 0.1)
         for l in range(3, 6):
-            kept, child = snapshot(st), add_node(st, g.T[l])
-            assert child.H.base is g
-            assert_same_state(child, reference_step(st, g.T[l]))
-            for name, want in kept.items():
-                assert np.array_equal(getattr(st, name), want), name
-            st = child
+            st = self.copies(st, g.T[l], g.T[l], g)
+
+    @pytest.mark.parametrize("how", ["copy", "replace"])
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_a_twin_never_views_the_stores_own_buffer(self, kind, how):
+        # a shallow copy or a replaced state has no store but the same H, whose
+        # next row in the buffer's memory the original's store writes next
+        h, _, st = self.problem(kind)
+        st = add_node(st, h.copy()[st.l])       # now on the copy path
+        twin, l = {"copy": copy.copy, "replace": replace}[how](st), st.l
+        row = st.H.base.reshape(-1, self.K)[l]  # unwritten: give it the caller's values
+        row[:] = h[l]
+        child = add_node(twin, row)
+        assert_same_state(child, reference_step(st, h[l]))
+        kept = snapshot(child)
+        add_node(st, h[l + 1])                  # the store writes its row l
+        for name, want in kept.items():
+            assert np.array_equal(getattr(child, name), want), name
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_state_at_the_last_row_copies(self, kind):
@@ -1700,7 +1714,12 @@ class ChainStateMachine(RuleBasedStateMachine):
     States start from a C-ordered array, a list, the C-ordered transpose of
     an F-ordered array or float32 rows, so that steps take both the view and
     the copy path, and re-stepping an older state or a copy of one branches
-    its chain.  A k0sq of 1e-14 lets a duplicate row break an incremental
+    its chain.  Only the C-ordered array is viewed; the F-transpose, whose
+    rows lie one after another over an F-ordered array, copies as the list
+    and float32 rows do.  A step may also read the memory right after a
+    state's H in the array that holds it: the caller's next row, or a row of
+    a store's buffer, which no live state views and which a shallow copy or
+    a replaced state must not come to view.  A k0sq of 1e-14 lets a duplicate row break an incremental
     rule down.
     """
 
@@ -1747,16 +1766,34 @@ class ChainStateMachine(RuleBasedStateMachine):
         rows, rows64 = self.callers[node[2]]
         self.step(node, rows[node[0].l], rows64[node[0].l])
 
+    def memory_after(self, h, seed):
+        # the K entries right after h in the memory of the array that holds it, if
+        # there are K; ones that no live state or caller holds get values first
+        flat = (h.base if isinstance(h.base, np.ndarray) else h).reshape(-1, order="A")
+        start = (h.ctypes.data - flat.ctypes.data) // flat.itemsize + h.size
+        row = flat[start:start + self.K]
+        held = [s.H for s, *_ in self.live] + [r for r, _ in self.callers
+                                                if isinstance(r, np.ndarray)]
+        if row.size == self.K and not any(np.shares_memory(row, a) for a in held):
+            row[:] = np.random.default_rng(seed).uniform(-1, 1, self.K)
+        return row if row.size == self.K else None
+
     @precondition(lambda self: self.live)
-    @rule(i=strategies.integers(0, 999), how=strategies.sampled_from(["next", "equal", "foreign"]),
+    @rule(i=strategies.integers(0, 999),
+          how=strategies.sampled_from(["next", "equal", "foreign", "after"]),
           seed=strategies.integers(0, 2**16))
     def step_any(self, i, how, seed):
-        # the caller's next row, a value-equal copy of it or a row from elsewhere
+        # the caller's next row, a value-equal copy of it, a row from elsewhere or
+        # the memory right after the state's H: a caller's row or a store's buffer row
         node = self.pick(i)
         l, (rows, rows64) = node[0].l, self.callers[node[2]]
         if l >= self.ROWS:
             return
-        if how == "foreign":
+        if how == "after":
+            row = self.memory_after(node[0].H, seed)
+            if row is not None:
+                self.step(node, row, row.copy())
+        elif how == "foreign":
             row = np.random.default_rng(seed).uniform(-1, 1, self.K)
             self.step(node, row, row)
         else:
@@ -1764,11 +1801,11 @@ class ChainStateMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.live)
     @rule(i=strategies.integers(0, 999),
-          how=strategies.sampled_from(["pickle", "deepcopy", "replace"]))
+          how=strategies.sampled_from(["pickle", "deepcopy", "copy", "replace"]))
     def copy_state(self, i, how):
         state, ref, caller, _ = self.pick(i)
         twin = {"pickle": lambda s: pickle.loads(pickle.dumps(s)), "deepcopy": copy.deepcopy,
-                "replace": replace}[how](state)
+                "copy": copy.copy, "replace": replace}[how](state)
         self.made(twin, ref, caller)
 
     @precondition(lambda self: self.live)
