@@ -19,13 +19,14 @@ copied into a buffer of the store's own.  That buffer has a 1-D owner, so
 no store takes it for caller rows, which its own store may still write.
 It, and ALG3's L and D on either path, doubles when full.  So re-stepping
 an old state is correct but may pay a copy, and chained growth appends in
-place.  A step stores its row by `_Store.for_step` before its rule runs,
-and ALG3's column and entry by `_Store.append`, which moves the fill
-level last: a step that raises has written only past every state's view.
-B, Q and W are rewritten by every step, each into a fresh array at its
-new size; `_fresh` carves the large ones from whole blocks, which a freed
-parent's array can leave behind.  Two threads must not step the same
-state at once.
+place.  A step writes storage once, by `_Store.grow`, after its algebra, so
+an incremental step that raises writes nothing.  BASELINE re-solves on the
+child's rows, so it grows first; if that raises, the store holds a row past
+every state's view and a fill level past the parent's, whose next step gets
+a new store.  B, Q and W are rewritten by every step, each into a fresh
+array at its new size; `_fresh` carves the large ones from whole blocks,
+which a freed parent's array can leave behind.  Two threads must not step
+the same state at once.
 """
 
 from __future__ import annotations
@@ -65,13 +66,12 @@ class _Store:
 
     __slots__ = ("H", "at", "L", "D", "n", "room")
 
-    def __init__(self, state: SolverState, rows: np.ndarray | None, h_bar: np.ndarray):
-        # over the caller's `rows`, or a buffer of its own holding state's H, then h_bar
+    def __init__(self, state: SolverState, rows: np.ndarray | None):
+        # over the caller's `rows`, or a buffer of its own holding state's H
         n, k, size = state.l, state.sample_count, 2 * (state.l + 1)
         if rows is None:                             # a 1-D owner: never caller rows
             self.H, self.at, self.room = np.empty(size * k).reshape(size, k), None, size
             self.H[:n] = state.H
-            self.H[n] = h_bar
         else:
             self.H, self.at, self.room = rows, _address(rows), rows.shape[0]
         self.L = self.D = None
@@ -97,26 +97,21 @@ class _Store:
         return None if misaligned or base.shape[0] - first <= h.shape[0] else base[first:]
 
     @staticmethod
-    def for_step(state: SolverState, h_bar: np.ndarray) -> _Store:
-        """The store whose H holds `state`'s l rows and then h_bar: `state`'s own if
-        the one reuse rule allows, else a new one over the caller's rows or a copy."""
+    def grow(state: SolverState, h_bar: np.ndarray, aux: dict) -> dict:
+        """`aux` with the child's H, L, D and _store, the one storage write of a step: in
+        `state`'s store if the reuse rule allows, else a new one, h_bar becomes row n,
+        ALG3's aux["L"] and aux["D"] column and entry n, and n + 1 the fill level."""
         store, n = state._store, state.H.shape[0]
-        if store is not None and store.n == n < store.room:
-            if store.at is None:
-                store.H[n] = h_bar
-                return store
-            if _address(h_bar) == store.at + n * store.H.strides[0]:
-                return store
-        return _Store(state, _Store._caller_rows(state.H, h_bar), h_bar)
-
-    def append(self, n: int, aux: dict) -> dict:
-        """`aux` with the child's H, L and D, their first n + 1 nodes here, once ALG3's
-        new column aux["L"] and entry aux["D"] are written; the fill level becomes n + 1."""
-        aux["H"] = self.H[:n + 1]
-        if self.L is not None:
-            self.L[:n, n], self.L[n, n], self.D[n] = aux["L"], 1.0, aux["D"]
-            aux["L"], aux["D"] = self.L[:n + 1, :n + 1], self.D[:n + 1]
-        self.n = n + 1
+        if not (store is not None and store.n == n < store.room and (
+                store.at is None or _address(h_bar) == store.at + n * store.H.strides[0])):
+            store = _Store(state, _Store._caller_rows(state.H, h_bar))
+        if store.at is None:
+            store.H[n] = h_bar
+        aux["H"], aux["_store"] = store.H[:n + 1], store
+        if store.L is not None:
+            store.L[:n, n], store.L[n, n], store.D[n] = aux["L"], 1.0, aux["D"]
+            aux["L"], aux["D"] = store.L[:n + 1, :n + 1], store.D[:n + 1]
+        store.n = n + 1
         return aux
 
 

@@ -432,25 +432,25 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
     (DomainError) float64 row of shape (K,) (ShapeError naming any other
     shape); c = h_bar^T h_bar + k0sq is computed once and must pass
     `_check_rows`, the start's and the oracle's row rule (DomainError naming
-    the node, before the row is stored); `_Store.for_step` stores h_bar
-    after `state`'s rows, and BASELINE re-solves on them.  Any other rule's
-    correction in `_RULES` gets p = H h_bar from `compute_p`; the one
-    breakdown test `_schur_denominator` forms delta = c - correction before
-    anything is updated; the rule's update returns W's border, and W becomes
-    [W + w_bar row^T, w_bar] (EXISTING returns its full Y B, row None).
-    Last, `_Store.append` stores ALG3's new column and entry and gives the
-    child's H, L and D.  A re-solve, correction or breakdown test that
-    raises leaves `state` and its chain as they were (see `_store`).
+    the node).  BASELINE stores h_bar after `state`'s rows by `_Store.grow`
+    and re-solves on them.  Any other rule's correction in `_RULES` gets
+    p = H h_bar from `compute_p`; the one breakdown test `_schur_denominator`
+    forms delta = c - correction before anything is updated; the rule's
+    update returns W's border, and W becomes [W + w_bar row^T, w_bar]
+    (EXISTING returns its full Y B, row None).  Last, `_Store.grow` stores
+    h_bar and ALG3's new column and entry and gives the child's H, L and D.
+    A step that raises leaves `state` and its chain as they were; only a
+    BASELINE re-solve has stored its row by then (see `_store`).
     """
     n, k = state.H.shape
     h_bar = _row(h_bar, k)
     c = float(np.vdot(h_bar, h_bar)) + state.k0sq
     _check_rows((c,), n + 1)
-    store = _Store.for_step(state, h_bar)
     rule = _RULES.get(state.kind)
-    if rule is None:                                 # BASELINE
-        factor, rhs = _factor(store.H[:n + 1], state.Y, state.k0sq)
-        w, aux = solve_spd(factor, rhs).T, {}
+    if rule is None:                                 # BASELINE, on the child's rows
+        aux = _Store.grow(state, h_bar, {})
+        factor, rhs = _factor(aux["H"], state.Y, state.k0sq)
+        w = solve_spd(factor, rhs).T
     else:
         correction, update = rule
         p = compute_p(state, h_bar)
@@ -458,8 +458,8 @@ def add_node(state: SolverState, h_bar: np.ndarray) -> SolverState:
         delta = _schur_denominator(c, corr, n + 1)
         w_bar, row, aux = update(state, h_bar, c, p, delta, q)
         w = w_bar if row is None else _bordered(state.W, w_bar, row)
+        aux = _Store.grow(state, h_bar, aux)
     # all ten fields in one update, without the frozen __init__'s ten setattr calls
     child = object.__new__(SolverState)
-    child.__dict__.update(_NO_AUX, kind=state.kind, k0sq=state.k0sq, Y=state.Y, W=w,
-                          _store=store, **store.append(n, aux))
+    child.__dict__.update(_NO_AUX, kind=state.kind, k0sq=state.k0sq, Y=state.Y, W=w, **aux)
     return child

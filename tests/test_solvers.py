@@ -1315,7 +1315,8 @@ class TestCopyOnWrite:
 
     @pytest.mark.parametrize("kind", ALL_INCREMENTAL)
     def test_failed_in_place_step_leaves_chain_intact(self, kind):
-        # the step frame appends h_bar to the store before the rule runs
+        # a step stores its row only once its algebra is done; the breakdown leaves
+        # the store at the owner's fill level, so the next step appends in place
         rng = np.random.default_rng(31)
         h = rng.uniform(-1, 1, (12, 50))
         y = rng.standard_normal((2, 50))
@@ -1330,6 +1331,55 @@ class TestCopyOnWrite:
         assert_same_state(child, reference_step(owner, h[11]))
         for name, want in kept.items():
             assert np.array_equal(getattr(owner, name), want), name
+
+    @pytest.mark.parametrize("kind", ALL_INCREMENTAL)
+    def test_failed_step_writes_nothing(self, kind):
+        # a copy-path chain (rows from a list) whose buffers past the fill level hold
+        # a sentinel, so that a row or column written there shows even when it holds
+        # the values a reused allocation left; a breakdown must leave every byte
+        rng = np.random.default_rng(31)
+        h = rng.uniform(-1, 1, (12, 50)).tolist()
+        st = init_solver(kind, h[0], rng.standard_normal((2, 50)), 1e-14)
+        for l in range(1, 11):
+            st = add_node(st, h[l])
+        store, n = st._store, st.l
+        assert store.at is None and store.n == n < store.room
+        buffers = [store.H]
+        store.H[n:] = -7.0
+        if store.L is not None:                 # ALG3's next column and entries
+            store.L[:n + 1, n] = store.D[n:] = -7.0
+            buffers += [store.L, store.D]
+        kept = [b.copy() for b in buffers]
+        with pytest.raises(NumericalBreakdownError):
+            add_node(st, st.H[3].copy())        # delta ~ 2 k0sq
+        for b, want in zip(buffers, kept):
+            assert b.tobytes() == want.tobytes()
+        child = add_node(st, h[11])
+        assert child._store is store
+        assert_same_state(child, reference_step(st, np.array(h[11])))
+
+    @pytest.mark.parametrize("view", [True, False], ids=["view", "copy"])
+    def test_failed_baseline_resolve_leaves_chain_intact(self, view):
+        # rows 2 e_i at k0sq = 1e-20, where 4 + k0sq == 4, then row 0 again: the
+        # re-solve's last Cholesky pivot is exactly 0.  BASELINE stores its row
+        # before it re-solves, so only memory past every state's view has changed
+        k = 8
+        h = np.zeros((6, k))
+        h[range(4), range(4)] = 2.0
+        h[4] = h[0]
+        h[5] = np.random.default_rng(43).uniform(-1, 1, k)
+        rows = h if view else h.tolist()
+        y = np.random.default_rng(44).standard_normal((2, k))
+        st = add_node(warm_start(AlgorithmKind.BASELINE, rows[:3], y, 1e-20), rows[3])
+        assert (st.H.base is h) is view
+        kept, before = snapshot(st), h.copy()
+        with pytest.raises(NumericalBreakdownError):
+            add_node(st, rows[4])
+        child = add_node(st, rows[5])
+        assert_same_state(child, reference_step(st, h[5]))
+        for name, want in kept.items():
+            assert np.array_equal(getattr(st, name), want), name
+        assert np.array_equal(h, before)
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_rejected_row_leaves_chain_intact(self, kind):
@@ -1574,7 +1624,7 @@ class TestViewOrCopy:
             st = self.copies(st, f[l], f[l], f, ref)
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
-    def test_rows_of_a_C_ordered_transpose_are_viewed(self, kind):
+    def test_rows_of_a_C_ordered_transpose_are_copied(self, kind):
         # g.T is C-contiguous and its rows lie one after another, but over the
         # F-ordered g, which is not the viewed layout: each step copies
         h, y, _ = self.problem(kind)
@@ -1582,6 +1632,20 @@ class TestViewOrCopy:
         st = warm_start(kind, g.T[:3], y, 0.1)
         for l in range(3, 6):
             st = self.copies(st, g.T[l], g.T[l], g)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_read_only_rows_are_viewed(self, kind):
+        # a read-only array has no writable buffer, so `_address` falls back to
+        # `ctypes.data`; the chain still views it
+        rng = np.random.default_rng(37)
+        h = np.exp(-np.square(rng.uniform(-1, 1, (8, self.K))))
+        h.setflags(write=False)
+        st = warm_start(kind, h[:3], rng.standard_normal((self.M, self.K)), 0.1)
+        for l in range(3, 8):
+            child = add_node(st, h[l])
+            assert child.H.base is h and child._store.at is not None
+            assert_same_state(child, reference_step(st, h[l]))
+            st = child
 
     @pytest.mark.parametrize("how", ["copy", "replace"])
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
@@ -1711,22 +1775,24 @@ class ChainStateMachine(RuleBasedStateMachine):
     Each live state is recorded with `reference_step`'s state for its history
     and with its bytes, which must be the reference's when the state is made
     and must not move afterwards; the caller's arrays must never change.
-    States start from a C-ordered array, a list, the C-ordered transpose of
-    an F-ordered array or float32 rows, so that steps take both the view and
-    the copy path, and re-stepping an older state or a copy of one branches
-    its chain.  Only the C-ordered array is viewed; the F-transpose, whose
-    rows lie one after another over an F-ordered array, copies as the list
-    and float32 rows do.  A step may also read the memory right after a
-    state's H in the array that holds it: the caller's next row, or a row of
-    a store's buffer, which no live state views and which a shallow copy or
-    a replaced state must not come to view.  A k0sq of 1e-14 lets a duplicate row break an incremental
-    rule down.
+    States start from a C-ordered array, writable or read-only, a list, the
+    C-ordered transpose of an F-ordered array or float32 rows, so that steps
+    take both the view and the copy path, and re-stepping an older state or
+    a copy of one branches its chain.  Only the C-ordered arrays are viewed;
+    the F-transpose, whose rows lie one after another over an F-ordered
+    array, copies as the list and float32 rows do.  A step may also read the
+    memory right after a state's H in the array that holds it: the caller's
+    next row, or a row of a store's buffer, which no live state views and
+    which a shallow copy or a replaced state must not come to view, even
+    when the original steps next and its store writes that row.  A k0sq of
+    1e-14 lets a duplicate row break an incremental rule down.
     """
 
     K, M, ROWS = 16, 2, 10
 
     SOURCES = {
         "C": lambda h: h,
+        "C-read-only": lambda h: h.setflags(write=False) or h,
         "list": lambda h: h.tolist(),
         "F-transpose": lambda h: np.array(h.T, order="F").T,
         "float32": lambda h: h.astype(np.float32),
@@ -1807,6 +1873,25 @@ class ChainStateMachine(RuleBasedStateMachine):
         twin = {"pickle": lambda s: pickle.loads(pickle.dumps(s)), "deepcopy": copy.deepcopy,
                 "copy": copy.copy, "replace": replace}[how](state)
         self.made(twin, ref, caller)
+
+    @precondition(lambda self: self.live)
+    @rule(i=strategies.integers(0, 999), how=strategies.sampled_from(["copy", "replace"]),
+          seed=strategies.integers(0, 2**16))
+    def step_twin_then_original(self, i, how, seed):
+        # a shallow twin steps with the memory right after its H, which for a
+        # copy-path state at its fill level is the next row of the original's
+        # store buffer; then the original steps with its caller's next row, which
+        # that store writes there
+        node = self.pick(i)
+        state, ref, caller, _ = node
+        l, (rows, rows64) = state.l, self.callers[caller]
+        twin = {"copy": copy.copy, "replace": replace}[how](state)
+        row = self.memory_after(twin.H, seed) if l < self.ROWS else None
+        if row is None:
+            return
+        self.made(twin, ref, caller)
+        self.step(self.live[-1], row, row.copy())
+        self.step(node, rows[l], rows64[l])
 
     @precondition(lambda self: self.live)
     @rule(i=strategies.integers(0, 999),
